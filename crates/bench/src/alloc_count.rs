@@ -7,14 +7,15 @@
 //! [`std::alloc::System`]. Counting is **gated**: until [`enable`] is
 //! called the fast path is a single relaxed load, so registering the
 //! wrapper in the `laminar-experiments` binary costs experiment runs
-//! nothing measurable — only `--bench` turns the counters on.
+//! nothing measurable — only `--shard-curve` turns the counters on.
 //!
 //! The wrapper must be registered as the global allocator by the *binary*
-//! (`#[global_allocator]` in `laminar_experiments.rs`); library tests run
-//! under the default allocator, where [`is_active`] stays `false` and
-//! reported stats are zero. `scripts/bench.sh` diffs the resulting
-//! `allocs_per_event` columns across reports exactly like the throughput
-//! columns, so allocation regressions fail the same way.
+//! or test target that measures (`laminar_experiments.rs`, the `perfbench`
+//! benchmark, and the `tests/alloc_budget.rs` allocation-budget test);
+//! library tests run under the default allocator, where [`is_active`]
+//! stays `false` and reported stats are zero. Allocation counts are
+//! deterministic, so a budget on them is a real regression gate, not a
+//! noisy one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -6,7 +6,6 @@
 //!                     [--checkpoint-every SECS] [--out DIR]
 //!                     [--trace FILE] <id>... | all | list
 //! laminar-experiments --spec FILE... [--full] [--jobs N] [--out DIR]
-//! laminar-experiments --bench [--smoke] [--jobs N] [--bench-out FILE]
 //! laminar-experiments --shard-curve [--smoke] [--bench-out FILE]
 //! laminar-experiments --resume-from FILE
 //! laminar-experiments --list
@@ -30,16 +29,12 @@
 //! wall-clock lever. The request is clamped so `jobs × shards` never
 //! exceeds the machine's available parallelism.
 //!
-//! `--bench` instead runs the in-tree benchmark harness (engine-hot-path
-//! micro-benchmark plus an end-to-end serial-vs-parallel suite timing) and
-//! writes `BENCH_rollout.json` (override with `--bench-out`). `--smoke`
-//! shrinks it to a few seconds for CI.
-//!
-//! `--shard-curve` runs only the sharded-driver scaling curve (the CI
+//! `--shard-curve` instead runs the sharded-driver scaling curve (the CI
 //! multi-core datapoint): wall seconds, fence-window stats, and the
-//! byte-identity verdict at shards 1/2/4/8, written as a standalone
-//! schema-6 report to `BENCH_shard_curve.json` (override with
-//! `--bench-out`). Exits nonzero on a false determinism verdict.
+//! byte-identity verdict at shards 1/2/4/8, written as a schema-6 report
+//! to `BENCH_shard_curve.json` (override with `--bench-out`). `--smoke`
+//! shortens the fixed run. Exits nonzero on a false determinism verdict.
+//! The repo benchmark proper is the `perfbench` package.
 //!
 //! `--checkpoint-every SECS` sets the checkpoint cadence the `recovery`
 //! experiment exercises; its report includes `checkpoint ...` descriptor
@@ -69,8 +64,9 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Counting allocator for `--bench` allocation accounting. Dormant (one
-/// relaxed load per allocation) until the bench harness enables it.
+/// Counting allocator for the shard curve's per-point allocation counts.
+/// Dormant (one relaxed load per allocation) until `--shard-curve`
+/// enables it.
 #[global_allocator]
 static ALLOC: laminar_bench::alloc_count::CountingAlloc = laminar_bench::alloc_count::CountingAlloc;
 
@@ -80,7 +76,6 @@ fn main() {
         ..Opts::default()
     };
     let mut out_dir = PathBuf::from("results");
-    let mut bench = false;
     let mut shard_curve = false;
     let mut smoke = false;
     let mut bench_out: Option<PathBuf> = None;
@@ -92,7 +87,6 @@ fn main() {
         match a.as_str() {
             "--full" => opts.quick = false,
             "--quick" => opts.quick = true,
-            "--bench" => bench = true,
             "--shard-curve" => shard_curve = true,
             "--smoke" => smoke = true,
             "--seed" => {
@@ -201,14 +195,6 @@ fn main() {
         }
         return;
     }
-    if bench {
-        let report = benchmarks::run_bench(smoke, opts.jobs);
-        println!("{}", report.summary());
-        let out = bench_out.unwrap_or_else(|| PathBuf::from("BENCH_rollout.json"));
-        report.write(&out).expect("write benchmark JSON");
-        eprintln!("wrote {}", out.display());
-        return;
-    }
     if let Some(path) = resume_from {
         // Deterministic checkpoint replay: rebuild the run described by the
         // descriptor, verify the snapshot fingerprint, resume to completion.
@@ -251,7 +237,6 @@ fn main() {
         eprintln!(
             "usage: laminar-experiments [--full] [--seed N] [--jobs N] [--shards N] [--chaos-seed N] [--recovery-seed N] [--fleet-cells N] [--fleet-seed N] [--checkpoint-every SECS] [--out DIR] [--trace FILE] <id>... | all | list\n\
              \x20      laminar-experiments --spec FILE... [--full] [--jobs N] [--out DIR]\n\
-             \x20      laminar-experiments --bench [--smoke] [--jobs N] [--bench-out FILE]\n\
              \x20      laminar-experiments --shard-curve [--smoke] [--bench-out FILE]\n\
              \x20      laminar-experiments --resume-from FILE\n\
              \x20      laminar-experiments --list"

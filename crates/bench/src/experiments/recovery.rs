@@ -63,7 +63,7 @@ pub(crate) fn recovery_config(opts: &Opts, kind: SystemKind) -> SystemConfig {
 /// The configuration the checkpoint/restore section (and `--resume-from`
 /// replay) uses: a pure function of `(seed, system)`, small enough that
 /// deterministic replay from `t = 0` costs milliseconds.
-pub fn replay_config(seed: u64, kind: SystemKind) -> SystemConfig {
+fn replay_config(seed: u64, kind: SystemKind) -> SystemConfig {
     let mut c = SystemConfig::small_test(WorkloadGenerator::single_turn(seed, Checkpoint::Math7B));
     if matches!(kind, SystemKind::Verl) {
         c.train_gpus = 0;

@@ -1,9 +1,8 @@
 //! Regression gates: per-metric thresholds evaluated against a committed
 //! baseline rows file or a sibling variant of the same run.
 //!
-//! This generalizes the hard-coded 20% rule of `scripts/bench.sh` into
-//! declarations carried by the spec: each gate names a (variant, metric,
-//! stat) aggregate and bounds it relative to its baseline. Gates *fail
+//! Gates are declarations carried by the spec: each names a (variant,
+//! metric, stat) aggregate and bounds it relative to its baseline. Gates *fail
 //! closed* — a missing metric, variant, or baseline aggregate is a
 //! failure, not a silent pass — and the binary exits nonzero when any
 //! gate fails, which is what lets CI block on a regression.

@@ -371,8 +371,7 @@ pub enum GateBaseline {
     Variant(String),
 }
 
-/// One regression gate: a per-metric threshold generalizing the 20% rule
-/// of `scripts/bench.sh`.
+/// One regression gate: a per-metric threshold against a baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateSpec {
     /// Gate name — the `NAME` of its `[gate.NAME]` section.

@@ -164,8 +164,9 @@ impl Default for LaminarSystem {
 /// Fence-window statistics from the sharded conservative-lookahead driver
 /// (all zeros for serial runs): how many barriers the run crossed, how many
 /// central events each window absorbed, and how often windows batched more
-/// than one event. The schema-6 bench `shard_curve` block reports these so
-/// the widened parallel window is measurable, not asserted.
+/// than one event. The `--shard-curve` report's `window_stats` block
+/// reports these so the widened parallel window is measurable, not
+/// asserted.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowStats {
     /// Fence windows opened — one `advance_shards` barrier each.

@@ -408,7 +408,7 @@ impl ReplicaEngine {
 
     /// Internal engine events processed so far (prefill completions, env
     /// returns, segment completions, rate re-evaluations). The denominator
-    /// of the `--bench` events/sec metric.
+    /// of the per-event cost and allocation metrics.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }

@@ -5,14 +5,9 @@
 //! per-event implementation: `next_internal` rescans every active trajectory
 //! for the earliest phase deadline and the minimum tokens remaining, and
 //! `apply_progress` eagerly bumps every decoding trajectory's counters at
-//! every event. It exists for two reasons:
-//!
-//! * the engine equivalence tests assert the indexed
-//!   [`ReplicaEngine`](super::ReplicaEngine) produces the same trajectory
-//!   timeline over randomized schedules;
-//! * the `laminar-experiments --bench` harness measures the events/sec
-//!   improvement of the indexed hot path against this baseline and records
-//!   it in `BENCH_rollout.json`.
+//! every event. It exists as the oracle of the engine equivalence tests,
+//! which assert the indexed [`ReplicaEngine`](super::ReplicaEngine)
+//! produces the same trajectory timeline over randomized schedules.
 //!
 //! It intentionally omits the inspection extras (KV series, trace spans):
 //! only the simulation-visible behaviour is reproduced.

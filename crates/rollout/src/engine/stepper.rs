@@ -81,37 +81,8 @@ impl ReplicaEngine {
         }
     }
 
-    /// Applies internal transitions with time ≤ `fence` — the shard
-    /// lookahead primitive — **without** moving the clock past the last
-    /// processed event. Unlike [`ReplicaEngine::advance_to`], the engine is
-    /// left exactly where the serial wake chain would leave it: at its most
-    /// recent internal event, so the forced rate-re-evaluation horizon
-    /// (which is keyed off `last_update`) fires at identical instants in
-    /// sharded and serial execution.
-    ///
-    /// Returns `true` when the engine ran out of events entirely and is now
-    /// idle (nothing resident, nothing waiting) — the caller owns the
-    /// restart decision at the final completion's instant.
-    pub fn advance_events_until(&mut self, fence: Time) -> bool {
-        let mut guard = 0u64;
-        loop {
-            self.prune_event_tops();
-            let Some((t, kind)) = self.peek_internal() else {
-                break;
-            };
-            if t > fence {
-                return false;
-            }
-            guard += 1;
-            assert!(guard < 50_000_000, "replica engine event storm — model bug");
-            self.apply_internal(t, kind);
-        }
-        self.is_idle()
-    }
-
     /// One internal transition: progress settlement, the event itself, then
-    /// admission / rate / recording follow-ups. Shared by the serial
-    /// [`ReplicaEngine::advance_to`] chain and the bounded shard stepper.
+    /// admission / rate / recording follow-ups.
     fn apply_internal(&mut self, t: Time, kind: Internal) {
         self.events_processed += 1;
         self.apply_progress(t);

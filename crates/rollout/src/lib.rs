@@ -23,5 +23,5 @@ pub use engine::reference::NaiveReplicaEngine;
 pub use engine::{CompletedTraj, EngineConfig, ReplicaEngine};
 pub use manager::{ManagerConfig, ReplicaHealth, RolloutManager};
 pub use repack::{plan_repack, RepackPlan, ReplicaLoad};
-pub use shard::{parallel_advance, parallel_advance_chains, ShardMessage, ShardedReplicaSet};
+pub use shard::parallel_advance_chains;
 pub use traj::{Phase, PolicyVersions, TrajState};

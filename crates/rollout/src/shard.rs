@@ -10,23 +10,14 @@
 //! a shard may advance its replicas' local clocks freely up to the next
 //! fence, then joins a barrier before anyone crosses it.
 //!
-//! Two layers live here:
-//!
-//! * [`parallel_advance`] — the lookahead primitive: fan a slice of engines
-//!   across up to `shards` scoped worker threads, each advancing its
-//!   engines' internal events up to (and including) the fence instant via
-//!   [`ReplicaEngine::advance_events_until`]. The scope join IS the barrier.
-//!   At `shards = 1` the loop runs strictly inline on the caller's thread —
-//!   no pool, no synchronization, byte-identical behaviour.
-//! * [`ShardedReplicaSet`] — a self-contained multi-replica harness over the
-//!   primitive: cross-shard effects (weight-version broadcasts, trajectory
-//!   hand-offs, fault injections) are exchanged as time-stamped
-//!   [`ShardMessage`]s applied at barriers in deterministic `(time, class,
-//!   replica, id)` order, and per-shard outputs (completions, trace spans)
-//!   are merged in id order — so reports and JSONL traces are byte-identical
-//!   to a serial run at any shard count. The retained
-//!   [`crate::NaiveReplicaEngine`] is the cross-shard equivalence oracle
-//!   (see `tests/engine_equivalence.rs`).
+//! [`parallel_advance_chains`] is the lookahead primitive: it fans a slice
+//! of engines across up to `shards` scoped worker threads, each replaying
+//! its engines' mirrored wake chains ([`WakeQueue`]) up to (and including)
+//! the fence instant. The scope join IS the barrier. At `shards = 1` the
+//! loop runs strictly inline on the caller's thread — no pool, no
+//! synchronization, byte-identical behaviour. The sharded Laminar driver
+//! (`laminar_core`'s `system::sharded`) applies every cross-engine effect
+//! at those barriers.
 //!
 //! Determinism argument, in brief: the shard partition only decides *which
 //! thread* runs an engine's (already deterministic, self-contained) event
@@ -34,75 +25,8 @@
 //! at a barrier in a canonical order that no thread schedule can perturb.
 //! Shard count is therefore a pure throughput knob.
 
-use crate::engine::{CompletedTraj, ReplicaEngine};
-use laminar_sim::trace::TraceSpan;
-use laminar_sim::{Duration, Time};
-use laminar_workload::TrajectorySpec;
-
-/// Far-future fence: "advance until you run out of events".
-const NO_FENCE: Time = Time::MAX;
-
-/// Advances every engine whose next internal event lies at or before
-/// `fence`, fanning the work across up to `shards` scoped threads (chunked
-/// contiguously; the caller's thread works the first chunk). Returns how
-/// many engines had events to process.
-///
-/// The scope join is the shard barrier: when this returns, every engine's
-/// internal clock sits at its last event ≤ `fence` (or wherever it already
-/// was, if it had nothing pending), and no engine has crossed the fence.
-pub fn parallel_advance(engines: &mut [ReplicaEngine], fence: Time, shards: usize) -> usize {
-    let live = engines
-        .iter()
-        .filter(|e| e.next_event_time().is_some_and(|t| t <= fence))
-        .count();
-    let workers = shards.max(1).min(live.max(1));
-    if workers <= 1 {
-        // Strictly inline: the serial path and the sharded path run exactly
-        // the same per-engine loop over exactly the same engines.
-        for e in engines.iter_mut() {
-            if e.next_event_time().is_some_and(|t| t <= fence) {
-                e.advance_events_until(fence);
-            }
-        }
-        return live;
-    }
-    // One contiguous chunk per worker. Engine *identity* does not matter for
-    // correctness — engines never observe each other between fences — so the
-    // partition is purely a load-balancing choice.
-    let chunk = engines.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut rest = engines;
-        let mut handles = Vec::new();
-        let mut first: Option<&mut [ReplicaEngine]> = None;
-        for w in 0..workers {
-            let take = chunk.min(rest.len());
-            let (mine, tail) = rest.split_at_mut(take);
-            rest = tail;
-            if w == 0 {
-                first = Some(mine);
-            } else if !mine.is_empty() {
-                handles.push(scope.spawn(move || {
-                    for e in mine.iter_mut() {
-                        if e.next_event_time().is_some_and(|t| t <= fence) {
-                            e.advance_events_until(fence);
-                        }
-                    }
-                }));
-            }
-        }
-        if let Some(mine) = first {
-            for e in mine.iter_mut() {
-                if e.next_event_time().is_some_and(|t| t <= fence) {
-                    e.advance_events_until(fence);
-                }
-            }
-        }
-        for h in handles {
-            h.join().expect("shard worker panicked");
-        }
-    });
-    live
-}
+use crate::engine::ReplicaEngine;
+use laminar_sim::Time;
 
 /// The pending-wake multiset of one replica, mirrored out of a serial
 /// driver's central scheduler: `(time, seq)`-ordered entries tagged with
@@ -171,8 +95,9 @@ impl WakeQueue {
 /// [`WakeQueue`] and [`ReplicaEngine::advance_wake_queue`]); `eligible[r]`
 /// is false for replicas whose wakes a serial driver would skip at fire
 /// time (dead or mid weight-pull) — their due entries are consumed without
-/// effect, exactly as the serial guard does. Chunking and the scope-join
-/// barrier mirror [`parallel_advance`].
+/// effect, exactly as the serial guard does. Engines are chunked
+/// contiguously, one chunk per worker, with the caller's thread working
+/// the first; the scope join is the barrier.
 ///
 /// `heads[r]` receives replica `r`'s earliest buffered completion instant
 /// after the advance. Each worker computes the heads for its own chunk
@@ -269,239 +194,4 @@ pub fn parallel_advance_chains(
             h.join().expect("shard worker panicked");
         }
     });
-}
-
-/// A time-stamped cross-shard effect. Effects are queued on the
-/// [`ShardedReplicaSet`] and applied single-threaded at fence barriers in
-/// canonical `(time, class, replica, id)` order, so the application order is
-/// independent of both the shard partition and the thread schedule.
-#[derive(Debug, Clone)]
-pub enum ShardMessage {
-    /// Trajectory hand-off: `spec` is submitted to `replica` at `at`.
-    Submit {
-        /// Hand-off instant.
-        at: Time,
-        /// Receiving replica index.
-        replica: usize,
-        /// The assignment.
-        spec: TrajectorySpec,
-    },
-    /// Partial-rollout weight broadcast: every replica adopts `version`
-    /// mid-flight at `at` (KVCache rebuilds and all — see
-    /// [`ReplicaEngine::interrupt_with_weights`]).
-    InterruptAll {
-        /// Publish instant.
-        at: Time,
-        /// New weight version.
-        version: u64,
-    },
-    /// Non-interrupting weight publish: every replica starts *new* work at
-    /// `version` from `at` on ([`ReplicaEngine::set_weight_version`]).
-    PublishAll {
-        /// Publish instant.
-        at: Time,
-        /// New weight version.
-        version: u64,
-    },
-    /// Chaos: straggler multiplier on one replica from `at` on.
-    PerfFactor {
-        /// Fault instant.
-        at: Time,
-        /// Afflicted replica.
-        replica: usize,
-        /// Slowdown multiplier (1.0 restores full speed).
-        factor: f64,
-    },
-    /// Chaos: every in-flight env call on `replica` stalls `extra` longer.
-    EnvStall {
-        /// Fault instant.
-        at: Time,
-        /// Afflicted replica.
-        replica: usize,
-        /// Added latency.
-        extra: Duration,
-    },
-}
-
-impl ShardMessage {
-    /// The instant the effect strikes.
-    pub fn at(&self) -> Time {
-        match *self {
-            ShardMessage::Submit { at, .. }
-            | ShardMessage::InterruptAll { at, .. }
-            | ShardMessage::PublishAll { at, .. }
-            | ShardMessage::PerfFactor { at, .. }
-            | ShardMessage::EnvStall { at, .. } => at,
-        }
-    }
-
-    /// Canonical application order: time first, then message class (faults
-    /// land before hand-offs before publishes, mirroring the chaos plane's
-    /// fault-then-work event order), then replica, then trajectory id.
-    fn sort_key(&self) -> (Time, u8, usize, u64) {
-        match *self {
-            ShardMessage::PerfFactor { at, replica, .. } => (at, 0, replica, 0),
-            ShardMessage::EnvStall { at, replica, .. } => (at, 1, replica, 0),
-            ShardMessage::Submit {
-                at,
-                replica,
-                ref spec,
-            } => (at, 2, replica, spec.id),
-            ShardMessage::InterruptAll { at, version } => (at, 3, 0, version),
-            ShardMessage::PublishAll { at, version } => (at, 4, 0, version),
-        }
-    }
-}
-
-/// A group of replica engines executed by the conservative-lookahead
-/// protocol: queue time-stamped messages, then [`ShardedReplicaSet::run`].
-///
-/// The set is the unit the shard-curve benchmark scales over shard counts, and
-/// the subject of the sharded-vs-naive equivalence sweep.
-#[derive(Debug)]
-pub struct ShardedReplicaSet {
-    engines: Vec<ReplicaEngine>,
-    shards: usize,
-    msgs: Vec<ShardMessage>,
-    /// Fence barriers crossed by [`ShardedReplicaSet::run`] so far.
-    fences_crossed: u64,
-}
-
-impl ShardedReplicaSet {
-    /// Wraps `engines` for execution across `shards` shards (clamped to at
-    /// least 1). The engines' existing state is preserved — a set built from
-    /// mid-flight engines continues them.
-    pub fn new(engines: Vec<ReplicaEngine>, shards: usize) -> Self {
-        ShardedReplicaSet {
-            engines,
-            shards: shards.max(1),
-            msgs: Vec::new(),
-            fences_crossed: 0,
-        }
-    }
-
-    /// Shard count this set executes with.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Replica count.
-    pub fn len(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// True when the set holds no replicas.
-    pub fn is_empty(&self) -> bool {
-        self.engines.is_empty()
-    }
-
-    /// Read access to the replicas (id order).
-    pub fn engines(&self) -> &[ReplicaEngine] {
-        &self.engines
-    }
-
-    /// Mutable access to the replicas — for harnesses that need to inspect
-    /// or tweak engines between runs. Cross-shard effects during a run must
-    /// go through [`ShardedReplicaSet::post`] instead.
-    pub fn engines_mut(&mut self) -> &mut [ReplicaEngine] {
-        &mut self.engines
-    }
-
-    /// Queues a cross-shard effect for the next [`ShardedReplicaSet::run`].
-    pub fn post(&mut self, msg: ShardMessage) {
-        self.msgs.push(msg);
-    }
-
-    /// Fence barriers crossed so far (one per distinct message instant).
-    pub fn fences_crossed(&self) -> u64 {
-        self.fences_crossed
-    }
-
-    /// Total internal events processed across every replica.
-    pub fn events_processed(&self) -> u64 {
-        self.engines.iter().map(|e| e.events_processed()).sum()
-    }
-
-    /// Total trajectories completed across every replica.
-    pub fn completed_count(&self) -> u64 {
-        self.engines.iter().map(|e| e.completed_count()).sum()
-    }
-
-    /// Runs the protocol to quiescence: for each queued message instant (in
-    /// canonical order), every shard advances its replicas freely up to that
-    /// fence, joins the barrier, and the messages at the fence are applied
-    /// single-threaded in sort order; after the last fence the shards drain
-    /// every remaining internal event. Returns when no engine holds work.
-    pub fn run(&mut self) {
-        let mut msgs = std::mem::take(&mut self.msgs);
-        msgs.sort_by_key(|m| m.sort_key());
-        let mut i = 0;
-        while i < msgs.len() {
-            let fence = msgs[i].at();
-            // Conservative lookahead: nobody crosses the fence before the
-            // barrier; the scope join inside parallel_advance is the barrier.
-            parallel_advance(&mut self.engines, fence, self.shards);
-            self.fences_crossed += 1;
-            while i < msgs.len() && msgs[i].at() == fence {
-                self.apply(&msgs[i]);
-                i += 1;
-            }
-        }
-        // Past the last interaction point the windows are unbounded: drain
-        // every shard to quiescence.
-        parallel_advance(&mut self.engines, NO_FENCE, self.shards);
-    }
-
-    /// Applies one message at its fence (single-threaded, canonical order).
-    fn apply(&mut self, msg: &ShardMessage) {
-        match msg {
-            ShardMessage::Submit { at, replica, spec } => {
-                self.engines[*replica].submit(spec.clone(), *at);
-            }
-            ShardMessage::InterruptAll { at, version } => {
-                for e in self.engines.iter_mut() {
-                    e.interrupt_with_weights(*version, *at);
-                }
-            }
-            ShardMessage::PublishAll { at, version } => {
-                for e in self.engines.iter_mut() {
-                    e.set_weight_version(*version, *at);
-                }
-            }
-            ShardMessage::PerfFactor {
-                at,
-                replica,
-                factor,
-            } => {
-                self.engines[*replica].set_perf_factor(*factor, *at);
-            }
-            ShardMessage::EnvStall { at, replica, extra } => {
-                self.engines[*replica].delay_env_returns(*extra, *at);
-            }
-        }
-    }
-
-    /// Drains every replica's completions merged into one stream ordered by
-    /// `(finished_at, trajectory id)` — the order a serial single-clock
-    /// observer would have seen the hand-offs in, independent of shard
-    /// count.
-    pub fn take_completions_merged(&mut self) -> Vec<CompletedTraj> {
-        let mut all: Vec<CompletedTraj> = Vec::new();
-        for e in self.engines.iter_mut() {
-            all.extend(e.take_completions());
-        }
-        // Per-engine streams are already time-ordered; the global sort is a
-        // near-merge. Ties (same instant on two replicas) break by id.
-        all.sort_by_key(|c| (c.finished_at, c.spec.id));
-        all
-    }
-
-    /// Hands every replica's buffered trace spans to `drain` in replica-id
-    /// order — exactly the order the serial engine loop drains them in, so
-    /// JSONL traces are byte-identical at any shard count.
-    pub fn drain_trace_spans_ordered(&mut self, drain: &mut dyn FnMut(&[TraceSpan])) {
-        for e in self.engines.iter_mut() {
-            e.drain_trace_spans(drain);
-        }
-    }
 }

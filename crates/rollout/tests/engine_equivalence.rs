@@ -14,10 +14,7 @@
 //! reproducible from the printed `case` index.
 
 use laminar_cluster::{DecodeModel, GpuSpec, ModelSpec};
-use laminar_rollout::{
-    CompletedTraj, EngineConfig, NaiveReplicaEngine, ReplicaEngine, ShardMessage, ShardedReplicaSet,
-};
-use laminar_sim::trace::TraceSpan;
+use laminar_rollout::{CompletedTraj, EngineConfig, NaiveReplicaEngine, ReplicaEngine};
 use laminar_sim::{Duration, SimRng, Time};
 use laminar_workload::{Segment, TrajectorySpec};
 
@@ -281,172 +278,5 @@ fn indexed_engine_is_deterministic_across_runs() {
     };
     for case in 0..8 {
         assert_eq!(run(case), run(case), "case {case}");
-    }
-}
-
-/// Replica count for the sharded sweeps: enough to give every shard at
-/// least one engine at the highest shard count under test.
-const REPLICAS: usize = 4;
-
-/// Converts a chaos schedule into the sharded set's message stream:
-/// submissions hash to replicas round-robin, weight publishes broadcast.
-fn chaos_messages(ops: &[Op]) -> Vec<ShardMessage> {
-    ops.iter()
-        .map(|op| match op {
-            Op::Submit(t, spec) => ShardMessage::Submit {
-                at: *t,
-                replica: (spec.id as usize) % REPLICAS,
-                spec: spec.clone(),
-            },
-            Op::Interrupt(t, v) => ShardMessage::InterruptAll {
-                at: *t,
-                version: *v,
-            },
-            Op::SetVersion(t, v) => ShardMessage::PublishAll {
-                at: *t,
-                version: *v,
-            },
-        })
-        .collect()
-}
-
-fn sharded_set(seed: u64, shards: usize, record_trace: bool) -> ShardedReplicaSet {
-    let mut rng = SimRng::derive(seed, "chaos-schedule", 0);
-    let ops = chaos_schedule(&mut rng);
-    let cfg = EngineConfig {
-        max_concurrency: rng.range_u64(2, 48) as usize,
-        record_trace,
-        ..EngineConfig::default()
-    };
-    let engines = (0..REPLICAS)
-        .map(|r| ReplicaEngine::new(r, decode(), cfg.clone()))
-        .collect();
-    let mut set = ShardedReplicaSet::new(engines, shards);
-    for msg in chaos_messages(&ops) {
-        set.post(msg);
-    }
-    set
-}
-
-/// The conservative-lookahead protocol at shards=4 must reproduce, replica
-/// by replica, the timeline of naive reference engines driven serially
-/// through the identical operation stream — the cross-shard equivalence
-/// oracle over the same 32-seed chaos mix the slab sweep uses.
-#[test]
-fn sharded_set_matches_naive_over_chaos_schedules() {
-    for seed in 0..32u64 {
-        let mut set = sharded_set(seed, REPLICAS, false);
-        set.run();
-
-        // Oracle: one naive engine per replica, fed the same per-replica
-        // operation substream in the same canonical order, drained serially.
-        let mut rng = SimRng::derive(seed, "chaos-schedule", 0);
-        let ops = chaos_schedule(&mut rng);
-        let cfg = EngineConfig {
-            max_concurrency: rng.range_u64(2, 48) as usize,
-            ..EngineConfig::default()
-        };
-        let mut naive: Vec<NaiveReplicaEngine> = (0..REPLICAS)
-            .map(|_| NaiveReplicaEngine::new(decode(), cfg.clone()))
-            .collect();
-        for op in &ops {
-            match op {
-                Op::Submit(t, spec) => {
-                    naive[(spec.id as usize) % REPLICAS].submit(spec.clone(), *t)
-                }
-                Op::Interrupt(t, v) => {
-                    for e in naive.iter_mut() {
-                        e.interrupt_with_weights(*v, *t);
-                    }
-                }
-                Op::SetVersion(t, v) => {
-                    for e in naive.iter_mut() {
-                        e.set_weight_version(*v, *t);
-                    }
-                }
-            }
-        }
-        for (r, e) in naive.iter_mut().enumerate() {
-            let mut guard = 0u64;
-            while let Some(t) = e.next_event_time() {
-                e.advance_to(t);
-                guard += 1;
-                assert!(guard < 8_000_000, "seed {seed}: naive replica {r} stuck");
-            }
-        }
-
-        for (r, n) in naive.iter_mut().enumerate() {
-            assert!(
-                set.engines()[r].is_idle(),
-                "seed {seed}: sharded replica {r} left work"
-            );
-            assert_timeline_eq(
-                seed,
-                &set.engines_mut()[r].take_completions(),
-                &n.take_completions(),
-            );
-            assert_eq!(
-                set.engines()[r].completed_count(),
-                n.completed_count(),
-                "seed {seed}: replica {r} completion counts diverged"
-            );
-        }
-    }
-}
-
-/// Shard count is a pure throughput knob: runs at shards ∈ {1, 2, 4} over
-/// the same message stream must be byte-identical — same merged completion
-/// stream (ids, instants to the nanosecond, version histories), same event
-/// totals, and the same trace-span bytes in the same order.
-#[test]
-fn sharded_run_is_byte_identical_across_shard_counts() {
-    let fingerprint = |shards: usize| {
-        let mut set = sharded_set(7, shards, true);
-        set.run();
-        let completions: Vec<(u64, u64, Vec<u64>)> = set
-            .take_completions_merged()
-            .into_iter()
-            .map(|c| {
-                (
-                    c.spec.id,
-                    c.finished_at.as_nanos(),
-                    c.policy_versions.iter().collect(),
-                )
-            })
-            .collect();
-        let mut spans: Vec<TraceSpan> = Vec::new();
-        set.drain_trace_spans_ordered(&mut |batch| spans.extend_from_slice(batch));
-        (
-            completions,
-            spans,
-            set.events_processed(),
-            set.fences_crossed(),
-        )
-    };
-    let (c1, s1, e1, _) = fingerprint(1);
-    for shards in [2, 4, 8] {
-        let (c, s, e, _) = fingerprint(shards);
-        assert_eq!(c1, c, "completions diverged at shards={shards}");
-        assert_eq!(s1, s, "trace spans diverged at shards={shards}");
-        assert_eq!(e1, e, "event totals diverged at shards={shards}");
-    }
-}
-
-/// The merged completion stream is ordered by `(finished_at, id)` — the
-/// serial observer's hand-off order — regardless of which replica (and
-/// therefore which shard) produced each trajectory.
-#[test]
-fn merged_completions_are_time_then_id_ordered() {
-    let mut set = sharded_set(11, REPLICAS, false);
-    set.run();
-    let merged = set.take_completions_merged();
-    assert!(!merged.is_empty());
-    for w in merged.windows(2) {
-        assert!(
-            (w[0].finished_at, w[0].spec.id) <= (w[1].finished_at, w[1].spec.id),
-            "merge order violated: {:?} then {:?}",
-            (w[0].finished_at, w[0].spec.id),
-            (w[1].finished_at, w[1].spec.id)
-        );
     }
 }

@@ -49,6 +49,6 @@ pub mod trace;
 pub use engine::{Scheduler, SimWorld, Simulation};
 pub use policy::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats, ThroughputMeter, TimeSeries, TimeWeighted};
+pub use stats::{Histogram, OnlineStats, TimeSeries, TimeWeighted};
 pub use time::{Duration, Time};
 pub use trace::{SpanKind, TraceSpan};

@@ -278,59 +278,6 @@ impl TimeWeighted {
     }
 }
 
-/// Wall-clock event-throughput meter for benchmarking simulation hot loops.
-///
-/// Counts events against real (host) time — unlike everything else in this
-/// crate, which lives in virtual time — so harnesses can report events/sec
-/// for the engine-step and scheduler hot paths (`laminar-experiments
-/// --bench`).
-#[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    events: u64,
-    start: std::time::Instant,
-}
-
-impl Default for ThroughputMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThroughputMeter {
-    /// Starts the clock with zero events.
-    pub fn new() -> Self {
-        ThroughputMeter {
-            events: 0,
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Adds `n` processed events.
-    pub fn add(&mut self, n: u64) {
-        self.events += n;
-    }
-
-    /// Events counted so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Wall-clock seconds since the meter started.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Events per wall-clock second (0 before any measurable time passes).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.elapsed_secs();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// A `(time, value)` series for timeline figures.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
@@ -518,19 +465,6 @@ mod tests {
         assert_eq!(h.percentile(50.0), 2.0);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 3.0);
-    }
-
-    #[test]
-    fn throughput_meter_counts_and_rates() {
-        let mut m = ThroughputMeter::new();
-        assert_eq!(m.events(), 0);
-        m.add(500);
-        m.add(1500);
-        assert_eq!(m.events(), 2000);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(m.elapsed_secs() > 0.0);
-        assert!(m.events_per_sec() > 0.0);
-        assert!(m.events_per_sec() <= 2000.0 / m.elapsed_secs() * 1.01);
     }
 
     #[test]

@@ -13,11 +13,11 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 echo "lint: clean"
 
-# Smoke-run the benchmark gate so a broken hot path or executor shows up
-# before review, not after. --warn-only: wall-clock numbers on whatever
-# machine runs lint aren't comparable to the committed report; the strict
-# (failing) comparison is a deliberate `scripts/bench.sh` run.
-scripts/bench.sh --smoke --warn-only
+# The repo benchmark (perfbench/) is a package with its own [workspace],
+# so nothing above compiles it. Type-check it here: deleting or renaming a
+# public item it calls must fail lint, not the next benchmark run.
+cargo check --manifest-path perfbench/Cargo.toml
+echo "perfbench: compiles"
 
 # Lab smoke: the committed two-variant × two-seed spec end to end through
 # the planner/executor. Its regression gates compare against
