@@ -1,12 +1,15 @@
-//! Allocation budget of the replica engine's hot path.
+//! Allocation budgets of the per-trajectory hot paths.
 //!
 //! This test binary registers the counting allocator and replays a fixed
 //! micro batch — 96 single-turn trajectories at seed 11, all submitted at
 //! t = 0, one mid-flight weight interrupt — on the slab-indexed engine,
 //! once untraced and once with span tracing serialized to JSONL through
-//! one reusable buffer. Allocation counts are deterministic, so a budget
-//! breach is a real code change (a per-event allocation crept into the
-//! engine or the trace pipeline), never machine noise.
+//! one reusable buffer. It also generates one 512×16 global batch of specs,
+//! single-turn and multi-turn, whose only allocations may be the result
+//! vector and one segment list per spec. Allocation counts are
+//! deterministic, so a budget breach is a real code change (a per-event
+//! allocation crept into the engine or the trace pipeline, or a per-spec
+//! one into the workload generator), never machine noise.
 //!
 //! The file holds one `#[test]` on purpose: the counters are process-wide,
 //! and a second test running on another thread would leak its allocations
@@ -16,7 +19,7 @@ use laminar_bench::alloc_count::{self, CountingAlloc};
 use laminar_cluster::{DecodeModel, GpuSpec, ModelSpec};
 use laminar_rollout::{EngineConfig, ReplicaEngine};
 use laminar_sim::Time;
-use laminar_workload::{Checkpoint, TrajectorySpec, WorkloadGenerator};
+use laminar_workload::{Checkpoint, Dataset, TrajectorySpec, WorkloadGenerator};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -73,12 +76,21 @@ fn allocs_per_event(specs: &[TrajectorySpec], traced: bool) -> f64 {
     stats.allocs as f64 / events as f64
 }
 
+/// `(specs, allocations)` of one `batch()` call over a 512×16 global batch.
+fn batch_allocs(workload: &WorkloadGenerator) -> (u64, u64) {
+    let batch = Dataset::dapo_math_17k().next_batch(512);
+    let (specs, stats) = alloc_count::measure(|| workload.batch(&batch, 1.006));
+    (specs.len() as u64, stats.allocs)
+}
+
 #[test]
 fn engine_hot_path_stays_within_allocation_budget() {
     let specs = micro_batch();
     alloc_count::enable();
     let untraced = allocs_per_event(&specs, false);
     let traced = allocs_per_event(&specs, true);
+    let single_turn = batch_allocs(&WorkloadGenerator::single_turn(11, Checkpoint::Math7B));
+    let multi_turn = batch_allocs(&WorkloadGenerator::multi_turn(11));
     alloc_count::disable();
     assert!(
         alloc_count::is_active(),
@@ -93,6 +105,14 @@ fn engine_hot_path_stays_within_allocation_budget() {
             measured <= budget,
             "{leg} engine: {measured:.3} allocs/event, over the budget of \
              {budget:.3} ({baseline:.3} + 20%)"
+        );
+    }
+    for (leg, (specs, allocs)) in [("single-turn", single_turn), ("multi-turn", multi_turn)] {
+        assert!(
+            allocs <= specs + 1,
+            "{leg} batch(): {allocs} allocations for {specs} specs, over the budget of \
+             {} (one segment list per spec plus the result vector)",
+            specs + 1
         );
     }
 }

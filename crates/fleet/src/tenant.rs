@@ -114,8 +114,8 @@ impl TenantProfile {
                 total
             }
             TenantClass::LongContext => {
-                let m = LengthModel::for_checkpoint(Checkpoint::Math72B).evolved(2.0);
-                decode_secs(m.sample_prompt(rng), m.sample_response(rng))
+                let m = LengthModel::for_checkpoint(Checkpoint::Math72B);
+                decode_secs(m.sample_prompt(rng), m.sample_response_scaled(rng, 2.0))
             }
         };
         Duration::from_secs_f64(secs.clamp(0.05, 600.0))

@@ -561,13 +561,16 @@ impl ReplicaEngine {
     }
 
     /// Pops lazily-invalidated entries off both heap tops, restoring the
-    /// invariant that [`Self::peek_internal`] (and therefore the `&self`
-    /// inspection surface, [`Self::next_event_time`]) sees live tops. Called
-    /// after every batch of state changes; amortized O(log n) per transition
-    /// since each pushed entry is popped at most once.
-    pub(super) fn prune_event_tops(&mut self) {
+    /// live-top invariant [`Self::next_event_time`] relies on, and returns
+    /// the transition the live phase-heap top stands for. Each examined
+    /// entry costs one slab lookup. Called after every batch of state
+    /// changes; amortized O(log n) per transition since each pushed entry is
+    /// popped at most once.
+    fn prune_event_tops(&mut self) -> Option<Internal> {
+        let mut phase_top = None;
         while let Some(&Reverse(e)) = self.phase_heap.peek() {
-            if self.phase_entry_event(e).is_some() {
+            phase_top = self.phase_entry_event(e);
+            if phase_top.is_some() {
                 break;
             }
             self.phase_heap.pop();
@@ -578,6 +581,19 @@ impl ReplicaEngine {
             }
             self.seg_heap.pop();
         }
+        phase_top
+    }
+
+    /// Whether both heap tops are live — what every `&mut self` exit leaves
+    /// behind. Checked by debug assertions only: it looks each top up again.
+    fn event_tops_live(&self) -> bool {
+        self.phase_heap
+            .peek()
+            .is_none_or(|&Reverse(e)| self.phase_entry_event(e).is_some())
+            && self
+                .seg_heap
+                .peek()
+                .is_none_or(|&Reverse(e)| self.seg_entry_live(e))
     }
 
     /// Moves a resident trajectory into [`Phase::Decoding`] at `now`,

@@ -15,25 +15,43 @@
 use super::{Internal, ReplicaEngine};
 use laminar_sim::Time;
 
+/// Which live heap top holds the earliest pending transition.
+#[derive(Clone, Copy)]
+enum Next {
+    /// The phase-heap top: a prefill completion or an env return.
+    PhaseTop,
+    /// The segment-heap top runs out of tokens.
+    SegmentDone,
+    /// The forced rate re-evaluation one horizon ahead.
+    Recalc,
+}
+
 impl ReplicaEngine {
     /// The next instant at which the replica's state changes on its own,
     /// if any. The world schedules a wake event here.
     ///
-    /// Relies on the heap tops being live, which every `&mut self` entry
-    /// point restores via [`ReplicaEngine::prune_event_tops`] before
-    /// returning.
+    /// Reads the heap tops without looking them up in the slab: every
+    /// `&mut self` entry point leaves both tops live (it returns through
+    /// [`ReplicaEngine::prune_event_tops`], directly or via
+    /// [`ReplicaEngine::advance_to`]'s discovery loop), and debug builds
+    /// assert that invariant on every call.
     pub fn next_event_time(&self) -> Option<Time> {
-        self.peek_internal().map(|(t, _)| t)
+        debug_assert!(self.event_tops_live(), "stale event-heap top");
+        self.earliest().map(|(t, _)| t)
     }
 
     /// Advances the replica's state to `now`, applying every internal
     /// transition (prefill completions, env returns, segment completions,
     /// rate re-evaluations) in order.
+    ///
+    /// Each discovery step prunes the heap tops and reads the earliest
+    /// transition off them, so a live top is looked up in the slab once
+    /// per step; the phase top's lookup also yields which transition fires.
     pub fn advance_to(&mut self, now: Time) {
         let mut guard = 0u64;
         loop {
-            self.prune_event_tops();
-            let Some((t, kind)) = self.peek_internal() else {
+            let phase_top = self.prune_event_tops();
+            let Some((t, next)) = self.earliest() else {
                 break;
             };
             if t > now {
@@ -41,6 +59,11 @@ impl ReplicaEngine {
             }
             guard += 1;
             assert!(guard < 50_000_000, "replica engine event storm — model bug");
+            let kind = match next {
+                Next::PhaseTop => phase_top.expect("a phase-heap top is live after pruning"),
+                Next::SegmentDone => Internal::SegmentDone,
+                Next::Recalc => Internal::Recalc,
+            };
             self.apply_internal(t, kind);
         }
         self.apply_progress(now);
@@ -104,32 +127,29 @@ impl ReplicaEngine {
         self.record(t);
     }
 
-    /// The earliest pending internal transition, assuming live heap tops.
+    /// The earliest pending internal transition and where it comes from,
+    /// reading both heap tops as live.
     ///
     /// Tie-breaking replicates the retained full-scan reference
     /// ([`super::reference::NaiveReplicaEngine`]): phase deadlines win ties
     /// (lowest id first), a segment completion pre-empts only when strictly
     /// earlier, and a forced rate re-evaluation only when strictly earlier
     /// than both.
-    pub(super) fn peek_internal(&self) -> Option<(Time, Internal)> {
-        let mut best: Option<(Time, Internal)> = None;
-        if let Some(&std::cmp::Reverse(e)) = self.phase_heap.peek() {
-            if let Some(kind) = self.phase_entry_event(e) {
-                best = Some((e.at, kind));
-            }
-        }
+    fn earliest(&self) -> Option<(Time, Next)> {
+        let mut best = self
+            .phase_heap
+            .peek()
+            .map(|&std::cmp::Reverse(e)| (e.at, Next::PhaseTop));
         if self.decoding_count > 0 && self.step_secs > 0.0 {
             if let Some(&std::cmp::Reverse(e)) = self.seg_heap.peek() {
-                if self.seg_entry_live(e) {
-                    let rem = (e.key - self.global_steps).max(0.0);
-                    let t_done = self.offset(rem);
-                    if best.as_ref().is_none_or(|(bt, _)| t_done < *bt) {
-                        best = Some((t_done, Internal::SegmentDone));
-                    }
-                    let t_recalc = self.offset(self.cfg.horizon_steps);
-                    if best.as_ref().is_none_or(|(bt, _)| t_recalc < *bt) {
-                        best = Some((t_recalc, Internal::Recalc));
-                    }
+                let rem = (e.key - self.global_steps).max(0.0);
+                let t_done = self.offset(rem);
+                if best.is_none_or(|(bt, _)| t_done < bt) {
+                    best = Some((t_done, Next::SegmentDone));
+                }
+                let t_recalc = self.offset(self.cfg.horizon_steps);
+                if best.is_none_or(|(bt, _)| t_recalc < bt) {
+                    best = Some((t_recalc, Next::Recalc));
                 }
             }
         }

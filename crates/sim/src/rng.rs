@@ -135,13 +135,26 @@ impl SimRng {
     /// Samples an index proportionally to non-negative `weights`. Returns
     /// `None` when all weights are zero or the slice is empty.
     pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+        self.weighted_pick(weights.iter().copied())
+    }
+
+    /// [`SimRng::weighted_index`] over any re-iterable weight sequence, so a
+    /// caller whose weights sit inside other records (a mixture's
+    /// `(weight, component)` pairs) draws without collecting them first.
+    /// Same draw, same arithmetic: the sequence is walked once to total the
+    /// positive weights and once to subtract them in order.
+    pub fn weighted_pick<I>(&mut self, weights: I) -> Option<usize>
+    where
+        I: Iterator<Item = f64> + Clone,
+    {
+        let positive = |w: &f64| w.is_finite() && *w > 0.0;
+        let total: f64 = weights.clone().filter(positive).sum();
         if total <= 0.0 {
             return None;
         }
         let mut x = self.f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w.is_finite() && w > 0.0 {
+        for (i, w) in weights.clone().enumerate() {
+            if positive(&w) {
                 x -= w;
                 if x <= 0.0 {
                     return Some(i);
@@ -149,7 +162,11 @@ impl SimRng {
             }
         }
         // Floating-point slack: fall back to the last positive weight.
-        weights.iter().rposition(|w| w.is_finite() && *w > 0.0)
+        weights
+            .enumerate()
+            .filter(|(_, w)| positive(w))
+            .last()
+            .map(|(i, _)| i)
     }
 }
 

@@ -56,11 +56,6 @@ impl Dataset {
         }
     }
 
-    /// Total trajectory ids issued so far.
-    pub fn trajectories_issued(&self) -> u64 {
-        self.next_trajectory_id
-    }
-
     /// The dataset's mutable cursor `(next prompt, next trajectory id)` —
     /// the only state that advances between batches; the checkpoint plane
     /// persists exactly this pair.

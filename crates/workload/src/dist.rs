@@ -113,8 +113,7 @@ impl Dist {
                 -u.ln() / rate
             }
             Dist::Mixture { components } => {
-                let weights: Vec<f64> = components.iter().map(|(w, _)| *w).collect();
-                match rng.weighted_index(&weights) {
+                match rng.weighted_pick(components.iter().map(|(w, _)| *w)) {
                     Some(i) => components[i].1.sample(rng),
                     None => 0.0,
                 }

@@ -72,55 +72,15 @@ impl LengthModel {
         (self.response.sample(rng).round() as u64).clamp(1, self.max_response)
     }
 
-    /// Rescales the response distribution by `factor`, modelling length
-    /// evolution across training (§2.3: lengths can increase, decrease, or
-    /// fluctuate as the model learns).
-    pub fn evolved(&self, factor: f64) -> Self {
-        let mut out = self.clone();
-        out.response = self
-            .response
-            .clone()
-            .scaled(factor.max(0.01))
-            .clamped(16.0, self.max_response as f64);
-        out
-    }
-}
-
-/// Length-evolution schedule: multiplicative factor on the median response
-/// length as a function of training iteration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LengthEvolution {
-    /// Lengths stay put.
-    Static,
-    /// Lengths grow as the model learns to reason longer (DeepSeek-R1-style),
-    /// saturating at `ceiling`.
-    Growing {
-        /// Growth per iteration (e.g. 0.01 = +1%/iteration).
-        rate: f64,
-        /// Maximum multiplicative factor.
-        ceiling: f64,
-    },
-    /// Lengths shrink as the model becomes more token-efficient.
-    Shrinking {
-        /// Decay per iteration.
-        rate: f64,
-        /// Minimum multiplicative factor.
-        floor: f64,
-    },
-}
-
-impl LengthEvolution {
-    /// Multiplicative factor at `iteration`.
-    pub fn factor(&self, iteration: u64) -> f64 {
-        match *self {
-            LengthEvolution::Static => 1.0,
-            LengthEvolution::Growing { rate, ceiling } => {
-                ((1.0 + rate).powi(iteration as i32)).min(ceiling)
-            }
-            LengthEvolution::Shrinking { rate, floor } => {
-                ((1.0 - rate).powi(iteration as i32)).max(floor)
-            }
-        }
+    /// Samples a response length with the distribution rescaled by
+    /// `factor` — length evolution across training (§2.3: lengths can
+    /// increase, decrease, or fluctuate as the model learns) times the
+    /// prompt's difficulty. The scaled draw is clamped back into
+    /// `[16, max_response]`, so the scaled tail still truncates at the cap.
+    pub fn sample_response_scaled(&self, rng: &mut laminar_sim::SimRng, factor: f64) -> u64 {
+        let tokens =
+            (self.response.sample(rng) * factor.max(0.01)).clamp(16.0, self.max_response as f64);
+        (tokens.round() as u64).clamp(1, self.max_response)
     }
 }
 
@@ -172,35 +132,39 @@ mod tests {
     }
 
     #[test]
-    fn evolution_schedules() {
-        let g = LengthEvolution::Growing {
-            rate: 0.05,
-            ceiling: 2.0,
-        };
-        assert_eq!(g.factor(0), 1.0);
-        assert!(g.factor(10) > 1.5);
-        assert_eq!(g.factor(1000), 2.0);
-        let s = LengthEvolution::Shrinking {
-            rate: 0.05,
-            floor: 0.5,
-        };
-        assert!(s.factor(5) < 1.0);
-        assert_eq!(s.factor(1000), 0.5);
-        assert_eq!(LengthEvolution::Static.factor(99), 1.0);
-    }
-
-    #[test]
     fn evolved_model_scales_median() {
         let m = LengthModel::for_checkpoint(Checkpoint::Math7B);
-        let double = m.evolved(2.0);
         let mut rng = SimRng::new(4);
         let mut base = Histogram::new();
         let mut grown = Histogram::new();
         for _ in 0..20_000 {
             base.add(m.sample_response(&mut rng) as f64);
-            grown.add(double.sample_response(&mut rng) as f64);
+            grown.add(m.sample_response_scaled(&mut rng, 2.0) as f64);
         }
         let ratio = grown.percentile(50.0) / base.percentile(50.0);
         assert!((ratio - 2.0).abs() < 0.25, "ratio {ratio}");
+    }
+
+    #[test]
+    fn scaled_sampler_matches_the_composed_distribution() {
+        // The scaled sampler is the response distribution scaled and
+        // clamped back into [16, cap], drawn without building that tree.
+        let m = LengthModel::for_checkpoint(Checkpoint::Math32B);
+        for factor in [0.0f64, 0.005, 0.37, 1.0, 1.006, 2.0, 40.0] {
+            let composed = m
+                .response
+                .clone()
+                .scaled(factor.max(0.01))
+                .clamped(16.0, m.max_response as f64);
+            let (mut a, mut b) = (SimRng::new(8), SimRng::new(8));
+            for _ in 0..2_000 {
+                let want = (composed.sample(&mut a).round() as u64).clamp(1, m.max_response);
+                assert_eq!(
+                    m.sample_response_scaled(&mut b, factor),
+                    want,
+                    "factor {factor}"
+                );
+            }
+        }
     }
 }

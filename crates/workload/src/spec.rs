@@ -167,7 +167,7 @@ impl WorkloadGenerator {
     }
 
     /// Generates the spec for trajectory `id` answering `prompt_id` as group
-    /// member `group_index`, with the length model evolved by `evolution`
+    /// member `group_index`, with response lengths scaled by `evolution`
     /// (1.0 = the base checkpoint distribution).
     pub fn trajectory(
         &self,
@@ -176,13 +176,25 @@ impl WorkloadGenerator {
         group_index: usize,
         evolution: f64,
     ) -> TrajectorySpec {
+        self.spec(
+            id,
+            prompt_id,
+            group_index,
+            evolution * self.difficulty(prompt_id),
+        )
+    }
+
+    /// The spec of trajectory `id` with every response draw scaled by
+    /// `factor` (the evolution factor times the prompt's difficulty). Its
+    /// only heap allocation is the segment list.
+    fn spec(&self, id: u64, prompt_id: u64, group_index: usize, factor: f64) -> TrajectorySpec {
         let mut rng = SimRng::derive(self.seed, "trajectory", id);
-        let lengths = self.lengths.evolved(evolution * self.difficulty(prompt_id));
+        let lengths = &self.lengths;
         let prompt_tokens = lengths.sample_prompt(&mut rng);
         let segments = match self.kind {
             WorkloadKind::SingleTurn => {
                 vec![Segment::Decode {
-                    tokens: lengths.sample_response(&mut rng),
+                    tokens: lengths.sample_response_scaled(&mut rng, factor),
                 }]
             }
             WorkloadKind::MultiTurn { max_calls } => {
@@ -194,14 +206,18 @@ impl WorkloadGenerator {
                 let mut segs = Vec::with_capacity(2 * calls + 1);
                 let mut budget = lengths.max_response;
                 for _ in 0..calls {
-                    let tokens = lengths.sample_response(&mut rng).min(budget.max(1));
+                    let tokens = lengths
+                        .sample_response_scaled(&mut rng, factor)
+                        .min(budget.max(1));
                     budget = budget.saturating_sub(tokens);
                     segs.push(Segment::Decode { tokens });
                     segs.push(Segment::Env {
                         latency: self.sandbox.sample(&mut rng),
                     });
                 }
-                let tokens = lengths.sample_response(&mut rng).min(budget.max(1));
+                let tokens = lengths
+                    .sample_response_scaled(&mut rng, factor)
+                    .min(budget.max(1));
                 segs.push(Segment::Decode { tokens });
                 segs
             }
@@ -216,14 +232,20 @@ impl WorkloadGenerator {
     }
 
     /// Generates all trajectories of a grouped batch (e.g. the 512×16
-    /// global batch) with the given length evolution factor.
+    /// global batch) with the given length evolution factor — the same
+    /// specs as [`WorkloadGenerator::trajectory`] per assignment, with the
+    /// prompt difficulty drawn once per GRPO group.
     pub fn batch(&self, batch: &GroupedBatch, evolution: f64) -> Vec<TrajectorySpec> {
-        batch
-            .assignments()
-            .map(|(id, prompt_id, group_index)| {
-                self.trajectory(id, prompt_id, group_index, evolution)
-            })
-            .collect()
+        let mut specs = Vec::with_capacity(batch.len());
+        let mut factor = evolution;
+        for (id, prompt_id, group_index) in batch.assignments() {
+            // Assignments come group by group, each opening with member 0.
+            if group_index == 0 {
+                factor = evolution * self.difficulty(prompt_id);
+            }
+            specs.push(self.spec(id, prompt_id, group_index, factor));
+        }
+        specs
     }
 }
 
