@@ -60,8 +60,14 @@ fn incremental_images_match_fresh_encodes_across_chaos_seeds() {
             let manifest = store.manifest(ckpt.manifest_id).unwrap_or_else(|| {
                 panic!("seed {seed}: checkpoint {} manifest missing", ckpt.index)
             });
-            let reconstructed = store.verify(manifest).unwrap_or_else(|e| {
+            store.verify(manifest, &fresh).unwrap_or_else(|e| {
                 panic!("seed {seed}: checkpoint {} failed verify: {e}", ckpt.index)
+            });
+            let reconstructed = store.reconstruct(manifest).unwrap_or_else(|e| {
+                panic!(
+                    "seed {seed}: checkpoint {} failed reconstruct: {e}",
+                    ckpt.index
+                )
             });
             assert_eq!(
                 reconstructed, fresh,
@@ -82,10 +88,11 @@ fn incremental_images_match_fresh_encodes_across_chaos_seeds() {
 }
 
 /// Long-horizon soak: a 2 s cadence commits checkpoints by the hundred in
-/// one run. Every manifest chain and fingerprint verifies, the
-/// checkpointed run never perturbs the uninterrupted one, and the resume
-/// from the *final* checkpoint — reachable only through the entire
-/// manifest chain — reproduces the uninterrupted run byte for byte.
+/// one run. Every manifest chain and fingerprint verifies, every live state
+/// matches its stored chunks word for word, the checkpointed run never
+/// perturbs the uninterrupted one, and the resume from the *final*
+/// checkpoint — reachable only through the entire manifest chain —
+/// reproduces the uninterrupted run byte for byte.
 #[test]
 fn tight_cadence_soak_resumes_off_full_manifest_chain() {
     let cfg = small_cfg();

@@ -18,19 +18,25 @@
 //! the manifest, not the whole state; [`CommitStats`] accounts both so the
 //! bench can gate on the ratio.
 //!
-//! Restore runs the protocol in reverse: [`DeltaStore::reconstruct`]
-//! reassembles the image from a manifest's chunk keys,
-//! [`DeltaStore::verify`] additionally proves the reassembled image hashes
-//! to the manifest's recorded fingerprint, and
+//! Restore runs the protocol in reverse. [`DeltaStore::verify`] streams a
+//! manifest's stored chunks once, proving they hash to the manifest's
+//! recorded fingerprint and that the live state's image equals them word
+//! for word, and
 //! [`Recoverable::resume_verified`](crate::recovery::Recoverable::resume_verified)
-//! refuses to resume unless the in-memory snapshot re-encodes to that same
-//! fingerprint — a full chunk-integrity + state-identity check before any
-//! event replays.
+//! refuses to resume unless both hold — a full chunk-integrity +
+//! state-identity check before any event replays.
+//! [`DeltaStore::reconstruct`] reassembles the image itself.
+//!
+//! Every hash here is byte-serial FNV-1a, so a commit computes each chunk's
+//! key and the image fingerprint in one fused pass over the words, and a
+//! verify hashes each stored word once.
 
 use crate::recovery::fnv1a;
 use crate::report::RunReport;
 use laminar_sim::{Time, TraceSpan};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Words per page for planes encoded as flat streams. 32 words = 256 bytes:
 /// small enough that a point mutation dirties little, large enough that the
@@ -111,33 +117,59 @@ impl StateImage {
     /// chunk structure, and words. Two states are delta-equivalent iff
     /// their images fingerprint equal.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |w: u64| {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
         for plane in &self.planes {
-            fold(fnv1a_bytes(plane.name.as_bytes()));
-            fold(plane.chunks.len() as u64);
+            h = fold_plane_head(h, plane.name, plane.chunks.len());
             for chunk in &plane.chunks {
-                fold(chunk.len() as u64);
-                for &w in chunk {
-                    fold(w);
-                }
+                h = fold_chunk(h, chunk);
             }
         }
         h
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Folds one word into an FNV-1a state, one little-endian byte at a time.
+#[inline(always)]
+fn fold_word(mut h: u64, w: u64) -> u64 {
+    for b in w.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Folds a plane's header — name hash, then chunk count — into a running
+/// image fingerprint.
+fn fold_plane_head(h: u64, name: &str, chunks: usize) -> u64 {
+    fold_word(fold_word(h, fnv1a_bytes(name.as_bytes())), chunks as u64)
+}
+
+/// Folds one chunk — length, then words — into a running image fingerprint.
+fn fold_chunk(h: u64, words: &[u64]) -> u64 {
+    let h = fold_word(h, words.len() as u64);
+    words.iter().fold(h, |h, &w| fold_word(h, w))
+}
+
+/// [`fold_chunk`] and [`chunk_key`] in one pass over the words, returning
+/// `(fingerprint, key)`. The two FNV-1a chains are independent, so the CPU
+/// overlaps them.
+fn fold_chunk_keyed(h: u64, words: &[u64]) -> (u64, u64) {
+    let len = words.len() as u64;
+    let start = (fold_word(h, len), fold_word(FNV_OFFSET, len));
+    words
+        .iter()
+        .fold(start, |(h, k), &w| (fold_word(h, w), fold_word(k, w)))
+}
+
 /// FNV-1a over raw bytes (plane names, string-valued state).
 pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -151,8 +183,8 @@ pub fn chunk_key(words: &[u64]) -> u64 {
 /// One plane's entry in a manifest: the ordered chunk keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlaneManifest {
-    /// Plane name.
-    pub name: String,
+    /// Plane name, as the committed image's plane carried it.
+    pub name: &'static str,
     /// Total words the keys cover.
     pub len_words: u64,
     /// Chunk keys in plane order.
@@ -203,10 +235,29 @@ pub struct CommitStats {
     pub whole_bytes: u64,
 }
 
+/// The chunk map's hasher. Chunk keys are FNV-1a digests already, so a
+/// key is its own hash.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the chunk map hashes only u64 keys");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// Content-addressed chunk store plus the manifest chain.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaStore {
-    chunks: HashMap<u64, Vec<u64>>,
+    chunks: HashMap<u64, Vec<u64>, BuildHasherDefault<KeyHasher>>,
     manifests: Vec<Manifest>,
 }
 
@@ -218,20 +269,25 @@ impl DeltaStore {
 
     /// Commits `image` at cadence instant `at`: writes chunks not already
     /// stored, appends a manifest linked to the previous commit, and
-    /// returns the manifest id with the commit's cost accounting.
+    /// returns the manifest id with the commit's cost accounting. One pass
+    /// over the image's words computes every [`chunk_key`] and the
+    /// [`StateImage::fingerprint`] together.
     pub fn commit(&mut self, at: Time, image: &StateImage) -> (u64, CommitStats) {
         let parent = self.manifests.last().map(|m| m.id);
         let mut stats = CommitStats {
             whole_bytes: image.total_bytes(),
             ..CommitStats::default()
         };
+        let mut fingerprint = FNV_OFFSET;
         let mut planes = Vec::with_capacity(image.planes().len());
         for plane in image.planes() {
+            fingerprint = fold_plane_head(fingerprint, plane.name, plane.chunks.len());
             let mut keys = Vec::with_capacity(plane.chunks.len());
             for chunk in &plane.chunks {
-                let key = chunk_key(chunk);
+                let key;
+                (fingerprint, key) = fold_chunk_keyed(fingerprint, chunk);
                 stats.chunks_total += 1;
-                if let std::collections::hash_map::Entry::Vacant(e) = self.chunks.entry(key) {
+                if let Entry::Vacant(e) = self.chunks.entry(key) {
                     stats.chunks_new += 1;
                     stats.delta_bytes += 8 * chunk.len() as u64;
                     e.insert(chunk.clone());
@@ -241,12 +297,11 @@ impl DeltaStore {
                 keys.push(key);
             }
             planes.push(PlaneManifest {
-                name: plane.name.to_string(),
+                name: plane.name,
                 len_words: plane.len_words(),
                 keys,
             });
         }
-        let fingerprint = image.fingerprint();
         let mut id_words = vec![
             self.manifests.len() as u64,
             at.as_nanos(),
@@ -277,24 +332,19 @@ impl DeltaStore {
         self.manifests.iter().find(|m| m.id == id)
     }
 
-    /// The newest manifest, if any commit happened.
-    pub fn latest(&self) -> Option<&Manifest> {
-        self.manifests.last()
-    }
-
-    /// All manifests, oldest first.
-    pub fn manifests(&self) -> &[Manifest] {
-        &self.manifests
-    }
-
-    /// Number of distinct chunks stored.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Total bytes of stored chunk content.
-    pub fn stored_bytes(&self) -> u64 {
-        8 * self.chunks.values().map(|c| c.len() as u64).sum::<u64>()
+    /// The stored chunk `key` that `plane` of `manifest` references.
+    fn chunk(
+        &self,
+        manifest: &Manifest,
+        plane: &PlaneManifest,
+        key: u64,
+    ) -> Result<&[u64], String> {
+        self.chunks.get(&key).map(Vec::as_slice).ok_or_else(|| {
+            format!(
+                "manifest {:016x}: plane `{}` references missing chunk {key:016x}",
+                manifest.id, plane.name
+            )
+        })
     }
 
     /// Reassembles the full state image a manifest describes. Fails if any
@@ -302,38 +352,83 @@ impl DeltaStore {
     pub fn reconstruct(&self, manifest: &Manifest) -> Result<StateImage, String> {
         let mut image = StateImage::new();
         for plane in &manifest.planes {
-            let mut chunks = Vec::with_capacity(plane.keys.len());
-            for &key in &plane.keys {
-                let chunk = self.chunks.get(&key).ok_or_else(|| {
-                    format!(
-                        "manifest {:016x}: plane `{}` references missing chunk {key:016x}",
-                        manifest.id, plane.name
-                    )
-                })?;
-                chunks.push(chunk.clone());
-            }
-            // Plane names in images are &'static str; reconstruction leaks
-            // nothing because every plane name a manifest can hold was
-            // interned by an encoder at commit time.
-            let name: &'static str = Box::leak(plane.name.clone().into_boxed_str());
-            image.push_plane(StatePlane { name, chunks });
+            let chunks = plane
+                .keys
+                .iter()
+                .map(|&key| self.chunk(manifest, plane, key).map(<[u64]>::to_vec))
+                .collect::<Result<_, _>>()?;
+            image.push_plane(StatePlane {
+                name: plane.name,
+                chunks,
+            });
         }
         Ok(image)
     }
 
-    /// Reconstructs and verifies: the reassembled image must hash to the
-    /// manifest's recorded whole-state fingerprint. This is the integrity
-    /// gate resume runs before trusting any checkpoint.
-    pub fn verify(&self, manifest: &Manifest) -> Result<StateImage, String> {
-        let image = self.reconstruct(manifest)?;
-        let got = image.fingerprint();
-        if got != manifest.fingerprint {
+    /// The integrity gate resume runs before trusting a checkpoint: every
+    /// chunk `manifest` references must be stored, the stored chunks must
+    /// hash to the manifest's recorded fingerprint, and `live` — the image
+    /// of the state about to resume — must equal them word for word: same
+    /// planes, same chunk counts, same contents. One streaming pass over
+    /// the stored chunks checks all three and allocates no image. A live
+    /// mismatch names the first plane and chunk where the two part ways.
+    pub fn verify(&self, manifest: &Manifest, live: &StateImage) -> Result<(), String> {
+        let mut fingerprint = FNV_OFFSET;
+        let mut diverged = None;
+        for (p, plane) in manifest.planes.iter().enumerate() {
+            let live_plane = live.planes().get(p);
+            if diverged.is_none() {
+                diverged = match live_plane {
+                    None => Some(format!(
+                        "plane {p} `{}`: missing from the live state",
+                        plane.name
+                    )),
+                    Some(lp) if lp.name != plane.name => Some(format!(
+                        "plane {p}: live `{}`, stored `{}`",
+                        lp.name, plane.name
+                    )),
+                    Some(lp) if lp.chunks.len() != plane.keys.len() => Some(format!(
+                        "plane `{}`: {} live chunks, {} stored",
+                        plane.name,
+                        lp.chunks.len(),
+                        plane.keys.len()
+                    )),
+                    Some(_) => None,
+                };
+            }
+            fingerprint = fold_plane_head(fingerprint, plane.name, plane.keys.len());
+            for (c, &key) in plane.keys.iter().enumerate() {
+                let chunk = self.chunk(manifest, plane, key)?;
+                fingerprint = fold_chunk(fingerprint, chunk);
+                // No divergence yet means this plane's shape matched above.
+                if diverged.is_none() && live_plane.is_some_and(|lp| lp.chunks[c] != chunk) {
+                    diverged = Some(format!("plane `{}` chunk {c}", plane.name));
+                }
+            }
+        }
+        if let Some(extra) = live.planes().get(manifest.planes.len()) {
+            diverged.get_or_insert_with(|| {
+                let p = manifest.planes.len();
+                format!("plane {p} `{}`: not in the stored image", extra.name)
+            });
+        }
+        if fingerprint != manifest.fingerprint {
+            let at = diverged.map_or(String::new(), |d| {
+                format!(" (live state first differs at {d})")
+            });
             return Err(format!(
-                "manifest {:016x}: reconstructed fingerprint {got:016x} != recorded {:016x}",
+                "manifest {:016x}: stored chunks fingerprint {fingerprint:016x} != \
+                 recorded {:016x}{at}",
                 manifest.id, manifest.fingerprint
             ));
         }
-        Ok(image)
+        match diverged {
+            Some(d) => Err(format!(
+                "manifest {:016x}: live state diverges from the stored image at {d}",
+                manifest.id
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Walks the parent chain from `id` back to the root, returning the
@@ -559,22 +654,161 @@ mod tests {
         let mut store = DeltaStore::new();
         let img = image(vec![vec![9, 9], vec![1]]);
         let (id, _) = store.commit(Time::from_secs(1), &img);
-        let m = store.manifest(id).expect("manifest").clone();
-        let back = store.verify(&m).expect("verify");
-        assert_eq!(back.fingerprint(), img.fingerprint());
-        assert_eq!(back.total_bytes(), img.total_bytes());
+        let m = store.manifest(id).expect("manifest");
+        store.verify(m, &img).expect("verify");
+        let back = store.reconstruct(m).expect("reconstruct");
+        assert_eq!(back, img);
+        assert_eq!(back.fingerprint(), m.fingerprint);
     }
 
     #[test]
     fn tampered_manifest_fails_verify() {
         let mut store = DeltaStore::new();
-        let (id, _) = store.commit(Time::from_secs(1), &image(vec![vec![1, 2]]));
+        let img = image(vec![vec![1, 2]]);
+        let (id, _) = store.commit(Time::from_secs(1), &img);
         let mut m = store.manifest(id).expect("manifest").clone();
         m.fingerprint ^= 1;
-        assert!(store.verify(&m).is_err());
+        assert!(store.verify(&m, &img).is_err());
         m.fingerprint ^= 1;
         m.planes[0].keys[0] ^= 1;
         assert!(store.reconstruct(&m).is_err());
+        assert!(store.verify(&m, &img).is_err());
+    }
+
+    /// The fingerprint and chunk keys spelled out as one flat FNV-1a
+    /// stream, independent of the fold helpers `commit` shares.
+    fn reference_hashes(img: &StateImage) -> (u64, Vec<Vec<u64>>) {
+        let stream = img.planes().iter().flat_map(|p| {
+            [fnv1a_bytes(p.name.as_bytes()), p.chunks.len() as u64]
+                .into_iter()
+                .chain(
+                    p.chunks
+                        .iter()
+                        .flat_map(|c| std::iter::once(c.len() as u64).chain(c.iter().copied())),
+                )
+        });
+        let keys = img
+            .planes()
+            .iter()
+            .map(|p| p.chunks.iter().map(|c| chunk_key(c)).collect())
+            .collect();
+        (fnv1a(stream), keys)
+    }
+
+    #[test]
+    fn fused_commit_pass_matches_separate_hashes() {
+        let mut img = StateImage::new();
+        let mut paged = StatePlane::new("paged");
+        paged.extend_paged(
+            &(0..77u64)
+                .map(|i| i.wrapping_mul(u64::MAX / 7))
+                .collect::<Vec<_>>(),
+        );
+        img.push_plane(paged);
+        img.push_plane(StatePlane::new("empty"));
+        let mut natural = StatePlane::new("natural");
+        natural.push_chunk(Vec::new());
+        natural.push_chunk(vec![u64::MAX, 0, 1 << 63]);
+        img.push_plane(natural);
+        let (fingerprint, keys) = reference_hashes(&img);
+        assert_eq!(img.fingerprint(), fingerprint);
+        let mut store = DeltaStore::new();
+        let (id, _) = store.commit(Time::from_secs(1), &img);
+        let m = store.manifest(id).expect("manifest");
+        assert_eq!(m.fingerprint, fingerprint);
+        let committed: Vec<Vec<u64>> = m.planes.iter().map(|p| p.keys.clone()).collect();
+        assert_eq!(committed, keys);
+        let names: Vec<&str> = m.planes.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["paged", "empty", "natural"]);
+    }
+
+    /// A fault applied to a fresh commit of [`two_planes`]: to the store,
+    /// the manifest, or the live image handed to `verify`.
+    type Fault = fn(&mut DeltaStore, &mut Manifest, &mut StateImage);
+
+    fn two_planes() -> StateImage {
+        let mut img = StateImage::new();
+        for (name, chunks) in [
+            ("a", vec![vec![1, 2, 3], vec![4, 5, 6]]),
+            ("b", vec![vec![7], vec![8, 9], vec![10]]),
+        ] {
+            let mut plane = StatePlane::new(name);
+            for c in chunks {
+                plane.push_chunk(c);
+            }
+            img.push_plane(plane);
+        }
+        img
+    }
+
+    #[test]
+    fn verify_refuses_each_fault_with_its_own_error() {
+        let cases: [(&str, Fault, &[&str]); 7] = [
+            (
+                "flipped stored bit",
+                |store, m, _| store.chunks.get_mut(&m.planes[1].keys[1]).unwrap()[1] ^= 1 << 40,
+                &[
+                    "stored chunks fingerprint",
+                    "live state first differs at plane `b` chunk 1",
+                ],
+            ),
+            (
+                "flipped manifest fingerprint",
+                |_, m, _| m.fingerprint ^= 1,
+                &["stored chunks fingerprint", "!= recorded"],
+            ),
+            (
+                "missing stored chunk",
+                |store, m, _| drop(store.chunks.remove(&m.planes[0].keys[1])),
+                &["plane `a` references missing chunk"],
+            ),
+            (
+                "changed live word",
+                |_, _, live| live.planes[1].chunks[1][1] += 1,
+                &["live state diverges", "at plane `b` chunk 1"],
+            ),
+            (
+                "live plane missing",
+                |_, _, live| drop(live.planes.pop()),
+                &[
+                    "live state diverges",
+                    "plane 1 `b`: missing from the live state",
+                ],
+            ),
+            (
+                "live chunk missing",
+                |_, _, live| drop(live.planes[0].chunks.pop()),
+                &["live state diverges", "plane `a`: 1 live chunks, 2 stored"],
+            ),
+            (
+                "extra live plane",
+                |_, _, live| live.push_plane(StatePlane::new("c")),
+                &[
+                    "live state diverges",
+                    "plane 2 `c`: not in the stored image",
+                ],
+            ),
+        ];
+        let mut errors: Vec<String> = Vec::new();
+        for (case, fault, phrases) in cases {
+            let mut store = DeltaStore::new();
+            let mut live = two_planes();
+            let (id, _) = store.commit(Time::from_secs(1), &live);
+            let mut m = store.manifest(id).expect("manifest").clone();
+            store.verify(&m, &live).expect("unfaulted commit verifies");
+            fault(&mut store, &mut m, &mut live);
+            let err = store
+                .verify(&m, &live)
+                .expect_err(&format!("{case}: verify accepted the fault"));
+            for phrase in phrases {
+                assert!(err.contains(phrase), "{case}: `{err}` lacks `{phrase}`");
+            }
+            assert!(
+                !errors.contains(&err),
+                "{case}: error `{err}` is not its own"
+            );
+            errors.push(err);
+        }
     }
 
     #[test]

@@ -88,8 +88,8 @@ pub trait Recoverable: RlSystem {
     /// fingerprint of the canonical state image. Checkpoint descriptor
     /// files persist this so `--resume-from` can verify that a
     /// deterministic replay reconstructed the same state before resuming,
-    /// and manifests record it so [`resume_verified`] can prove a
-    /// reconstructed image matches the live state bit for bit.
+    /// and manifests record it so [`resume_verified`] can prove the stored
+    /// chunks are the ones committed.
     ///
     /// [`resume_verified`]: Recoverable::resume_verified
     fn fingerprint(snapshot: &Self::Snapshot) -> u64 {
@@ -129,34 +129,24 @@ pub trait Recoverable: RlSystem {
     }
 
     /// Verifies one committed checkpoint without resuming it: the manifest
-    /// chain must be intact, the image reconstructed from the store must
-    /// hash to the manifest's recorded fingerprint, and the in-memory
-    /// resume state must re-encode to that same fingerprint.
+    /// chain must be intact, the stored chunks must hash to the manifest's
+    /// recorded fingerprint, and the in-memory resume state must re-encode
+    /// to exactly those chunks, word for word. [`DeltaStore::verify`] checks
+    /// the last two in one streaming pass over the store, without
+    /// reassembling the image, and names the first divergent plane and
+    /// chunk when the live state differs.
     fn verify_checkpoint(
         store: &DeltaStore,
         checkpoint: &DeltaCheckpoint<Self::Snapshot>,
     ) -> Result<(), String> {
-        let manifest = store
-            .manifest(checkpoint.manifest_id)
-            .ok_or_else(|| {
-                format!(
-                    "checkpoint {} references unknown manifest {:016x}",
-                    checkpoint.index, checkpoint.manifest_id
-                )
-            })?
-            .clone();
+        let manifest = store.manifest(checkpoint.manifest_id).ok_or_else(|| {
+            format!(
+                "checkpoint {} references unknown manifest {:016x}",
+                checkpoint.index, checkpoint.manifest_id
+            )
+        })?;
         store.verify_chain(manifest.id)?;
-        let image = store.verify(&manifest)?;
-        let live = Self::fingerprint(&checkpoint.state);
-        if live != image.fingerprint() {
-            return Err(format!(
-                "checkpoint {}: live state fingerprint {live:016x} != reconstructed \
-                 image fingerprint {:016x}",
-                checkpoint.index,
-                image.fingerprint()
-            ));
-        }
-        Ok(())
+        store.verify(manifest, &Self::encode_state(&checkpoint.state))
     }
 
     /// Resumes a delta checkpoint only after the full
@@ -292,11 +282,11 @@ impl CheckpointSoak {
 
 /// The O(run)-cost sibling of [`check_resume_equivalence`] for tight
 /// cadences: runs `sys` uninterrupted and delta-checkpointed, verifies
-/// *every* committed manifest (chain intact, reconstructed image hashes
-/// to the recorded fingerprint, live state re-encodes to the same
-/// fingerprint), but resumes only from the final checkpoint. Soak studies
-/// committing hundreds of checkpoints use this — resuming from each one
-/// would cost O(points × run length).
+/// *every* committed manifest (chain intact, stored chunks hash to the
+/// recorded fingerprint, live state re-encodes to exactly those chunks),
+/// but resumes only from the final checkpoint. Soak studies committing
+/// hundreds of checkpoints use this — resuming from each one would cost
+/// O(points × run length).
 pub fn check_checkpoint_soak<S: Recoverable>(
     sys: &S,
     cfg: &SystemConfig,

@@ -6,13 +6,17 @@
 //!
 //! Two runs of one build agree even when a refactor reorders a float
 //! operation, so the workload's spec streams and every system's report are
-//! also pinned to golden fingerprints recorded from an earlier build. A
-//! golden changes only with an intended behaviour change; the failure
-//! message prints the replacement table.
+//! also pinned to golden fingerprints recorded from an earlier build. So
+//! are the checkpoint plane's hashes — chunk keys, image fingerprints,
+//! manifest ids, and the snapshot fingerprints that checkpoint descriptor
+//! files persist — so a descriptor written by an earlier build keeps
+//! verifying. A golden changes only with an intended behaviour change; the
+//! failure message prints the replacement table.
 
 use laminar::prelude::*;
-use laminar::runtime::delta::fnv1a_bytes;
+use laminar::runtime::delta::{chunk_key, fnv1a_bytes};
 use laminar::runtime::recovery::fnv1a;
+use laminar::runtime::{DeltaStore, Recoverable, StateImage, StatePlane};
 
 /// FNV-1a of the `encode_words` stream of two consecutive 48-prompt
 /// `batch()` calls on a fresh DAPO-Math-17k dataset, per
@@ -41,6 +45,29 @@ const REPORT_GOLDENS: [(&str, u64); 5] = [
     ("stream-gen", 0x52e33956a6eed24a),
     ("partial-rollout", 0xd3b10f29915efc86),
     ("laminar", 0x618c36ab3b9e92cd),
+];
+
+/// Chunk keys, image fingerprints, and the manifest id and fingerprint of
+/// two commits of [`synthetic_image`] (the second dedups all but one chunk).
+const CHECKPOINT_HASH_GOLDENS: [(&str, u64); 8] = [
+    ("chunk_key []", 0xa8c7f832281a39c5),
+    ("chunk_key [1, 2, 3]", 0xb981081392b03a26),
+    ("chunk_key page 0", 0xfdb8be8b6bcc5615),
+    ("image fingerprint salt 1", 0x05e59de9fcf32010),
+    ("commit 0 manifest id", 0x521c07fd079a5f37),
+    ("commit 0 manifest fingerprint", 0x05e59de9fcf32010),
+    ("commit 1 manifest id", 0x5070447ae9d00d59),
+    ("commit 1 manifest fingerprint", 0x0b1ebd9eb5554b33),
+];
+
+/// `Recoverable::fingerprint` of the first cadence points of a 20 s
+/// `run_checkpointed` on the seed-11 `small_test` config, per
+/// `(system, index)`. Checkpoint descriptor lines carry these values.
+const SNAPSHOT_GOLDENS: [(&str, usize, u64); 4] = [
+    ("laminar", 0, 0xf5b0d4a2febbb2af),
+    ("laminar", 1, 0x6af51d3108dadcd1),
+    ("partial-rollout", 0, 0xb3351cb466615a24),
+    ("partial-rollout", 1, 0x2a1030b91258bd58),
 ];
 
 /// Disaggregated placement (Laminar); `train_gpus = 0` below yields the
@@ -175,5 +202,96 @@ fn different_seeds_actually_differ() {
         format!("{a:?}"),
         format!("{b:?}"),
         "seed must influence the run"
+    );
+}
+
+/// A fixed two-plane image: a paged stream of spread words and a plane of
+/// natural chunks, one of which carries `salt`.
+fn synthetic_image(salt: u64) -> StateImage {
+    let stream: Vec<u64> = (0..100u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect();
+    let mut paged = StatePlane::new("paged");
+    paged.extend_paged(&stream);
+    let mut natural = StatePlane::new("natural");
+    natural.push_chunk(vec![1, 2, 3]);
+    natural.push_chunk(vec![salt, u64::MAX]);
+    natural.push_chunk(Vec::new());
+    let mut image = StateImage::new();
+    image.push_plane(paged);
+    image.push_plane(natural);
+    image
+}
+
+#[test]
+fn checkpoint_hashes_match_goldens() {
+    let first = synthetic_image(1);
+    let second = synthetic_image(2);
+    let mut store = DeltaStore::new();
+    let (id0, _) = store.commit(Time::from_secs(10), &first);
+    let (id1, stats) = store.commit(Time::from_secs(20), &second);
+    assert_eq!(
+        (stats.chunks_new, stats.chunks_reused),
+        (1, 6),
+        "second commit must dedup every chunk but the salted one"
+    );
+    let manifest = |id| store.manifest(id).expect("committed manifest");
+    let got = [
+        chunk_key(&[]),
+        chunk_key(&[1, 2, 3]),
+        chunk_key(&first.planes()[0].chunks[0]),
+        first.fingerprint(),
+        id0,
+        manifest(id0).fingerprint,
+        id1,
+        manifest(id1).fingerprint,
+    ];
+    let drifted: Vec<String> = CHECKPOINT_HASH_GOLDENS
+        .iter()
+        .zip(got)
+        .filter(|((_, golden), got)| got != golden)
+        .map(|((name, _), got)| format!("    (\"{name}\", {got:#018x}),"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "checkpoint hashes drifted from CHECKPOINT_HASH_GOLDENS. If the format \
+         change is intended, re-record these entries of CHECKPOINT_HASH_GOLDENS \
+         in tests/determinism.rs:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// `Recoverable::fingerprint` of the first `n` 20 s cadence snapshots.
+fn snapshot_fps<S: Recoverable>(sys: &S, cfg: &SystemConfig, n: usize) -> Vec<u64> {
+    let (_, snapshots) = sys.run_checkpointed(cfg, Duration::from_secs(20), &mut NullTrace);
+    assert!(
+        snapshots.len() >= n,
+        "run crossed {} cadence points",
+        snapshots.len()
+    );
+    snapshots[..n]
+        .iter()
+        .map(|s| S::fingerprint(&s.state))
+        .collect()
+}
+
+#[test]
+fn snapshot_fingerprints_match_goldens() {
+    let disagg = cfg(11);
+    let mut got = snapshot_fps(&LaminarSystem::default(), &disagg, 2);
+    got.extend(snapshot_fps(&PartialRollout, &disagg, 2));
+    let drifted: Vec<String> = SNAPSHOT_GOLDENS
+        .iter()
+        .zip(got)
+        .filter(|((.., golden), got)| got != golden)
+        .map(|((name, index, _), got)| format!("    (\"{name}\", {index}, {got:#018x}),"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "snapshot fingerprints drifted from SNAPSHOT_GOLDENS. Checkpoint \
+         descriptors written by earlier builds carry these values; if the change \
+         is intended, re-record these entries of SNAPSHOT_GOLDENS in \
+         tests/determinism.rs:\n{}",
+        drifted.join("\n")
     );
 }
