@@ -17,10 +17,8 @@ use crate::common::{
 };
 use laminar_cluster::TrainModel;
 use laminar_rollout::{CompletedTraj, ReplicaEngine};
-use laminar_runtime::delta::{
-    encode_report_plane, encode_span_batch, StateImage, StatePlane, WordEnc, SPAN_BATCH,
-};
-use laminar_runtime::recovery::{Recoverable, RunSnapshot};
+use laminar_runtime::delta::{encode_report_plane, StateImage, StatePlane, WordEnc};
+use laminar_runtime::recovery::Recoverable;
 use laminar_sim::{Duration, Scheduler, SimWorld, Simulation, Time};
 use laminar_workload::{Dataset, TrajectorySpec};
 use std::collections::VecDeque;
@@ -230,13 +228,7 @@ impl RlSystem for PartialRollout {
     }
 
     fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
-        let mut sim = build_partial(cfg, trace.enabled());
-        let finished = sim.run_while(|w| !w.done(), 2_000_000_000);
-        assert!(
-            finished,
-            "partial-rollout run did not complete its iterations"
-        );
-        finish_partial(sim, trace)
+        self.resume(self.start(cfg, trace.enabled()), trace)
     }
 }
 
@@ -304,27 +296,8 @@ fn build_partial(cfg: &SystemConfig, record_trace: bool) -> Simulation<World> {
     sim
 }
 
-/// Drains buffered spans into `trace` and finalizes the report.
-fn finish_partial(mut sim: Simulation<World>, trace: &mut dyn TraceSink) -> RunReport {
-    trace.record_all(std::mem::take(&mut sim.world.trace_spans));
-    for e in &mut sim.world.engines {
-        trace.record_all(e.take_trace_spans());
-    }
-    let replicas = sim.world.engines.len().max(1);
-    let mut report = sim.world.report;
-    report.mean_kv_utilization = sim
-        .world
-        .engines
-        .iter()
-        .map(|e| e.mean_kv_utilization())
-        .sum::<f64>()
-        / replicas as f64;
-    report.finalize();
-    report
-}
-
-/// A deterministic checkpoint of a partial-rollout run: the complete
-/// simulation state frozen between events at a cadence boundary.
+/// The complete simulation state of a partial-rollout run. Cloned between
+/// events at a cadence boundary, it is a deterministic checkpoint.
 #[derive(Clone)]
 pub struct PartialSnapshot {
     sim: Simulation<World>,
@@ -333,43 +306,38 @@ pub struct PartialSnapshot {
 impl Recoverable for PartialRollout {
     type Snapshot = PartialSnapshot;
 
-    fn run_checkpointed(
-        &self,
-        cfg: &SystemConfig,
-        every: Duration,
-        trace: &mut dyn TraceSink,
-    ) -> (RunReport, Vec<RunSnapshot<PartialSnapshot>>) {
-        assert!(
-            every > Duration::ZERO,
-            "checkpoint cadence must be positive"
-        );
-        let mut sim = build_partial(cfg, trace.enabled());
-        let mut snapshots = Vec::new();
-        let mut deadline = Time::ZERO + every;
-        loop {
-            let finished = sim.run_while_until(|w| !w.done(), deadline, 2_000_000_000);
-            if finished {
-                break;
-            }
-            assert!(
-                sim.scheduler.next_event_time().is_some(),
-                "partial-rollout run stalled before completing its iterations"
-            );
-            snapshots.push(RunSnapshot {
-                at: deadline,
-                index: snapshots.len(),
-                state: PartialSnapshot { sim: sim.clone() },
-            });
-            deadline += every;
+    fn start(&self, cfg: &SystemConfig, record_trace: bool) -> PartialSnapshot {
+        PartialSnapshot {
+            sim: build_partial(cfg, record_trace),
         }
-        (finish_partial(sim, trace), snapshots)
     }
 
-    fn resume(&self, snapshot: PartialSnapshot, trace: &mut dyn TraceSink) -> RunReport {
-        let mut sim = snapshot.sim;
-        let finished = sim.run_while(|w| !w.done(), 2_000_000_000);
-        assert!(finished, "resumed partial-rollout run did not complete");
-        finish_partial(sim, trace)
+    fn advance(run: &mut PartialSnapshot, until: Time) -> bool {
+        let sim = &mut run.sim;
+        let finished = sim.run_while_until(|w| !w.done(), until, 2_000_000_000);
+        assert!(
+            finished || sim.scheduler.next_event_time().is_some(),
+            "partial-rollout run stalled before completing its iterations"
+        );
+        finished
+    }
+
+    fn finish(run: PartialSnapshot, trace: &mut dyn TraceSink) -> RunReport {
+        let mut w = run.sim.world;
+        trace.record_all(std::mem::take(&mut w.trace_spans));
+        for e in &mut w.engines {
+            trace.record_all(e.take_trace_spans());
+        }
+        let replicas = w.engines.len().max(1);
+        let mut report = w.report;
+        report.mean_kv_utilization = w
+            .engines
+            .iter()
+            .map(|e| e.mean_kv_utilization())
+            .sum::<f64>()
+            / replicas as f64;
+        report.finalize();
+        report
     }
 
     fn encode_state(snapshot: &PartialSnapshot) -> StateImage {
@@ -450,13 +418,9 @@ impl Recoverable for PartialRollout {
         img.push_plane(engines);
 
         let mut spans = StatePlane::new("spans");
-        for batch in w.trace_spans.chunks(SPAN_BATCH) {
-            spans.push_chunk(encode_span_batch(batch));
-        }
+        spans.extend_spans(&w.trace_spans);
         for eng in &w.engines {
-            for batch in eng.trace_spans().chunks(SPAN_BATCH) {
-                spans.push_chunk(encode_span_batch(batch));
-            }
+            spans.extend_spans(eng.trace_spans());
         }
         img.push_plane(spans);
 

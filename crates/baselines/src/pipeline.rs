@@ -22,7 +22,7 @@ use laminar_cluster::TrainModel;
 use laminar_runtime::delta::{
     encode_report_plane, encode_span_plane, StateImage, StatePlane, WordEnc,
 };
-use laminar_runtime::recovery::{Recoverable, RunSnapshot};
+use laminar_runtime::recovery::Recoverable;
 use laminar_sim::{Duration, Time, TimeSeries};
 
 /// The one-step staleness pipeline baseline.
@@ -38,7 +38,7 @@ impl RlSystem for OneStepStaleness {
         "one-step"
     }
     fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
-        run_pipeline(cfg, false, self.name(), trace)
+        self.resume(self.start(cfg, trace.enabled()), trace)
     }
 }
 
@@ -47,28 +47,15 @@ impl RlSystem for StreamGeneration {
         "stream-gen"
     }
     fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
-        run_pipeline(cfg, true, self.name(), trace)
+        self.resume(self.start(cfg, trace.enabled()), trace)
     }
 }
 
-fn run_pipeline(
-    cfg: &SystemConfig,
-    streaming: bool,
-    name: &'static str,
-    trace: &mut dyn TraceSink,
-) -> RunReport {
-    let mut run = PipelineRun::new(cfg, streaming, name, trace.enabled());
-    while !run.done() {
-        run.step();
-    }
-    run.finish(trace)
-}
-
-/// One pipeline run as explicit steppable state: [`PipelineRun::step`]
-/// advances the timeline recurrence by one batch, so the recovery plane
-/// can snapshot it at iteration boundaries by cloning this struct. Spans
-/// buffer internally until [`PipelineRun::finish`], so a resumed clone
-/// re-emits a byte-identical trace.
+/// One pipeline run as explicit steppable state: each step advances the
+/// timeline recurrence by one batch, so the recovery plane can snapshot it
+/// at iteration boundaries by cloning this struct. Spans buffer internally
+/// until the run finishes, so a resumed clone re-emits a byte-identical
+/// trace.
 #[derive(Clone)]
 pub struct PipelineRun {
     cfg: SystemConfig,
@@ -98,7 +85,7 @@ pub struct PipelineRun {
 impl PipelineRun {
     /// Pre-generates every batch profile and assembles the recurrence
     /// state; nothing on the global timeline has executed yet.
-    pub fn new(cfg: &SystemConfig, streaming: bool, name: &str, record_trace: bool) -> Self {
+    fn new(cfg: &SystemConfig, streaming: bool, name: &str, record_trace: bool) -> Self {
         assert!(
             cfg.train_gpus > 0,
             "pipelines are disaggregated: set train_gpus > 0"
@@ -155,12 +142,12 @@ impl PipelineRun {
     }
 
     /// True once the recurrence has covered every batch.
-    pub fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.n >= self.cfg.total_iterations()
     }
 
     /// Virtual time consumed so far (train end of the last batch).
-    pub fn clock_secs(&self) -> f64 {
+    fn clock_secs(&self) -> f64 {
         self.train_end.last().copied().unwrap_or(0.0)
     }
 
@@ -171,7 +158,7 @@ impl PipelineRun {
     }
 
     /// Advances the timeline recurrence by one batch.
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         let n = self.n;
         let cfg = self.cfg.clone();
         let nccl = self.nccl;
@@ -308,7 +295,7 @@ impl PipelineRun {
     }
 
     /// Finalizes the report and forwards the buffered trace to `trace`.
-    pub fn finish(mut self, trace: &mut dyn TraceSink) -> RunReport {
+    fn finish(mut self, trace: &mut dyn TraceSink) -> RunReport {
         // Generation-bound fraction: how much of the steady-state period
         // the trainer spent waiting on generation.
         let total_iters = self.cfg.total_iterations();
@@ -329,40 +316,13 @@ impl PipelineRun {
     }
 }
 
-fn pipeline_checkpointed(
-    cfg: &SystemConfig,
-    streaming: bool,
-    name: &str,
-    every: Duration,
-    trace: &mut dyn TraceSink,
-) -> (RunReport, Vec<RunSnapshot<PipelineRun>>) {
-    assert!(
-        every > Duration::ZERO,
-        "checkpoint cadence must be positive"
-    );
-    let mut run = PipelineRun::new(cfg, streaming, name, trace.enabled());
-    let mut snapshots = Vec::new();
-    let mut deadline = every.as_secs_f64();
-    while !run.done() {
-        run.step();
-        while !run.done() && run.clock_secs() >= deadline {
-            snapshots.push(RunSnapshot {
-                at: Time::from_secs_f64(deadline),
-                index: snapshots.len(),
-                state: run.clone(),
-            });
-            deadline += every.as_secs_f64();
-        }
-    }
-    (run.finish(trace), snapshots)
-}
-
-fn pipeline_resume(snapshot: PipelineRun, trace: &mut dyn TraceSink) -> RunReport {
-    let mut run = snapshot;
-    while !run.done() {
+/// The barrier pipelines' safe pause points are batch boundaries, so a
+/// run stops at the first one at or past `until`.
+fn pipeline_advance(run: &mut PipelineRun, until: Time) -> bool {
+    while !run.done() && run.clock_secs() < until.as_secs_f64() {
         run.step();
     }
-    run.finish(trace)
+    run.done()
 }
 
 /// Canonical state image of a pipeline run: the recurrence cursors and
@@ -395,17 +355,16 @@ fn pipeline_encode(run: &PipelineRun) -> StateImage {
 impl Recoverable for OneStepStaleness {
     type Snapshot = PipelineRun;
 
-    fn run_checkpointed(
-        &self,
-        cfg: &SystemConfig,
-        every: Duration,
-        trace: &mut dyn TraceSink,
-    ) -> (RunReport, Vec<RunSnapshot<PipelineRun>>) {
-        pipeline_checkpointed(cfg, false, self.name(), every, trace)
+    fn start(&self, cfg: &SystemConfig, record_trace: bool) -> PipelineRun {
+        PipelineRun::new(cfg, false, self.name(), record_trace)
     }
 
-    fn resume(&self, snapshot: PipelineRun, trace: &mut dyn TraceSink) -> RunReport {
-        pipeline_resume(snapshot, trace)
+    fn advance(run: &mut PipelineRun, until: Time) -> bool {
+        pipeline_advance(run, until)
+    }
+
+    fn finish(run: PipelineRun, trace: &mut dyn TraceSink) -> RunReport {
+        run.finish(trace)
     }
 
     fn encode_state(snapshot: &PipelineRun) -> StateImage {
@@ -416,17 +375,16 @@ impl Recoverable for OneStepStaleness {
 impl Recoverable for StreamGeneration {
     type Snapshot = PipelineRun;
 
-    fn run_checkpointed(
-        &self,
-        cfg: &SystemConfig,
-        every: Duration,
-        trace: &mut dyn TraceSink,
-    ) -> (RunReport, Vec<RunSnapshot<PipelineRun>>) {
-        pipeline_checkpointed(cfg, true, self.name(), every, trace)
+    fn start(&self, cfg: &SystemConfig, record_trace: bool) -> PipelineRun {
+        PipelineRun::new(cfg, true, self.name(), record_trace)
     }
 
-    fn resume(&self, snapshot: PipelineRun, trace: &mut dyn TraceSink) -> RunReport {
-        pipeline_resume(snapshot, trace)
+    fn advance(run: &mut PipelineRun, until: Time) -> bool {
+        pipeline_advance(run, until)
+    }
+
+    fn finish(run: PipelineRun, trace: &mut dyn TraceSink) -> RunReport {
+        run.finish(trace)
     }
 
     fn encode_state(snapshot: &PipelineRun) -> StateImage {

@@ -11,11 +11,10 @@ use crate::common::{
     SystemConfig, TraceSink, TraceSpan,
 };
 use laminar_cluster::TrainModel;
-use laminar_rollout::{EngineConfig, ReplicaEngine};
 use laminar_runtime::delta::{
     encode_report_plane, encode_span_plane, StateImage, StatePlane, WordEnc,
 };
-use laminar_runtime::recovery::{Recoverable, RunSnapshot};
+use laminar_runtime::recovery::Recoverable;
 use laminar_sim::{Duration, Time, TimeSeries};
 use laminar_workload::Dataset;
 
@@ -23,11 +22,11 @@ use laminar_workload::Dataset;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VerlSync;
 
-/// One verl run as explicit steppable state: [`VerlRun::step`] executes a
-/// single synchronous iteration, so the recovery plane can snapshot the
-/// run at iteration boundaries by cloning this struct. Spans buffer
-/// internally and only reach the caller's sink at [`VerlRun::finish`], so
-/// a resumed clone re-emits a byte-identical trace.
+/// One verl run as explicit steppable state: each step executes a single
+/// synchronous iteration, so the recovery plane can snapshot the run at
+/// iteration boundaries by cloning this struct. Spans buffer internally
+/// and only reach the caller's sink when the run finishes, so a resumed
+/// clone re-emits a byte-identical trace.
 #[derive(Clone)]
 pub struct VerlRun {
     cfg: SystemConfig,
@@ -50,7 +49,7 @@ pub struct VerlRun {
 impl VerlRun {
     /// Assembles a run from the config (clamping KV memory for the
     /// colocated layout) without executing anything yet.
-    pub fn new(cfg: &SystemConfig, record_trace: bool) -> Self {
+    fn new(cfg: &SystemConfig, record_trace: bool) -> Self {
         assert_eq!(cfg.train_gpus, 0, "verl is colocated: set train_gpus = 0");
         // Colocated serving shares GPU memory with resident training state.
         let mut cfg = cfg.clone();
@@ -83,12 +82,12 @@ impl VerlRun {
     }
 
     /// True once every configured iteration has run.
-    pub fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.iter >= self.cfg.total_iterations()
     }
 
     /// Virtual time consumed so far (end of the last completed iteration).
-    pub fn clock_secs(&self) -> f64 {
+    fn clock_secs(&self) -> f64 {
         self.clock
     }
 
@@ -100,7 +99,7 @@ impl VerlRun {
 
     /// Executes one synchronous iteration: reshard → generate → reshard →
     /// train.
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         let iter = self.iter;
         let cfg = self.cfg.clone();
         let evolution = 1.0 + cfg.evolution_rate * iter as f64;
@@ -183,7 +182,7 @@ impl VerlRun {
     }
 
     /// Finalizes the report and forwards the buffered trace to `trace`.
-    pub fn finish(mut self, trace: &mut dyn TraceSink) -> RunReport {
+    fn finish(mut self, trace: &mut dyn TraceSink) -> RunReport {
         self.report.mean_kv_utilization = self.kv_sum / self.cfg.iterations.max(1) as f64;
         self.report.generation_fraction = if self.iter_time_total > 0.0 {
             self.gen_time_total / self.iter_time_total
@@ -204,51 +203,27 @@ impl RlSystem for VerlSync {
     }
 
     fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
-        let mut run = VerlRun::new(cfg, trace.enabled());
-        while !run.done() {
-            run.step();
-        }
-        run.finish(trace)
+        self.resume(self.start(cfg, trace.enabled()), trace)
     }
 }
 
 impl Recoverable for VerlSync {
     type Snapshot = VerlRun;
 
-    fn run_checkpointed(
-        &self,
-        cfg: &SystemConfig,
-        every: Duration,
-        trace: &mut dyn TraceSink,
-    ) -> (RunReport, Vec<RunSnapshot<VerlRun>>) {
-        assert!(
-            every > Duration::ZERO,
-            "checkpoint cadence must be positive"
-        );
-        let mut run = VerlRun::new(cfg, trace.enabled());
-        let mut snapshots = Vec::new();
-        let mut deadline = every.as_secs_f64();
-        while !run.done() {
-            run.step();
-            // Snapshot at the first iteration boundary past each cadence
-            // point (verl's only safe pause points are between iterations).
-            while !run.done() && run.clock_secs() >= deadline {
-                snapshots.push(RunSnapshot {
-                    at: Time::from_secs_f64(deadline),
-                    index: snapshots.len(),
-                    state: run.clone(),
-                });
-                deadline += every.as_secs_f64();
-            }
-        }
-        (run.finish(trace), snapshots)
+    fn start(&self, cfg: &SystemConfig, record_trace: bool) -> VerlRun {
+        VerlRun::new(cfg, record_trace)
     }
 
-    fn resume(&self, snapshot: VerlRun, trace: &mut dyn TraceSink) -> RunReport {
-        let mut run = snapshot;
-        while !run.done() {
+    /// verl's only safe pause points are between iterations, so it stops
+    /// at the first iteration boundary at or past `until`.
+    fn advance(run: &mut VerlRun, until: Time) -> bool {
+        while !run.done() && run.clock_secs() < until.as_secs_f64() {
             run.step();
         }
+        run.done()
+    }
+
+    fn finish(run: VerlRun, trace: &mut dyn TraceSink) -> RunReport {
         run.finish(trace)
     }
 
@@ -293,14 +268,6 @@ pub fn sync_breakdown(cfg: &SystemConfig) -> (f64, f64, f64) {
     let total_train = train.iteration_secs(gen.total_tokens, cfg.minibatches);
     let prep = total_train * train.experience_prep_frac;
     (gen_secs, total_train - prep, prep)
-}
-
-/// Verl's generation engines are also used standalone for the Figure 9
-/// lifecycle experiment; re-export a helper building one recording replica.
-pub fn recording_replica(cfg: &SystemConfig) -> ReplicaEngine {
-    let mut ecfg: EngineConfig = cfg.engine_config();
-    ecfg.record_kv_series = true;
-    ReplicaEngine::new(0, cfg.decode_model(), ecfg)
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
-//! Property tests for the incremental delta-checkpoint encoder.
+//! Property tests for delta checkpoints.
 //!
-//! `LaminarSystem::run_delta_checkpointed` builds each cadence point's
-//! [`StateImage`] incrementally from dirty-set tracking (only planes whose
-//! state moved since the previous point re-encode). The contract holding
-//! that override honest: every committed image must be *byte-identical* to
-//! what a from-scratch `encode_state` of the same snapshot produces, and
-//! the manifest's recorded fingerprint must match both. These tests sweep
-//! that property across 16 seeds of generated chaos schedules, then soak a
-//! tight cadence (hundreds of checkpoints in one run) and prove a resume
-//! off the full manifest chain.
+//! `run_delta_checkpointed` commits each cadence point's
+//! [`StateImage`](laminar_runtime::StateImage) into a deduplicating
+//! [`DeltaStore`]. The contract: the image the store holds for a checkpoint
+//! must be *byte-identical* to a fresh `encode_state` of the checkpoint's
+//! cloned snapshot — the state a resume actually runs — and the manifest's
+//! recorded fingerprint must match both. These tests sweep that property
+//! across 16 seeds of generated chaos schedules, then soak a tight cadence
+//! (hundreds of checkpoints in one run) and prove a resume off the full
+//! manifest chain.
 
 use laminar_core::{generate_schedule, ChaosConfig, LaminarSystem};
 use laminar_runtime::recovery::{check_checkpoint_soak, Recoverable};
@@ -25,13 +25,13 @@ fn small_cfg() -> SystemConfig {
     c
 }
 
-/// Incremental image == fresh whole-state encode == manifest fingerprint,
-/// at every cadence point, across 16 seeds of chaos schedules. Any plane
-/// the dirty-set tracker fails to re-encode (or re-encodes differently)
-/// breaks the `StateImage` equality, not just the fingerprint — so a
-/// mismatch pinpoints the plane rather than hiding behind a hash.
+/// Committed image == fresh encode of the cloned snapshot == manifest
+/// fingerprint, at every cadence point, across 16 seeds of chaos schedules.
+/// A plane the clone fails to carry (or the store fails to keep) breaks the
+/// `StateImage` equality, not just the fingerprint — so a mismatch
+/// pinpoints the plane rather than hiding behind a hash.
 #[test]
-fn incremental_images_match_fresh_encodes_across_chaos_seeds() {
+fn committed_images_match_fresh_snapshot_encodes_across_chaos_seeds() {
     let cfg = small_cfg();
     for seed in 0..16u64 {
         let faults = generate_schedule(
@@ -71,7 +71,7 @@ fn incremental_images_match_fresh_encodes_across_chaos_seeds() {
             });
             assert_eq!(
                 reconstructed, fresh,
-                "seed {seed}: checkpoint {} incremental image differs from fresh encode",
+                "seed {seed}: checkpoint {} committed image differs from fresh encode",
                 ckpt.index
             );
             assert_eq!(

@@ -7,7 +7,7 @@
 
 use laminar_baselines::{OneStepStaleness, PartialRollout, StreamGeneration, VerlSync};
 use laminar_core::LaminarSystem;
-use laminar_runtime::recovery::{check_resume_equivalence, Recoverable};
+use laminar_runtime::recovery::{check_checkpoint_soak, check_resume_equivalence, Recoverable};
 use laminar_runtime::{RecordingTrace, RlSystem, SystemConfig};
 use laminar_sim::Duration;
 use laminar_workload::{Checkpoint, WorkloadGenerator};
@@ -119,4 +119,36 @@ fn checkpointed_run_is_byte_identical_to_sharded_run() {
         ck_trace.to_jsonl(),
         "checkpointed (serial) trace diverged from sharded trace"
     );
+}
+
+/// A cadence longer than the run commits no checkpoint, so neither checker
+/// has anything to prove: both fail closed and name the reason.
+#[test]
+fn checks_fail_closed_when_no_checkpoint_is_committed() {
+    let cfg = disagg();
+    let every = Duration::from_secs(100_000);
+    let eq = check_resume_equivalence(&LaminarSystem::default(), &cfg, every);
+    let soak = check_checkpoint_soak(&LaminarSystem::default(), &cfg, every);
+    for (name, snapshots, identical, why) in [
+        (
+            "resume equivalence",
+            eq.snapshots,
+            eq.identical(),
+            eq.first_divergence,
+        ),
+        (
+            "soak",
+            soak.snapshots,
+            soak.identical(),
+            soak.first_divergence,
+        ),
+    ] {
+        assert_eq!(snapshots, 0, "{name}: the cadence must outlast the run");
+        assert!(!identical, "{name}: a run with no checkpoint must not pass");
+        let why = why.unwrap_or_default();
+        assert!(
+            why.starts_with("run ended before the first cadence point"),
+            "{name}: reason must say no checkpoint was committed, got {why:?}"
+        );
+    }
 }

@@ -13,7 +13,6 @@
 //! property that makes the relay tier scale (Figure 18).
 
 use crate::links::LinkSpec;
-use laminar_sim::Duration;
 
 /// The pipelined chain broadcast over a given link type.
 #[derive(Debug, Clone)]
@@ -59,11 +58,6 @@ impl ChainBroadcast {
     /// `T*(p)`: broadcast time at the optimal chunk count, seconds.
     pub fn optimal_broadcast_secs(&self, p: usize, bytes: f64) -> f64 {
         self.broadcast_secs(p, bytes, self.optimal_chunks(p, bytes))
-    }
-
-    /// [`Self::optimal_broadcast_secs`] as a duration.
-    pub fn optimal_broadcast_time(&self, p: usize, bytes: f64) -> Duration {
-        Duration::from_secs_f64(self.optimal_broadcast_secs(p, bytes))
     }
 
     /// The three analytic components of `T*(p)`:

@@ -119,11 +119,6 @@ impl ReshardModel {
     pub fn switch_secs(&self, model: &ModelSpec) -> f64 {
         self.fixed + model.weight_bytes() / self.machine.nvlink.bandwidth
     }
-
-    /// [`Self::switch_secs`] as a duration.
-    pub fn switch_time(&self, model: &ModelSpec) -> Duration {
-        Duration::from_secs_f64(self.switch_secs(model))
-    }
 }
 
 #[cfg(test)]

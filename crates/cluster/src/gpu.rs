@@ -75,19 +75,6 @@ impl MachineSpec {
             host_memory_bytes: 2e12,
         }
     }
-
-    /// Small fictional server for unit tests.
-    pub fn tiny_test_server() -> Self {
-        MachineSpec {
-            gpu: GpuSpec::tiny_test_gpu(),
-            gpus: 2,
-            nvlink: LinkSpec::new("nvlink", 50e9, 3e-6),
-            pcie: LinkSpec::new("pcie", 10e9, 8e-6),
-            rdma: LinkSpec::new("rdma", 5e9, 5e-6),
-            tcp: LinkSpec::new("tcp", 0.5e9, 150e-6),
-            host_memory_bytes: 64e9,
-        }
-    }
 }
 
 /// A homogeneous cluster.

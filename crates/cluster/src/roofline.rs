@@ -64,11 +64,6 @@ impl DecodeModel {
         self.gpu.hbm_bandwidth * self.hbm_efficiency
     }
 
-    /// Weight bytes resident per GPU of the replica.
-    pub fn weight_bytes_per_gpu(&self) -> f64 {
-        self.model.weight_bytes() / self.tp as f64
-    }
-
     /// Latency of one decode step, in seconds, for a batch of `batch`
     /// sequences whose context lengths sum to `ctx_tokens` tokens.
     ///
@@ -88,11 +83,6 @@ impl DecodeModel {
         let overhead = self.model.layers as f64
             * (self.layer_overhead + self.tp_overhead * (self.tp as f64).log2());
         mem_time.max(compute_time) + overhead
-    }
-
-    /// [`Self::step_secs`] as a virtual duration.
-    pub fn step_time(&self, batch: usize, ctx_tokens: f64) -> Duration {
-        Duration::from_secs_f64(self.step_secs(batch, ctx_tokens))
     }
 
     /// Tokens/second produced by the replica at the given operating point.
@@ -127,11 +117,6 @@ impl DecodeModel {
             return 0;
         }
         (free / self.model.kv_bytes_per_token()).floor() as u64
-    }
-
-    /// KVCache bytes held by a sequence with `tokens` context tokens.
-    pub fn kv_bytes(&self, tokens: u64) -> f64 {
-        tokens as f64 * self.model.kv_bytes_per_token()
     }
 
     /// Latency of prefilling `prompt_tokens` tokens, in seconds

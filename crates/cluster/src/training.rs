@@ -8,7 +8,6 @@
 
 use crate::gpu::GpuSpec;
 use crate::model::ModelSpec;
-use laminar_sim::Duration;
 
 /// Trainer throughput model for a fixed GPU allocation.
 #[derive(Debug, Clone)]
@@ -54,11 +53,6 @@ impl TrainModel {
         flops / self.cluster_flops() * (1.0 + self.comm_overhead)
     }
 
-    /// [`Self::minibatch_secs`] as a virtual duration.
-    pub fn minibatch_time(&self, tokens: f64) -> Duration {
-        Duration::from_secs_f64(self.minibatch_secs(tokens))
-    }
-
     /// Seconds for a full training iteration over `batch_tokens` tokens in
     /// `minibatches` updates, including experience preparation.
     ///
@@ -68,11 +62,6 @@ impl TrainModel {
         let grad = self.minibatch_secs(batch_tokens);
         let _ = minibatches; // splitting does not change total FLOPs
         grad * (1.0 + self.experience_prep_frac / (1.0 - self.experience_prep_frac))
-    }
-
-    /// [`Self::iteration_secs`] as a virtual duration.
-    pub fn iteration_time(&self, batch_tokens: f64, minibatches: usize) -> Duration {
-        Duration::from_secs_f64(self.iteration_secs(batch_tokens, minibatches))
     }
 }
 

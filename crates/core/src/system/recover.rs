@@ -22,14 +22,10 @@
 
 use super::{Ev, LaminarSystem, World};
 use laminar_data::{Eviction, ExperienceBuffer, PartialResponsePool, Sampler};
-use laminar_runtime::delta::{
-    encode_report_plane, encode_span_batch, fnv1a_bytes, DeltaStore, StateImage, StatePlane,
-    WordEnc, SPAN_BATCH,
-};
-use laminar_runtime::recovery::{DeltaCheckpoint, Recoverable, RunSnapshot};
-use laminar_runtime::{RunReport, SpanKind, SystemConfig, TraceSink, TraceSpan};
-use laminar_sim::{Duration, Scheduler, Simulation, Time};
-use std::collections::{HashMap, HashSet};
+use laminar_runtime::delta::{encode_report_plane, fnv1a_bytes, StateImage, StatePlane, WordEnc};
+use laminar_runtime::recovery::Recoverable;
+use laminar_runtime::{RunReport, SpanKind, SystemConfig, TraceSink};
+use laminar_sim::{Scheduler, Simulation, Time};
 
 impl World {
     fn alive_count(&self) -> usize {
@@ -108,22 +104,14 @@ impl World {
     }
 }
 
-/// A deterministic checkpoint of a Laminar run: the complete simulation
-/// state (engines with their event heaps and resident trajectories, the
-/// experience and partial-response buffers, actor and relay versions, the
-/// driver clock, and every pending simulation event), frozen between
-/// events at a cadence boundary.
+/// The complete simulation state of a Laminar run (engines with their
+/// event heaps and resident trajectories, the experience and
+/// partial-response buffers, actor and relay versions, the driver clock,
+/// and every pending simulation event). Cloned between events at a cadence
+/// boundary, it is a deterministic checkpoint.
 #[derive(Clone)]
 pub struct LaminarSnapshot {
     sim: Simulation<World>,
-}
-
-impl LaminarSnapshot {
-    /// Virtual time the snapshot was taken at (all events up to and
-    /// including this instant have executed).
-    pub fn at(&self) -> Time {
-        self.sim.scheduler.now()
-    }
 }
 
 impl LaminarSystem {
@@ -151,103 +139,30 @@ impl LaminarSystem {
 impl Recoverable for LaminarSystem {
     type Snapshot = LaminarSnapshot;
 
-    fn run_checkpointed(
-        &self,
-        cfg: &SystemConfig,
-        every: Duration,
-        trace: &mut dyn TraceSink,
-    ) -> (RunReport, Vec<RunSnapshot<LaminarSnapshot>>) {
-        assert!(
-            every > Duration::ZERO,
-            "checkpoint cadence must be positive"
-        );
-        let serial = self.checkpoint_serial();
-        let mut sim = serial.build(cfg, trace.enabled());
-        let mut snapshots = Vec::new();
-        let mut deadline = Time::ZERO + every;
-        loop {
-            let finished = sim.run_while_until(|w| !w.done(), deadline, 2_000_000_000);
-            if finished {
-                break;
-            }
-            assert!(
-                sim.scheduler.next_event_time().is_some(),
-                "laminar run stalled before completing its iterations"
-            );
-            snapshots.push(RunSnapshot {
-                at: deadline,
-                index: snapshots.len(),
-                state: LaminarSnapshot { sim: sim.clone() },
-            });
-            deadline += every;
+    fn start(&self, cfg: &SystemConfig, record_trace: bool) -> LaminarSnapshot {
+        LaminarSnapshot {
+            sim: self.checkpoint_serial().build(cfg, record_trace),
         }
-        let mut world = sim.world;
-        world.drain_spans(trace);
-        (world.finish_report(), snapshots)
     }
 
-    /// The incremental override: the same cadence loop as
-    /// [`run_checkpointed`](Recoverable::run_checkpointed), but each cadence
-    /// point builds its [`StateImage`] through a [`DeltaEncoder`] that reuses
-    /// cached chunks for every clean plane — slab dirty bits gate the
-    /// per-trajectory chunks, mutation epochs gate the buffer and partial
-    /// pools, and span batches are extended append-only. The committed image
-    /// is byte-identical to a fresh [`encode_state`](Recoverable::encode_state)
-    /// of the same snapshot (the property tests hold it to that); only the
-    /// encoding work is O(dirty).
-    fn run_delta_checkpointed(
-        &self,
-        cfg: &SystemConfig,
-        every: Duration,
-        trace: &mut dyn TraceSink,
-        store: &mut DeltaStore,
-    ) -> (RunReport, Vec<DeltaCheckpoint<LaminarSnapshot>>) {
+    fn advance(run: &mut LaminarSnapshot, until: Time) -> bool {
+        let sim = &mut run.sim;
+        let finished = sim.run_while_until(|w| !w.done(), until, 2_000_000_000);
         assert!(
-            every > Duration::ZERO,
-            "checkpoint cadence must be positive"
+            finished || sim.scheduler.next_event_time().is_some(),
+            "laminar run stalled before completing its iterations"
         );
-        let serial = self.checkpoint_serial();
-        let mut sim = serial.build(cfg, trace.enabled());
-        let mut enc = DeltaEncoder::default();
-        let mut checkpoints: Vec<DeltaCheckpoint<LaminarSnapshot>> = Vec::new();
-        let mut deadline = Time::ZERO + every;
-        loop {
-            let finished = sim.run_while_until(|w| !w.done(), deadline, 2_000_000_000);
-            if finished {
-                break;
-            }
-            assert!(
-                sim.scheduler.next_event_time().is_some(),
-                "laminar run stalled before completing its iterations"
-            );
-            let image = enc.encode(&sim);
-            enc.after_commit(&mut sim.world);
-            let (manifest_id, stats) = store.commit(deadline, &image);
-            checkpoints.push(DeltaCheckpoint {
-                at: deadline,
-                index: checkpoints.len(),
-                manifest_id,
-                stats,
-                state: LaminarSnapshot { sim: sim.clone() },
-            });
-            deadline += every;
-        }
-        let mut world = sim.world;
-        world.drain_spans(trace);
-        (world.finish_report(), checkpoints)
+        finished
     }
 
-    fn resume(&self, snapshot: LaminarSnapshot, trace: &mut dyn TraceSink) -> RunReport {
-        let mut sim = snapshot.sim;
-        let finished = sim.run_while(|w| !w.done(), 2_000_000_000);
-        assert!(finished, "resumed laminar run did not complete");
-        let mut world = sim.world;
+    fn finish(run: LaminarSnapshot, trace: &mut dyn TraceSink) -> RunReport {
+        let mut world = run.sim.world;
         world.drain_spans(trace);
         world.finish_report()
     }
 
     fn encode_state(snapshot: &LaminarSnapshot) -> StateImage {
-        build_image(&snapshot.sim, None)
+        build_image(&snapshot.sim)
     }
 }
 
@@ -263,60 +178,19 @@ impl Recoverable for LaminarSystem {
 /// carry the flat scalar/report tails.
 ///
 /// [`PAGE_WORDS`]: laminar_runtime::delta::PAGE_WORDS
-fn build_image(sim: &Simulation<World>, mut enc: Option<&mut DeltaEncoder>) -> StateImage {
+fn build_image(sim: &Simulation<World>) -> StateImage {
     let w = &sim.world;
     let mut img = StateImage::new();
     img.push_plane(driver_plane(sim));
     img.push_plane(audit_plane(w));
     img.push_plane(queue_plane(&sim.scheduler));
     img.push_plane(pool_plane(w));
-
-    let partials_plane = match enc.as_deref_mut() {
-        Some(e) if e.partials_epoch == Some(w.partials.epoch()) => {
-            plane_from_chunks("partials", e.partials_chunks.clone())
-        }
-        other => {
-            let chunks = partials_chunks(&w.partials);
-            if let Some(e) = other {
-                e.partials_epoch = Some(w.partials.epoch());
-                e.partials_chunks = chunks.clone();
-            }
-            plane_from_chunks("partials", chunks)
-        }
-    };
-    img.push_plane(partials_plane);
-
-    let buffer_plane = match enc.as_deref_mut() {
-        Some(e) if e.buffer_epoch == Some(w.buffer.epoch()) => {
-            plane_from_chunks("buffer", e.buffer_chunks.clone())
-        }
-        other => {
-            let chunks = buffer_chunks(&w.buffer);
-            if let Some(e) = other {
-                e.buffer_epoch = Some(w.buffer.epoch());
-                e.buffer_chunks = chunks.clone();
-            }
-            plane_from_chunks("buffer", chunks)
-        }
-    };
-    img.push_plane(buffer_plane);
-
-    img.push_plane(engines_plane(
-        w,
-        enc.as_deref_mut().map(|e| &mut e.traj_chunks),
-    ));
-    img.push_plane(spans_plane(w, enc));
-
+    img.push_plane(partials_plane(&w.partials));
+    img.push_plane(buffer_plane(&w.buffer));
+    img.push_plane(engines_plane(w));
+    img.push_plane(spans_plane(w));
     img.push_plane(encode_report_plane("report", &w.report));
     img
-}
-
-fn plane_from_chunks(name: &'static str, chunks: Vec<Vec<u64>>) -> StatePlane {
-    let mut plane = StatePlane::new(name);
-    for c in chunks {
-        plane.push_chunk(c);
-    }
-    plane
 }
 
 /// The driver's flat scalar stream: scheduler counters, version state,
@@ -475,8 +349,9 @@ fn pool_plane(w: &World) -> StatePlane {
 }
 
 /// Pool counters plus one chunk per in-flight partial response, id-sorted.
-fn partials_chunks(p: &PartialResponsePool) -> Vec<Vec<u64>> {
-    let mut chunks = vec![vec![p.total_updates(), p.recovered(), p.len() as u64]];
+fn partials_plane(p: &PartialResponsePool) -> StatePlane {
+    let mut plane = StatePlane::new("partials");
+    plane.push_chunk(vec![p.total_updates(), p.recovered(), p.len() as u64]);
     let mut ids = p.ids();
     ids.sort_unstable();
     for id in ids {
@@ -484,14 +359,14 @@ fn partials_chunks(p: &PartialResponsePool) -> Vec<Vec<u64>> {
         p.get(id)
             .expect("listed id present")
             .encode_words(&mut words);
-        chunks.push(words);
+        plane.push_chunk(words);
     }
-    chunks
+    plane
 }
 
 /// Buffer strategy + flow counters, then one chunk per buffered experience
 /// in deque (write) order.
-fn buffer_chunks(b: &ExperienceBuffer) -> Vec<Vec<u64>> {
+fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
     let mut head = WordEnc::new();
     match b.sampler() {
         Sampler::Fifo => head.u(0),
@@ -509,39 +384,29 @@ fn buffer_chunks(b: &ExperienceBuffer) -> Vec<Vec<u64>> {
         .u(stats.written)
         .u(stats.sampled)
         .u(stats.evicted);
-    let mut chunks = vec![head.take()];
+    let mut plane = StatePlane::new("buffer");
+    plane.push_chunk(head.take());
     for exp in b.iter() {
         let mut words = Vec::new();
         exp.encode_words(&mut words);
-        chunks.push(words);
+        plane.push_chunk(words);
     }
-    chunks
+    plane
 }
 
 /// Per engine: the scalar chunk, one chunk per resident (active)
 /// trajectory, one per env-waiting trajectory, one per undrained
-/// completion. Active-trajectory chunks are the slab-dirty-bit cache
-/// domain: a clean bit proves the trajectory was untouched since the last
-/// commit, so its cached encoding is reused verbatim.
-fn engines_plane(w: &World, mut cache: Option<&mut HashMap<(usize, u64), Vec<u64>>>) -> StatePlane {
+/// completion.
+fn engines_plane(w: &World) -> StatePlane {
     let mut plane = StatePlane::new("engines");
-    for (r, eng) in w.engines.iter().enumerate() {
+    for eng in &w.engines {
         let mut scalars = Vec::new();
         eng.checkpoint_scalar_words(&mut scalars);
         plane.push_chunk(scalars);
-        for (id, st) in eng.active_states() {
-            let chunk = match cache.as_deref_mut() {
-                Some(c) if !eng.traj_dirty(id) && c.contains_key(&(r, id)) => c[&(r, id)].clone(),
-                c => {
-                    let mut words = Vec::new();
-                    st.encode_words(&mut words);
-                    if let Some(c) = c {
-                        c.insert((r, id), words.clone());
-                    }
-                    words
-                }
-            };
-            plane.push_chunk(chunk);
+        for (_, st) in eng.active_states() {
+            let mut words = Vec::new();
+            st.encode_words(&mut words);
+            plane.push_chunk(words);
         }
         for st in eng.waiting_states() {
             let mut words = Vec::new();
@@ -560,107 +425,14 @@ fn engines_plane(w: &World, mut cache: Option<&mut HashMap<(usize, u64), Vec<u64
 /// Driver span batches followed by each engine's, [`SPAN_BATCH`] spans per
 /// chunk. Span streams are append-only between commits (engines buffer
 /// spans until the final drain), so only the tail batch of each source
-/// changes per cadence — and the caches reuse the frozen full batches.
-fn spans_plane(w: &World, enc: Option<&mut DeltaEncoder>) -> StatePlane {
+/// changes per cadence and the store deduplicates the frozen full batches.
+///
+/// [`SPAN_BATCH`]: laminar_runtime::delta::SPAN_BATCH
+fn spans_plane(w: &World) -> StatePlane {
     let mut plane = StatePlane::new("spans");
-    match enc {
-        Some(e) => {
-            e.span_caches
-                .resize_with(w.engines.len() + 1, SpanCache::default);
-            append_span_batches(&mut plane, &w.trace_spans, Some(&mut e.span_caches[0]));
-            for (r, eng) in w.engines.iter().enumerate() {
-                append_span_batches(
-                    &mut plane,
-                    eng.trace_spans(),
-                    Some(&mut e.span_caches[r + 1]),
-                );
-            }
-        }
-        None => {
-            append_span_batches(&mut plane, &w.trace_spans, None);
-            for eng in &w.engines {
-                append_span_batches(&mut plane, eng.trace_spans(), None);
-            }
-        }
+    plane.extend_spans(&w.trace_spans);
+    for eng in &w.engines {
+        plane.extend_spans(eng.trace_spans());
     }
     plane
-}
-
-fn append_span_batches(plane: &mut StatePlane, spans: &[TraceSpan], cache: Option<&mut SpanCache>) {
-    let Some(cache) = cache else {
-        for batch in spans.chunks(SPAN_BATCH) {
-            plane.push_chunk(encode_span_batch(batch));
-        }
-        return;
-    };
-    // The cache holds only *full* batches, which never change while the
-    // stream keeps appending. A source that shrank or rewrote history (an
-    // engine rebuilt by machine recovery) fails the boundary-span check and
-    // re-encodes from scratch.
-    let covered = cache.batches.len() * SPAN_BATCH;
-    let intact =
-        covered <= spans.len() && (covered == 0 || cache.boundary == Some(spans[covered - 1]));
-    if !intact {
-        cache.batches.clear();
-        cache.boundary = None;
-    }
-    let covered = cache.batches.len() * SPAN_BATCH;
-    for b in &cache.batches {
-        plane.push_chunk(b.clone());
-    }
-    for batch in spans[covered..].chunks(SPAN_BATCH) {
-        let words = encode_span_batch(batch);
-        if batch.len() == SPAN_BATCH {
-            cache.batches.push(words.clone());
-            cache.boundary = Some(batch[SPAN_BATCH - 1]);
-        }
-        plane.push_chunk(words);
-    }
-}
-
-/// Cached encodings carried between cadence points by the incremental
-/// encoder. Every cache is gated by a dirtiness witness — slab dirty bits,
-/// pool mutation epochs, or span-stream append-only checks — and the
-/// fallback on any miss is a fresh encode, so a stale witness can only cost
-/// CPU, never correctness (and the equivalence property tests pin even
-/// that: incremental and fresh images must be byte-identical).
-#[derive(Default)]
-struct DeltaEncoder {
-    /// Active-trajectory chunks keyed `(replica, trajectory id)`.
-    traj_chunks: HashMap<(usize, u64), Vec<u64>>,
-    buffer_epoch: Option<u64>,
-    buffer_chunks: Vec<Vec<u64>>,
-    partials_epoch: Option<u64>,
-    partials_chunks: Vec<Vec<u64>>,
-    /// Index 0 is the driver's span stream; engine `r` is at `r + 1`.
-    span_caches: Vec<SpanCache>,
-}
-
-#[derive(Default)]
-struct SpanCache {
-    batches: Vec<Vec<u64>>,
-    /// The last span covered by `batches`, revalidated each encode.
-    boundary: Option<TraceSpan>,
-}
-
-impl DeltaEncoder {
-    fn encode(&mut self, sim: &Simulation<World>) -> StateImage {
-        build_image(sim, Some(self))
-    }
-
-    /// Rebaselines the dirty sets after a commit: every cached chunk now
-    /// reflects the committed state, so slab dirty bits reset and cache
-    /// entries for departed trajectories are dropped.
-    fn after_commit(&mut self, w: &mut World) {
-        let live: HashSet<(usize, u64)> = w
-            .engines
-            .iter()
-            .enumerate()
-            .flat_map(|(r, e)| e.active_states().map(move |(id, _)| (r, id)))
-            .collect();
-        self.traj_chunks.retain(|k, _| live.contains(k));
-        for e in &mut w.engines {
-            e.clear_traj_dirty();
-        }
-    }
 }

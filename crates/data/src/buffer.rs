@@ -65,11 +65,6 @@ pub struct ExperienceBuffer {
     sampler: Sampler,
     eviction: Eviction,
     stats: BufferStats,
-    /// Monotone mutation counter: bumped by every mutating method. The
-    /// delta-checkpoint encoder compares it against the epoch it last
-    /// encoded at and skips re-encoding the buffer plane wholesale when
-    /// nothing changed between cadence points.
-    epoch: u64,
 }
 
 impl ExperienceBuffer {
@@ -80,14 +75,7 @@ impl ExperienceBuffer {
             sampler,
             eviction,
             stats: BufferStats::default(),
-            epoch: 0,
         }
-    }
-
-    /// Monotone mutation epoch: unchanged iff no mutating method ran since
-    /// the value was last observed.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The paper's convergence-experiment configuration: FIFO, unbounded.
@@ -109,13 +97,11 @@ impl ExperienceBuffer {
     /// this to relax a staleness cap within its configured bound and to
     /// restore it on recovery; buffered experiences are untouched.
     pub fn set_sampler(&mut self, sampler: Sampler) {
-        self.epoch += 1;
         self.sampler = sampler;
     }
 
     /// Writer API: appends one completed experience, applying eviction.
     pub fn write(&mut self, exp: Experience) {
-        self.epoch += 1;
         self.entries.push_back(exp);
         self.stats.written += 1;
         if let Eviction::DropOldest { capacity } = self.eviction {
@@ -145,7 +131,6 @@ impl ExperienceBuffer {
     /// (used for staleness filtering/eviction); `rng` drives randomized
     /// strategies.
     pub fn sample(&mut self, n: usize, current_version: u64, rng: &mut SimRng) -> Vec<Experience> {
-        self.epoch += 1;
         if let Eviction::MaxStaleness { max_staleness } = self.eviction {
             let before = self.entries.len();
             self.entries
@@ -241,7 +226,6 @@ impl ExperienceBuffer {
     /// prompt first (by its earliest completion). Incomplete groups stay
     /// in the buffer until their stragglers arrive.
     pub fn sample_groups(&mut self, n_groups: usize, group_size: usize) -> Vec<Vec<Experience>> {
-        self.epoch += 1;
         let group_size = group_size.max(1);
         let mut counts: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         for e in &self.entries {

@@ -57,10 +57,6 @@ pub struct PartialResponsePool {
     entries: HashMap<u64, PartialResponse>,
     total_updates: u64,
     recovered: u64,
-    /// Monotone mutation counter: bumped by every mutating method so the
-    /// delta-checkpoint encoder can skip re-encoding the pool plane when
-    /// nothing changed between cadence points.
-    epoch: u64,
 }
 
 impl PartialResponsePool {
@@ -69,16 +65,9 @@ impl PartialResponsePool {
         Self::default()
     }
 
-    /// Monotone mutation epoch: unchanged iff no mutating method ran since
-    /// the value was last observed.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Registers a trajectory starting on `rollout` at `now` with weight
     /// version `version`.
     pub fn begin(&mut self, spec: TrajectorySpec, rollout: usize, version: u64, now: Time) {
-        self.epoch += 1;
         let id = spec.id;
         self.entries.insert(
             id,
@@ -97,7 +86,6 @@ impl PartialResponsePool {
     /// Streams a progress update. Unknown ids are ignored (the trajectory
     /// may have been completed or recovered concurrently).
     pub fn update(&mut self, id: u64, generated_tokens: u64, segment_index: usize, now: Time) {
-        self.epoch += 1;
         if let Some(e) = self.entries.get_mut(&id) {
             e.generated_tokens = generated_tokens;
             e.segment_index = segment_index;
@@ -110,7 +98,6 @@ impl PartialResponsePool {
     /// (partial-rollout style continuation, or recovery on another rollout
     /// at a newer version).
     pub fn add_version(&mut self, id: u64, version: u64) {
-        self.epoch += 1;
         if let Some(e) = self.entries.get_mut(&id) {
             if e.policy_versions.last() != Some(&version) {
                 e.policy_versions.push(version);
@@ -120,7 +107,6 @@ impl PartialResponsePool {
 
     /// Reassigns a trajectory to another rollout (repack move or recovery).
     pub fn reassign(&mut self, id: u64, rollout: usize) {
-        self.epoch += 1;
         if let Some(e) = self.entries.get_mut(&id) {
             e.rollout = rollout;
         }
@@ -128,7 +114,6 @@ impl PartialResponsePool {
 
     /// Completes a trajectory, removing and returning its state.
     pub fn complete(&mut self, id: u64) -> Option<PartialResponse> {
-        self.epoch += 1;
         self.entries.remove(&id)
     }
 
@@ -136,7 +121,6 @@ impl PartialResponsePool {
     /// recovery path when that rollout's machine fails. The drained states
     /// retain all streamed progress.
     pub fn drain_rollout(&mut self, rollout: usize) -> Vec<PartialResponse> {
-        self.epoch += 1;
         let mut ids: Vec<u64> = self
             .entries
             .iter()

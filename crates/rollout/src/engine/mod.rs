@@ -476,19 +476,6 @@ impl ReplicaEngine {
         self.waiting.iter()
     }
 
-    /// Whether the resident trajectory under `id` mutated since the last
-    /// [`clear_traj_dirty`](ReplicaEngine::clear_traj_dirty). Unknown ids
-    /// read as dirty (conservative).
-    pub fn traj_dirty(&self, id: u64) -> bool {
-        self.active.is_dirty_id(id)
-    }
-
-    /// Clears the resident-trajectory dirty set after a delta checkpoint
-    /// re-encoded every dirty chunk.
-    pub fn clear_traj_dirty(&mut self) {
-        self.active.clear_dirty();
-    }
-
     /// Buffered trace spans, without draining them — the checkpoint encoder
     /// reads the append-only stream in place.
     pub fn trace_spans(&self) -> &[TraceSpan] {

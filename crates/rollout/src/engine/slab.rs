@@ -15,23 +15,12 @@ use crate::traj::TrajState;
 
 /// Dense slot storage + free list + id-sorted index for resident
 /// trajectories. The live count is the index length.
-///
-/// The slab also carries the checkpoint plane's dirty set: one bit per
-/// slot, set by every mutating access ([`get_mut`](TrajSlab::get_mut),
-/// [`insert`](TrajSlab::insert)) and cleared wholesale after a delta
-/// checkpoint re-encodes the dirty trajectories. The set is a conservative
-/// superset — a `get_mut` that ends up not mutating still marks — which
-/// costs a redundant re-encode, never a missed one. The bitset is
-/// allocation-free on the hot path: it grows only when the slot vector
-/// grows, and clearing zeroes the words in place.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TrajSlab {
     slots: Vec<Option<TrajState>>,
     free: Vec<u32>,
     /// `(id, slot)` pairs in ascending id order.
     index: Vec<(u64, u32)>,
-    /// One dirty bit per slot, in 64-slot words.
-    dirty: Vec<u64>,
 }
 
 impl TrajSlab {
@@ -61,39 +50,7 @@ impl TrajSlab {
     pub fn get_mut(&mut self, id: u64) -> Option<&mut TrajState> {
         let p = self.pos(id).ok()?;
         let slot = self.index[p].1 as usize;
-        self.mark_dirty(slot as u32);
         Some(self.slots[slot].as_mut().expect("indexed slot is live"))
-    }
-
-    fn mark_dirty(&mut self, slot: u32) {
-        let word = slot as usize / 64;
-        if word >= self.dirty.len() {
-            self.dirty.resize(word + 1, 0);
-        }
-        self.dirty[word] |= 1 << (slot % 64);
-    }
-
-    /// Whether the trajectory under `id` mutated since the last
-    /// [`clear_dirty`](TrajSlab::clear_dirty). Unknown ids read as dirty —
-    /// the conservative answer for a checkpoint encoder.
-    pub fn is_dirty_id(&self, id: u64) -> bool {
-        match self.pos(id) {
-            Ok(p) => {
-                let slot = self.index[p].1 as usize;
-                self.dirty
-                    .get(slot / 64)
-                    .is_none_or(|w| w & (1 << (slot % 64)) != 0)
-            }
-            Err(_) => true,
-        }
-    }
-
-    /// Zeroes the dirty set in place (no deallocation) — called after a
-    /// delta checkpoint has re-encoded every dirty trajectory.
-    pub fn clear_dirty(&mut self) {
-        for w in &mut self.dirty {
-            *w = 0;
-        }
     }
 
     /// Inserts `st` under `id`, returning the previous state if the id was
@@ -103,7 +60,6 @@ impl TrajSlab {
         match self.pos(id) {
             Ok(p) => {
                 let slot = self.index[p].1;
-                self.mark_dirty(slot);
                 self.slots[slot as usize].replace(st)
             }
             Err(p) => {
@@ -117,7 +73,6 @@ impl TrajSlab {
                         (self.slots.len() - 1) as u32
                     }
                 };
-                self.mark_dirty(slot);
                 self.index.insert(p, (id, slot));
                 None
             }
@@ -138,7 +93,6 @@ impl TrajSlab {
         self.slots.clear();
         self.free.clear();
         self.index.clear();
-        self.clear_dirty();
     }
 
     /// Iterates live entries in ascending id order.
@@ -213,32 +167,6 @@ mod tests {
         }
         assert_eq!(s.slots.len(), dense, "churn must recycle slots");
         assert_eq!(s.len(), 8);
-    }
-
-    #[test]
-    fn dirty_bits_track_mutating_access() {
-        let mut s = TrajSlab::new();
-        for id in 0..4u64 {
-            s.insert(id, st(id));
-        }
-        // Insert marks dirty.
-        assert!((0..4).all(|id| s.is_dirty_id(id)));
-        s.clear_dirty();
-        assert!((0..4).all(|id| !s.is_dirty_id(id)));
-        // get_mut marks only the touched trajectory.
-        s.get_mut(2).unwrap();
-        assert!(s.is_dirty_id(2));
-        assert!(!s.is_dirty_id(1));
-        // Shared-ref reads never mark.
-        s.get(1).unwrap();
-        assert!(!s.is_dirty_id(1));
-        // Slot reuse after removal re-marks the new resident.
-        s.clear_dirty();
-        s.remove(3);
-        s.insert(50, st(50));
-        assert!(s.is_dirty_id(50));
-        // Unknown ids read as dirty (conservative).
-        assert!(s.is_dirty_id(999));
     }
 
     #[test]

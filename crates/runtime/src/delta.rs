@@ -44,7 +44,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub const PAGE_WORDS: usize = 32;
 
 /// Trace spans per chunk in span planes. Spans are append-only during a
-/// run, so full batches never re-encode and only the tail batch is dirty.
+/// run, so a full batch keeps its chunk key and only the tail batch's chunk
+/// is new at each commit.
 pub const SPAN_BATCH: usize = 8;
 
 /// One named plane of a state image: an ordered list of word chunks.
@@ -74,6 +75,17 @@ impl StatePlane {
     pub fn extend_paged(&mut self, words: &[u64]) {
         for page in words.chunks(PAGE_WORDS) {
             self.chunks.push(page.to_vec());
+        }
+    }
+
+    /// Appends a span stream as [`SPAN_BATCH`]-span chunks.
+    pub fn extend_spans(&mut self, spans: &[TraceSpan]) {
+        for batch in spans.chunks(SPAN_BATCH) {
+            let mut words = Vec::with_capacity(6 * batch.len());
+            for s in batch {
+                encode_span(s, &mut words);
+            }
+            self.chunks.push(words);
         }
     }
 
@@ -542,20 +554,8 @@ fn span_kind_word(s: &TraceSpan) -> u64 {
 /// Append-only span streams therefore dirty only their final chunk.
 pub fn encode_span_plane(name: &'static str, spans: &[TraceSpan]) -> StatePlane {
     let mut plane = StatePlane::new(name);
-    for batch in spans.chunks(SPAN_BATCH) {
-        plane.push_chunk(encode_span_batch(batch));
-    }
+    plane.extend_spans(spans);
     plane
-}
-
-/// Encodes one span batch as a single chunk (shared by the full and the
-/// incremental encoders so chunk boundaries — and hence keys — agree).
-pub fn encode_span_batch(batch: &[TraceSpan]) -> Vec<u64> {
-    let mut words = Vec::with_capacity(6 * batch.len());
-    for s in batch {
-        encode_span(s, &mut words);
-    }
-    words
 }
 
 /// Encodes a full run report (every vector, series, and scalar) as a

@@ -28,8 +28,9 @@ use laminar_sim::{Duration, Time};
 #[derive(Debug, Clone)]
 pub struct RunSnapshot<S> {
     /// The cadence instant this snapshot represents (a multiple of the
-    /// checkpoint interval; the run's clock may sit slightly earlier, at
-    /// the last event at or before this instant).
+    /// checkpoint interval). The run itself sits at its first safe pause
+    /// point at or after this instant: between events for the event-driven
+    /// systems, at an iteration boundary for the barrier systems.
     pub at: Time,
     /// 0-based index of the cadence point.
     pub index: usize,
@@ -55,13 +56,32 @@ pub struct DeltaCheckpoint<S> {
 }
 
 /// An [`RlSystem`] supporting deterministic checkpoint/restore.
+///
+/// A system supplies four pieces — [`start`](Recoverable::start),
+/// [`advance`](Recoverable::advance), [`finish`](Recoverable::finish) and
+/// [`encode_state`](Recoverable::encode_state) — and the trait writes the
+/// cadence loop ([`run_checkpointed`](Recoverable::run_checkpointed),
+/// [`run_delta_checkpointed`](Recoverable::run_delta_checkpointed)) and
+/// [`resume`](Recoverable::resume) once for every system.
 pub trait Recoverable: RlSystem {
     /// The full mid-run state. Cloneable so one run can yield many
     /// independent resumable snapshots.
     type Snapshot: Clone;
 
+    /// Builds the run at `t = 0`, before anything has executed.
+    fn start(&self, cfg: &SystemConfig, record_trace: bool) -> Self::Snapshot;
+
+    /// Advances the run. Returns `true` once it has completed; otherwise
+    /// stops at the run's first safe pause point at or after `until` and
+    /// returns `false`.
+    fn advance(run: &mut Self::Snapshot, until: Time) -> bool;
+
+    /// Drains the run's buffered spans into `trace` and returns its final
+    /// report.
+    fn finish(run: Self::Snapshot, trace: &mut dyn TraceSink) -> RunReport;
+
     /// Runs to completion, capturing a snapshot at every multiple of
-    /// `every` (virtual time) crossed before the run finishes. Must produce
+    /// `every` (virtual time) crossed before the run finishes. Produces
     /// exactly the report and trace of [`RlSystem::run_traced`] — taking
     /// snapshots never perturbs the run.
     fn run_checkpointed(
@@ -69,12 +89,34 @@ pub trait Recoverable: RlSystem {
         cfg: &SystemConfig,
         every: Duration,
         trace: &mut dyn TraceSink,
-    ) -> (RunReport, Vec<RunSnapshot<Self::Snapshot>>);
+    ) -> (RunReport, Vec<RunSnapshot<Self::Snapshot>>) {
+        assert!(
+            every > Duration::ZERO,
+            "checkpoint cadence must be positive"
+        );
+        let mut run = self.start(cfg, trace.enabled());
+        let mut snapshots = Vec::new();
+        let mut deadline = Time::ZERO + every;
+        while !Self::advance(&mut run, deadline) {
+            snapshots.push(RunSnapshot {
+                at: deadline,
+                index: snapshots.len(),
+                state: run.clone(),
+            });
+            deadline += every;
+        }
+        (Self::finish(run, trace), snapshots)
+    }
 
     /// Resumes a snapshot to completion. The report and the *complete*
     /// trace (systems buffer spans in-state, so the resumed run emits the
-    /// full history) must be byte-identical to the uninterrupted run's.
-    fn resume(&self, snapshot: Self::Snapshot, trace: &mut dyn TraceSink) -> RunReport;
+    /// full history) are byte-identical to the uninterrupted run's.
+    fn resume(&self, snapshot: Self::Snapshot, trace: &mut dyn TraceSink) -> RunReport {
+        let mut run = snapshot;
+        let done = Self::advance(&mut run, Time::MAX);
+        assert!(done, "{} run did not complete its iterations", self.name());
+        Self::finish(run, trace)
+    }
 
     /// Encodes the snapshot as its canonical [`StateImage`] — every mutable
     /// plane, chunked at natural state granularity. This is the persisted
@@ -97,12 +139,10 @@ pub trait Recoverable: RlSystem {
     }
 
     /// Runs to completion, committing a delta checkpoint into `store` at
-    /// every cadence point. The default implementation encodes each
-    /// snapshot from scratch; systems with dirty-set tracking override it
-    /// to build images incrementally (O(dirty) per cadence point instead
-    /// of O(world)). Either way the committed images must be byte-identical
-    /// to what [`encode_state`](Recoverable::encode_state) produces — the
-    /// property tests hold overrides to that.
+    /// every cadence point: each snapshot's
+    /// [`encode_state`](Recoverable::encode_state) image, encoded from
+    /// scratch. The store deduplicates unchanged chunks, so the persisted
+    /// bytes per point stay O(dirty) while the encode itself is O(world).
     fn run_delta_checkpointed(
         &self,
         cfg: &SystemConfig,
@@ -241,9 +281,11 @@ pub struct ResumeEquivalence {
 impl ResumeEquivalence {
     /// True when the checkpointed run and every resumed snapshot matched
     /// the uninterrupted run byte for byte, with every checkpoint passing
-    /// fingerprint verification.
+    /// fingerprint verification. A run that committed no checkpoint proves
+    /// nothing and fails.
     pub fn identical(&self) -> bool {
-        self.checkpointed_identical
+        self.snapshots > 0
+            && self.checkpointed_identical
             && self.resumes_identical == self.snapshots
             && self.fingerprints_verified == self.snapshots
     }
@@ -273,10 +315,69 @@ pub struct CheckpointSoak {
 impl CheckpointSoak {
     /// True when the checkpointed run matched the uninterrupted run, every
     /// manifest verified, and the final-checkpoint resume was identical.
+    /// A run that committed no checkpoint proves nothing and fails.
     pub fn identical(&self) -> bool {
-        self.checkpointed_identical
+        self.snapshots > 0
+            && self.checkpointed_identical
             && self.fingerprints_verified == self.snapshots
             && self.last_resume_identical
+    }
+}
+
+/// The shared first half of both checkers: the uninterrupted run's bytes,
+/// the delta-checkpointed run's store, and the first divergence found so
+/// far.
+struct CheckedRun {
+    base_text: String,
+    base_jsonl: String,
+    store: DeltaStore,
+    checkpointed_identical: bool,
+    first_divergence: Option<String>,
+}
+
+impl CheckedRun {
+    /// Runs `sys` uninterrupted and delta-checkpointed at `every`, compares
+    /// the two byte for byte, and returns the committed checkpoints. A run
+    /// that ends before the first cadence point commits nothing, which is
+    /// recorded as the divergence.
+    fn new<S: Recoverable>(
+        sys: &S,
+        cfg: &SystemConfig,
+        every: Duration,
+    ) -> (Self, Vec<DeltaCheckpoint<S::Snapshot>>) {
+        let mut base_trace = RecordingTrace::new();
+        let base_report = sys.run_traced(cfg, &mut base_trace);
+        let mut store = DeltaStore::new();
+        let mut ck_trace = RecordingTrace::new();
+        let (ck_report, checkpoints) =
+            sys.run_delta_checkpointed(cfg, every, &mut ck_trace, &mut store);
+        let mut run = CheckedRun {
+            base_text: format!("{base_report:?}"),
+            base_jsonl: base_trace.to_jsonl(),
+            store,
+            checkpointed_identical: false,
+            first_divergence: None,
+        };
+        run.checkpointed_identical = run.matches(&ck_report, &ck_trace);
+        if !run.checkpointed_identical {
+            run.diverged("checkpointed run diverged from uninterrupted run".to_string());
+        } else if checkpoints.is_empty() {
+            run.diverged(format!(
+                "run ended before the first cadence point (t = {:.1}s); no checkpoint committed",
+                every.as_secs_f64()
+            ));
+        }
+        (run, checkpoints)
+    }
+
+    /// Whether a run's report and trace equal the uninterrupted run's.
+    fn matches(&self, report: &RunReport, trace: &RecordingTrace) -> bool {
+        format!("{report:?}") == self.base_text && trace.to_jsonl() == self.base_jsonl
+    }
+
+    /// Records `what` unless an earlier divergence was already recorded.
+    fn diverged(&mut self, what: String) {
+        self.first_divergence.get_or_insert(what);
     }
 }
 
@@ -292,22 +393,7 @@ pub fn check_checkpoint_soak<S: Recoverable>(
     cfg: &SystemConfig,
     every: Duration,
 ) -> CheckpointSoak {
-    let mut base_trace = RecordingTrace::new();
-    let base_report = sys.run_traced(cfg, &mut base_trace);
-    let base_text = format!("{base_report:?}");
-    let base_jsonl = base_trace.to_jsonl();
-
-    let mut store = DeltaStore::new();
-    let mut ck_trace = RecordingTrace::new();
-    let (ck_report, checkpoints) =
-        sys.run_delta_checkpointed(cfg, every, &mut ck_trace, &mut store);
-    let mut first_divergence = None;
-    let checkpointed_identical =
-        format!("{ck_report:?}") == base_text && ck_trace.to_jsonl() == base_jsonl;
-    if !checkpointed_identical {
-        first_divergence = Some("checkpointed run diverged from uninterrupted run".to_string());
-    }
-
+    let (mut run, checkpoints) = CheckedRun::new(sys, cfg, every);
     let total = checkpoints.len();
     let mut fingerprints_verified = 0;
     let mut cost = CheckpointCost::default();
@@ -315,27 +401,21 @@ pub fn check_checkpoint_soak<S: Recoverable>(
     let last_index = total.saturating_sub(1);
     for ckpt in checkpoints {
         cost.absorb(&ckpt.stats);
-        match S::verify_checkpoint(&store, &ckpt) {
-            Ok(()) => fingerprints_verified += 1,
-            Err(err) => {
-                if first_divergence.is_none() {
-                    first_divergence = Some(format!(
-                        "checkpoint {} (t = {:.1}s) failed verification: {err}",
-                        ckpt.index,
-                        ckpt.at.as_secs_f64()
-                    ));
-                }
-                continue;
-            }
+        let (at, index) = (ckpt.at, ckpt.index);
+        if let Err(err) = S::verify_checkpoint(&run.store, &ckpt) {
+            run.diverged(format!(
+                "checkpoint {index} (t = {:.1}s) failed verification: {err}",
+                at.as_secs_f64()
+            ));
+            continue;
         }
-        if ckpt.index == last_index {
-            let (at, index) = (ckpt.at, ckpt.index);
+        fingerprints_verified += 1;
+        if index == last_index {
             let mut trace = RecordingTrace::new();
             let report = sys.resume(ckpt.state, &mut trace);
-            last_resume_identical =
-                format!("{report:?}") == base_text && trace.to_jsonl() == base_jsonl;
-            if !last_resume_identical && first_divergence.is_none() {
-                first_divergence = Some(format!(
+            last_resume_identical = run.matches(&report, &trace);
+            if !last_resume_identical {
+                run.diverged(format!(
                     "resume from final checkpoint {index} (t = {:.1}s) diverged",
                     at.as_secs_f64()
                 ));
@@ -345,11 +425,11 @@ pub fn check_checkpoint_soak<S: Recoverable>(
     CheckpointSoak {
         cadence: every,
         snapshots: total,
-        checkpointed_identical,
+        checkpointed_identical: run.checkpointed_identical,
         fingerprints_verified,
         last_resume_identical,
         cost,
-        first_divergence,
+        first_divergence: run.first_divergence,
     }
 }
 
@@ -362,22 +442,7 @@ pub fn check_resume_equivalence<S: Recoverable>(
     cfg: &SystemConfig,
     every: Duration,
 ) -> ResumeEquivalence {
-    let mut base_trace = RecordingTrace::new();
-    let base_report = sys.run_traced(cfg, &mut base_trace);
-    let base_text = format!("{base_report:?}");
-    let base_jsonl = base_trace.to_jsonl();
-
-    let mut store = DeltaStore::new();
-    let mut ck_trace = RecordingTrace::new();
-    let (ck_report, checkpoints) =
-        sys.run_delta_checkpointed(cfg, every, &mut ck_trace, &mut store);
-    let mut first_divergence = None;
-    let checkpointed_identical =
-        format!("{ck_report:?}") == base_text && ck_trace.to_jsonl() == base_jsonl;
-    if !checkpointed_identical {
-        first_divergence = Some("checkpointed run diverged from uninterrupted run".to_string());
-    }
-
+    let (mut run, checkpoints) = CheckedRun::new(sys, cfg, every);
     let total = checkpoints.len();
     let mut resumes_identical = 0;
     let mut fingerprints_verified = 0;
@@ -386,35 +451,31 @@ pub fn check_resume_equivalence<S: Recoverable>(
         cost.absorb(&ckpt.stats);
         let (at, index) = (ckpt.at, ckpt.index);
         let mut trace = RecordingTrace::new();
-        match sys.resume_verified(&store, ckpt, &mut trace) {
+        match sys.resume_verified(&run.store, ckpt, &mut trace) {
             Ok(report) => {
                 fingerprints_verified += 1;
-                if format!("{report:?}") == base_text && trace.to_jsonl() == base_jsonl {
+                if run.matches(&report, &trace) {
                     resumes_identical += 1;
-                } else if first_divergence.is_none() {
-                    first_divergence = Some(format!(
+                } else {
+                    run.diverged(format!(
                         "resume from checkpoint {index} (t = {:.1}s) diverged",
                         at.as_secs_f64()
                     ));
                 }
             }
-            Err(err) => {
-                if first_divergence.is_none() {
-                    first_divergence = Some(format!(
-                        "checkpoint {index} (t = {:.1}s) failed verification: {err}",
-                        at.as_secs_f64()
-                    ));
-                }
-            }
+            Err(err) => run.diverged(format!(
+                "checkpoint {index} (t = {:.1}s) failed verification: {err}",
+                at.as_secs_f64()
+            )),
         }
     }
     ResumeEquivalence {
         cadence: every,
         snapshots: total,
-        checkpointed_identical,
+        checkpointed_identical: run.checkpointed_identical,
         resumes_identical,
         fingerprints_verified,
         cost,
-        first_divergence,
+        first_divergence: run.first_divergence,
     }
 }

@@ -3,7 +3,7 @@
 use crate::config::SystemConfig;
 use crate::trace::{NullTrace, TraceSink};
 use laminar_rollout::CompletedTraj;
-use laminar_sim::{Histogram, TimeSeries};
+use laminar_sim::TimeSeries;
 
 /// Per-trajectory record of what the trainer consumed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,13 +57,6 @@ impl RunReport {
         let time: f64 = self.iteration_secs.iter().sum();
         let tokens: f64 = self.iteration_tokens.iter().sum();
         self.throughput = if time > 0.0 { tokens / time } else { 0.0 };
-    }
-
-    /// Staleness histogram of consumed trajectories.
-    pub fn staleness_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        h.extend(self.consumed.iter().map(|c| c.staleness as f64));
-        h
     }
 
     /// Maximum observed staleness.

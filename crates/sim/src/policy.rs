@@ -55,20 +55,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy with the default curve but a custom retry bound.
-    pub fn with_retries(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Disables jitter (useful where even seeded jitter is unwanted).
-    pub fn without_jitter(mut self) -> Self {
-        self.jitter = 0.0;
-        self
-    }
-
     /// The deterministic (pre-jitter) delay for retry `attempt` (0-based),
     /// or `None` once retries are exhausted.
     pub fn raw_delay(&self, attempt: u32) -> Option<Duration> {

@@ -70,6 +70,25 @@ const SNAPSHOT_GOLDENS: [(&str, usize, u64); 4] = [
     ("partial-rollout", 1, 0x2a1030b91258bd58),
 ];
 
+/// Snapshot count and FNV-1a fold of every snapshot's
+/// `(index, at_ns, Recoverable::fingerprint)` for a `run_checkpointed` on
+/// the seed-11 `small_test` config, per `(system, cadence secs)`. The
+/// barrier systems pause only between iterations, so an iteration that
+/// crosses several cadence points yields one snapshot per point; the fold
+/// pins where each pause lands as well as the state it holds.
+const CADENCE_GOLDENS: [(&str, u64, usize, u64); 10] = [
+    ("verl-sync", 20, 11, 0xfad59313b73d3dc3),
+    ("verl-sync", 33, 6, 0x03531c220a019ea1),
+    ("one-step", 20, 11, 0xdaf4158d53d5de9d),
+    ("one-step", 33, 7, 0xb71af67047ad2e6e),
+    ("stream-gen", 20, 11, 0x0968b8beae297fe7),
+    ("stream-gen", 33, 6, 0x99a0e1e27ec5fa90),
+    ("partial-rollout", 20, 2, 0xbc979e54ec7a9656),
+    ("partial-rollout", 33, 1, 0xf41e5d311dfc35be),
+    ("laminar", 20, 6, 0x262d076f60f77a2e),
+    ("laminar", 33, 4, 0x6ee43506e5b45c97),
+];
+
 /// Disaggregated placement (Laminar); `train_gpus = 0` below yields the
 /// colocated placement the barrier baselines require.
 fn cfg(seed: u64) -> SystemConfig {
@@ -275,22 +294,59 @@ fn snapshot_fps<S: Recoverable>(sys: &S, cfg: &SystemConfig, n: usize) -> Vec<u6
         .collect()
 }
 
+/// Snapshot count and `(index, at_ns, fingerprint)` fold of a
+/// `run_checkpointed` at a `secs` cadence.
+fn cadence_fold<S: Recoverable>(sys: &S, cfg: &SystemConfig, secs: u64) -> (usize, u64) {
+    let (_, snapshots) = sys.run_checkpointed(cfg, Duration::from_secs(secs), &mut NullTrace);
+    let words = snapshots
+        .iter()
+        .flat_map(|s| [s.index as u64, s.at.as_nanos(), S::fingerprint(&s.state)]);
+    (snapshots.len(), fnv1a(words))
+}
+
 #[test]
 fn snapshot_fingerprints_match_goldens() {
     let disagg = cfg(11);
     let mut got = snapshot_fps(&LaminarSystem::default(), &disagg, 2);
     got.extend(snapshot_fps(&PartialRollout, &disagg, 2));
-    let drifted: Vec<String> = SNAPSHOT_GOLDENS
+    let mut drifted: Vec<String> = SNAPSHOT_GOLDENS
         .iter()
         .zip(got)
         .filter(|((.., golden), got)| got != golden)
         .map(|((name, index, _), got)| format!("    (\"{name}\", {index}, {got:#018x}),"))
         .collect();
+
+    let colo = colocated(11);
+    let mut folds = Vec::new();
+    for secs in [20, 33] {
+        folds.push(cadence_fold(&VerlSync, &colo, secs));
+    }
+    for secs in [20, 33] {
+        folds.push(cadence_fold(&OneStepStaleness, &disagg, secs));
+    }
+    for secs in [20, 33] {
+        folds.push(cadence_fold(&StreamGeneration, &disagg, secs));
+    }
+    for secs in [20, 33] {
+        folds.push(cadence_fold(&PartialRollout, &disagg, secs));
+    }
+    for secs in [20, 33] {
+        folds.push(cadence_fold(&LaminarSystem::default(), &disagg, secs));
+    }
+    drifted.extend(
+        CADENCE_GOLDENS
+            .iter()
+            .zip(folds)
+            .filter(|(&(.., count, fold), got)| *got != (count, fold))
+            .map(|((name, secs, ..), (count, fold))| {
+                format!("    (\"{name}\", {secs}, {count}, {fold:#018x}),")
+            }),
+    );
     assert!(
         drifted.is_empty(),
-        "snapshot fingerprints drifted from SNAPSHOT_GOLDENS. Checkpoint \
-         descriptors written by earlier builds carry these values; if the change \
-         is intended, re-record these entries of SNAPSHOT_GOLDENS in \
+        "snapshot fingerprints drifted from SNAPSHOT_GOLDENS or CADENCE_GOLDENS. \
+         Checkpoint descriptors written by earlier builds carry these values; if \
+         the change is intended, re-record these entries in \
          tests/determinism.rs:\n{}",
         drifted.join("\n")
     );
