@@ -365,54 +365,44 @@ impl Recoverable for PartialRollout {
         driver.extend_paged(e.words());
         img.push_plane(driver);
 
+        let mut scratch = Vec::new();
         let mut queue = StatePlane::new("queue");
         for (at, seq, ev) in sim.scheduler.pending_entries() {
-            let mut words = vec![at.as_nanos(), seq];
-            match ev {
-                Ev::ReplicaWake { r, epoch } => words.extend([0, *r as u64, *epoch]),
-                Ev::TrainerCheck => words.push(1),
-                Ev::TrainerDone { tokens } => words.extend([2, tokens.to_bits()]),
-                Ev::Interrupt { version } => words.extend([3, *version]),
-            }
-            queue.push_chunk(words);
+            queue.push_encoded(&mut scratch, |words| {
+                words.extend([at.as_nanos(), seq]);
+                match ev {
+                    Ev::ReplicaWake { r, epoch } => words.extend([0, *r as u64, *epoch]),
+                    Ev::TrainerCheck => words.push(1),
+                    Ev::TrainerDone { tokens } => words.extend([2, tokens.to_bits()]),
+                    Ev::Interrupt { version } => words.extend([3, *version]),
+                }
+            });
         }
         img.push_plane(queue);
 
         let mut specs = StatePlane::new("specs");
         for spec in &w.specs {
-            let mut words = Vec::new();
-            spec.encode_words(&mut words);
-            specs.push_chunk(words);
+            specs.push_encoded(&mut scratch, |words| spec.encode_words(words));
         }
         img.push_plane(specs);
 
         let mut buffer = StatePlane::new("buffer");
         for done in &w.buffer {
-            let mut words = Vec::new();
-            done.encode_words(&mut words);
-            buffer.push_chunk(words);
+            buffer.push_encoded(&mut scratch, |words| done.encode_words(words));
         }
         img.push_plane(buffer);
 
         let mut engines = StatePlane::new("engines");
         for eng in &w.engines {
-            let mut scalars = Vec::new();
-            eng.checkpoint_scalar_words(&mut scalars);
-            engines.push_chunk(scalars);
+            engines.push_encoded(&mut scratch, |words| eng.checkpoint_scalar_words(words));
             for (_, st) in eng.active_states() {
-                let mut words = Vec::new();
-                st.encode_words(&mut words);
-                engines.push_chunk(words);
+                engines.push_encoded(&mut scratch, |words| st.encode_words(words));
             }
             for st in eng.waiting_states() {
-                let mut words = Vec::new();
-                st.encode_words(&mut words);
-                engines.push_chunk(words);
+                engines.push_encoded(&mut scratch, |words| st.encode_words(words));
             }
             for done in eng.completions() {
-                let mut words = Vec::new();
-                done.encode_words(&mut words);
-                engines.push_chunk(words);
+                engines.push_encoded(&mut scratch, |words| done.encode_words(words));
             }
         }
         img.push_plane(engines);

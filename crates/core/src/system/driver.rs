@@ -421,12 +421,13 @@ impl SimWorld for World {
                 // Stream in-progress state to the partial response pool
                 // (step ② of Figure 5) so a machine failure loses at most
                 // one monitoring interval of progress.
-                for r in 0..self.engines.len() {
+                let partials = &mut self.partials;
+                for (r, eng) in self.engines.iter_mut().enumerate() {
                     if self.alive[r] && !self.pulling[r] {
-                        self.engines[r].advance_to(now);
-                        for (id, tokens, segment) in self.engines[r].in_progress_summary() {
-                            self.partials.update(id, tokens, segment, now);
-                        }
+                        eng.advance_to(now);
+                        eng.for_each_in_progress(|id, tokens, segment| {
+                            partials.update(id, tokens, segment, now)
+                        });
                     }
                 }
                 self.run_repack(now, sched);

@@ -300,10 +300,12 @@ fn audit_plane(w: &World) -> StatePlane {
 /// a total order, so the stream is exactly the remaining event schedule.
 fn queue_plane(sched: &Scheduler<Ev>) -> StatePlane {
     let mut plane = StatePlane::new("queue");
+    let mut scratch = Vec::new();
     for (at, seq, ev) in sched.pending_entries() {
-        let mut words = vec![at.as_nanos(), seq];
-        encode_ev(ev, &mut words);
-        plane.push_chunk(words);
+        plane.push_encoded(&mut scratch, |words| {
+            words.extend([at.as_nanos(), seq]);
+            encode_ev(ev, words);
+        });
     }
     plane
 }
@@ -340,10 +342,9 @@ fn encode_ev(ev: &Ev, out: &mut Vec<u64>) {
 /// One chunk per pooled prompt assignment, in admission (deque) order.
 fn pool_plane(w: &World) -> StatePlane {
     let mut plane = StatePlane::new("pool");
+    let mut scratch = Vec::new();
     for spec in &w.pool {
-        let mut words = Vec::new();
-        spec.encode_words(&mut words);
-        plane.push_chunk(words);
+        plane.push_encoded(&mut scratch, |words| spec.encode_words(words));
     }
     plane
 }
@@ -352,14 +353,10 @@ fn pool_plane(w: &World) -> StatePlane {
 fn partials_plane(p: &PartialResponsePool) -> StatePlane {
     let mut plane = StatePlane::new("partials");
     plane.push_chunk(vec![p.total_updates(), p.recovered(), p.len() as u64]);
-    let mut ids = p.ids();
-    ids.sort_unstable();
-    for id in ids {
-        let mut words = Vec::new();
-        p.get(id)
-            .expect("listed id present")
-            .encode_words(&mut words);
-        plane.push_chunk(words);
+    let mut scratch = Vec::new();
+    for id in p.ids() {
+        let partial = p.get(id).expect("listed id present");
+        plane.push_encoded(&mut scratch, |words| partial.encode_words(words));
     }
     plane
 }
@@ -386,10 +383,9 @@ fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
         .u(stats.evicted);
     let mut plane = StatePlane::new("buffer");
     plane.push_chunk(head.take());
+    let mut scratch = Vec::new();
     for exp in b.iter() {
-        let mut words = Vec::new();
-        exp.encode_words(&mut words);
-        plane.push_chunk(words);
+        plane.push_encoded(&mut scratch, |words| exp.encode_words(words));
     }
     plane
 }
@@ -399,24 +395,17 @@ fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
 /// completion.
 fn engines_plane(w: &World) -> StatePlane {
     let mut plane = StatePlane::new("engines");
+    let mut scratch = Vec::new();
     for eng in &w.engines {
-        let mut scalars = Vec::new();
-        eng.checkpoint_scalar_words(&mut scalars);
-        plane.push_chunk(scalars);
+        plane.push_encoded(&mut scratch, |words| eng.checkpoint_scalar_words(words));
         for (_, st) in eng.active_states() {
-            let mut words = Vec::new();
-            st.encode_words(&mut words);
-            plane.push_chunk(words);
+            plane.push_encoded(&mut scratch, |words| st.encode_words(words));
         }
         for st in eng.waiting_states() {
-            let mut words = Vec::new();
-            st.encode_words(&mut words);
-            plane.push_chunk(words);
+            plane.push_encoded(&mut scratch, |words| st.encode_words(words));
         }
         for done in eng.completions() {
-            let mut words = Vec::new();
-            done.encode_words(&mut words);
-            plane.push_chunk(words);
+            plane.push_encoded(&mut scratch, |words| done.encode_words(words));
         }
     }
     plane

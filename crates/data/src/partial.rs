@@ -7,9 +7,8 @@
 //! can redirect them to healthy rollouts instead of regenerating from
 //! scratch — critical when a single agentic trajectory can take hours.
 
-use laminar_sim::Time;
+use laminar_sim::{IdMap, Time};
 use laminar_workload::TrajectorySpec;
-use std::collections::HashMap;
 
 /// Streamed state of one in-progress trajectory.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +53,7 @@ impl PartialResponse {
 /// Central store of in-progress trajectories, keyed by trajectory id.
 #[derive(Debug, Clone, Default)]
 pub struct PartialResponsePool {
-    entries: HashMap<u64, PartialResponse>,
+    entries: IdMap<PartialResponse>,
     total_updates: u64,
     recovered: u64,
 }
@@ -94,17 +93,6 @@ impl PartialResponsePool {
         }
     }
 
-    /// Records that the trajectory continues under a new weight version
-    /// (partial-rollout style continuation, or recovery on another rollout
-    /// at a newer version).
-    pub fn add_version(&mut self, id: u64, version: u64) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            if e.policy_versions.last() != Some(&version) {
-                e.policy_versions.push(version);
-            }
-        }
-    }
-
     /// Reassigns a trajectory to another rollout (repack move or recovery).
     pub fn reassign(&mut self, id: u64, rollout: usize) {
         if let Some(e) = self.entries.get_mut(&id) {
@@ -128,8 +116,8 @@ impl PartialResponsePool {
             .map(|(&id, _)| id)
             .collect();
         // Id-sorted: callers re-inject the drained trajectories into healthy
-        // engines, so the order must not leak HashMap iteration order into
-        // the recovery timeline.
+        // engines, so the order must not leak map iteration order into the
+        // recovery timeline.
         ids.sort_unstable();
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
@@ -208,15 +196,6 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert!(p.get(2).is_some());
         assert_eq!(p.recovered(), 2);
-    }
-
-    #[test]
-    fn version_dedup_and_mixing() {
-        let mut p = PartialResponsePool::new();
-        p.begin(spec(9), 0, 4, Time::ZERO);
-        p.add_version(9, 4); // same version: no duplicate
-        p.add_version(9, 5);
-        assert_eq!(p.get(9).unwrap().policy_versions, vec![4, 5]);
     }
 
     #[test]

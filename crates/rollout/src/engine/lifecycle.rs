@@ -43,6 +43,9 @@ impl ReplicaEngine {
     /// systems do.
     pub fn stall_prefill_queue(&mut self, until: Time) {
         self.prefill_busy_until = self.prefill_busy_until.max(until);
+        // The busy horizon is where paused decoding resumes, so the cached
+        // next transition moves with it.
+        self.refresh_next();
     }
 
     /// Partial-rollout style interruption (§2.3, Figure 3(d)): every
@@ -54,10 +57,10 @@ impl ReplicaEngine {
         self.advance_to(now);
         self.weight_version = version;
         // Id order: the re-prefill reservations below serialize on the
-        // prefill pipeline, so processing order is timeline-visible — the
-        // slab index iterates ascending by id, matching the old sorted-map
-        // scan. The id snapshot goes through the reusable scratch buffer so
-        // the pass allocates nothing at steady state.
+        // prefill pipeline, so processing order is timeline-visible —
+        // `ids_into` sorts ascending, matching the old sorted-map scan. The
+        // id snapshot goes through the reusable scratch buffer so the pass
+        // allocates nothing at steady state.
         let mut ids = std::mem::take(&mut self.scratch_ids);
         self.active.ids_into(&mut ids);
         for &id in &ids {
@@ -110,7 +113,7 @@ impl ReplicaEngine {
         let mut out: Vec<TrajState> = Vec::with_capacity(self.n_reqs());
         // Id order: the drained states are re-injected elsewhere in this
         // order, so admission (and thus the whole downstream timeline) must
-        // not depend on storage order. The slab index iterates ascending.
+        // not depend on storage order. `ids_into` sorts ascending.
         let mut ids = std::mem::take(&mut self.scratch_ids);
         self.active.ids_into(&mut ids);
         for &id in &ids {
@@ -189,8 +192,8 @@ impl ReplicaEngine {
             applied
         };
         let mut delayed = 0;
-        // Slab-index iteration is id-ordered, so the pushed deadlines (and
-        // the resulting timeline) are deterministic.
+        // Ascending id order, so the pushed deadlines (and the resulting
+        // timeline) do not depend on storage order.
         let mut ids = std::mem::take(&mut self.scratch_ids);
         self.active.ids_into(&mut ids);
         for &id in &ids {
@@ -455,7 +458,7 @@ impl ReplicaEngine {
                 Phase::Prefill { until } | Phase::Env { until } => Some(until),
                 Phase::Decoding => None,
             };
-            let prev = self.active.insert(id, st);
+            let prev = self.active.insert(st);
             assert!(prev.is_none(), "duplicate trajectory id {id} on replica");
             if let Some(at) = deadline {
                 self.push_phase_deadline(id, at);

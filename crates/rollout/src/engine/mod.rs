@@ -106,6 +106,7 @@ impl Default for EngineConfig {
 const EPS: f64 = 1e-3;
 
 /// Internal engine transitions discovered by the stepper.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Internal {
     PrefillDone(u64),
     EnvReturn(u64),
@@ -184,9 +185,9 @@ pub struct ReplicaEngine {
     cfg: EngineConfig,
     kv_capacity: f64,
     weight_version: u64,
-    /// Resident trajectories: slab slots + free list + id-sorted index, so
-    /// steady-state admission/completion churn allocates nothing and
-    /// iteration stays in deterministic id order.
+    /// Resident trajectories: slab slots + free list + id-to-slot map, so
+    /// steady-state admission/completion churn allocates nothing and every
+    /// id resolves in O(1).
     active: TrajSlab,
     waiting: VecDeque<TrajState>,
     reserved: f64,
@@ -218,6 +219,10 @@ pub struct ReplicaEngine {
     /// each decoding trajectory exhausts its segment (min-heap, lazily
     /// invalidated via [`TrajState::finish_key`]).
     seg_heap: BinaryHeap<Reverse<SegEntry>>,
+    /// The next internal transition and its instant: the earliest of the
+    /// live heap tops and the forced rate re-evaluation, cached by
+    /// [`ReplicaEngine::refresh_next`] whenever an input of discovery moves.
+    next: Option<(Time, Internal)>,
     events_processed: u64,
     /// Straggler multiplier: decode steps and prefills take `perf_factor ×`
     /// their modeled time. 1.0 (the default) is exact full speed.
@@ -267,6 +272,7 @@ impl ReplicaEngine {
             global_steps: 0.0,
             phase_heap: BinaryHeap::new(),
             seg_heap: BinaryHeap::new(),
+            next: None,
             events_processed: 0,
             perf_factor: 1.0,
             env_aborts: 0,
@@ -434,31 +440,31 @@ impl ReplicaEngine {
     /// Ids of every trajectory the replica currently holds — resident
     /// (any phase) or admitted-but-waiting — in ascending order.
     pub fn resident_ids(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.active.iter().map(|(id, _)| id).collect();
+        let mut out: Vec<u64> = self.active.values().map(|st| st.spec.id).collect();
         out.extend(self.waiting.iter().map(|st| st.spec.id));
         out.sort_unstable();
         out
     }
 
-    /// Progress snapshot of every resident trajectory:
-    /// `(id, whole tokens decoded, current segment)`. Streamed to the
-    /// partial response pool by the rollout manager. Id-sorted — the slab
-    /// index iterates in ascending id order — so downstream consumers never
-    /// see storage order.
-    pub fn in_progress_summary(&self) -> Vec<(u64, u64, usize)> {
-        self.active
-            .iter()
-            .map(|(id, st)| {
-                // Decoding trajectories hold lazily-accounted progress; fold
-                // in the pending global steps without mutating the state.
-                let pending = if st.phase == Phase::Decoding {
-                    self.global_steps - st.steps_baseline
-                } else {
-                    0.0
-                };
-                (id, (st.total_decoded + pending).floor() as u64, st.segment)
-            })
-            .collect()
+    /// Visits every resident trajectory's progress as
+    /// `(id, whole tokens decoded, current segment)` — the stream to the
+    /// partial response pool. Visits in storage order, so `visit` must not
+    /// depend on order (the pool's per-id updates commute).
+    pub fn for_each_in_progress(&self, mut visit: impl FnMut(u64, u64, usize)) {
+        for st in self.active.values() {
+            // Decoding trajectories hold lazily-accounted progress; fold in
+            // the pending global steps without mutating the state.
+            let pending = if st.phase == Phase::Decoding {
+                self.global_steps - st.steps_baseline
+            } else {
+                0.0
+            };
+            visit(
+                st.spec.id,
+                (st.total_decoded + pending).floor() as u64,
+                st.segment,
+            );
+        }
     }
 
     // ------------------------------------------------------------------
@@ -548,15 +554,14 @@ impl ReplicaEngine {
     }
 
     /// Pops lazily-invalidated entries off both heap tops, restoring the
-    /// live-top invariant [`Self::next_event_time`] relies on, and returns
-    /// the transition the live phase-heap top stands for. Each examined
-    /// entry costs one slab lookup. Called after every batch of state
-    /// changes; amortized O(log n) per transition since each pushed entry is
-    /// popped at most once.
-    fn prune_event_tops(&mut self) -> Option<Internal> {
+    /// live-top invariant, and returns the live phase-heap top's deadline
+    /// with the transition it stands for. Each examined entry costs one
+    /// slab lookup. Amortized O(log n) per transition since each pushed
+    /// entry is popped at most once.
+    fn prune_event_tops(&mut self) -> Option<(Time, Internal)> {
         let mut phase_top = None;
         while let Some(&Reverse(e)) = self.phase_heap.peek() {
-            phase_top = self.phase_entry_event(e);
+            phase_top = self.phase_entry_event(e).map(|kind| (e.at, kind));
             if phase_top.is_some() {
                 break;
             }
@@ -572,7 +577,8 @@ impl ReplicaEngine {
     }
 
     /// Whether both heap tops are live — what every `&mut self` exit leaves
-    /// behind. Checked by debug assertions only: it looks each top up again.
+    /// behind. Checked by debug assertions and tests only: it looks each top
+    /// up again.
     fn event_tops_live(&self) -> bool {
         self.phase_heap
             .peek()

@@ -4,23 +4,24 @@
 //! a node per ~handful of entries and churns the allocator on every
 //! admit/complete cycle. [`TrajSlab`] keeps trajectory states in a dense
 //! `Vec<Option<TrajState>>` with a free list, so steady-state admission
-//! reuses previously freed slots and performs zero heap allocation. A
-//! separate id-sorted `(id, slot)` index gives O(log n) lookup and — the
-//! determinism-critical property — iteration in ascending id order, exactly
-//! the order a scan of the old id-sorted map produced. Insert/remove
-//! memmove the index, which is cheap at realistic concurrencies (≤ 1024)
-//! and vastly outnumbered by lookups on the hot path.
+//! reuses previously freed slots and performs zero heap allocation. An
+//! [`IdMap`] from id to slot makes every lookup, insert and remove O(1).
+//! Map order is never observable: the passes whose order reaches the
+//! timeline or a checkpoint ask for ascending ids and get them sorted
+//! ([`TrajSlab::ids_into`], [`TrajSlab::iter`]), exactly the order a scan
+//! of the old id-sorted map produced; the rest visit storage order
+//! ([`TrajSlab::values`]).
 
 use crate::traj::TrajState;
+use laminar_sim::IdMap;
 
-/// Dense slot storage + free list + id-sorted index for resident
-/// trajectories. The live count is the index length.
+/// Dense slot storage + free list + id-to-slot map for resident
+/// trajectories, keyed by spec id. The live count is the map length.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TrajSlab {
     slots: Vec<Option<TrajState>>,
     free: Vec<u32>,
-    /// `(id, slot)` pairs in ascending id order.
-    index: Vec<(u64, u32)>,
+    index: IdMap<u32>,
 }
 
 impl TrajSlab {
@@ -37,55 +38,43 @@ impl TrajSlab {
         self.index.is_empty()
     }
 
-    fn pos(&self, id: u64) -> Result<usize, usize> {
-        self.index.binary_search_by_key(&id, |&(i, _)| i)
-    }
-
     pub fn get(&self, id: u64) -> Option<&TrajState> {
-        let p = self.pos(id).ok()?;
-        let slot = self.index[p].1 as usize;
+        let slot = *self.index.get(&id)? as usize;
         Some(self.slots[slot].as_ref().expect("indexed slot is live"))
     }
 
     pub fn get_mut(&mut self, id: u64) -> Option<&mut TrajState> {
-        let p = self.pos(id).ok()?;
-        let slot = self.index[p].1 as usize;
+        let slot = *self.index.get(&id)? as usize;
         Some(self.slots[slot].as_mut().expect("indexed slot is live"))
     }
 
-    /// Inserts `st` under `id`, returning the previous state if the id was
-    /// already present (the engine asserts it never is). Reuses a freed slot
-    /// when one exists.
-    pub fn insert(&mut self, id: u64, st: TrajState) -> Option<TrajState> {
-        match self.pos(id) {
-            Ok(p) => {
-                let slot = self.index[p].1;
-                self.slots[slot as usize].replace(st)
-            }
-            Err(p) => {
-                let slot = match self.free.pop() {
-                    Some(s) => {
-                        self.slots[s as usize] = Some(st);
-                        s
-                    }
-                    None => {
-                        self.slots.push(Some(st));
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.index.insert(p, (id, slot));
-                None
-            }
+    /// Inserts `st` under its spec id, returning the previous state if the
+    /// id was already present (the engine asserts it never is). Reuses a
+    /// freed slot when one exists.
+    pub fn insert(&mut self, st: TrajState) -> Option<TrajState> {
+        let id = st.spec.id;
+        if let Some(&slot) = self.index.get(&id) {
+            return self.slots[slot as usize].replace(st);
         }
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = Some(st);
+                s
+            }
+            None => {
+                self.slots.push(Some(st));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(id, slot);
+        None
     }
 
     /// Removes and returns the state under `id`, recycling its slot.
     pub fn remove(&mut self, id: u64) -> Option<TrajState> {
-        let p = self.pos(id).ok()?;
-        let (_, slot) = self.index.remove(p);
-        let st = self.slots[slot as usize].take();
+        let slot = self.index.remove(&id)?;
         self.free.push(slot);
-        st
+        self.slots[slot as usize].take()
     }
 
     /// Drops every entry, keeping all backing allocations for reuse.
@@ -95,23 +84,26 @@ impl TrajSlab {
         self.index.clear();
     }
 
-    /// Iterates live entries in ascending id order.
+    /// Live entries in storage order, for passes whose result does not
+    /// depend on order.
+    pub fn values(&self) -> impl Iterator<Item = &TrajState> + '_ {
+        self.slots.iter().flatten()
+    }
+
+    /// Live entries in ascending id order. Sorts a fresh buffer per call:
+    /// for checkpoint encoding, not the event loop.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &TrajState)> + '_ {
-        self.index.iter().map(move |&(id, slot)| {
-            (
-                id,
-                self.slots[slot as usize]
-                    .as_ref()
-                    .expect("indexed slot is live"),
-            )
-        })
+        let mut sorted: Vec<&TrajState> = self.values().collect();
+        sorted.sort_unstable_by_key(|st| st.spec.id);
+        sorted.into_iter().map(|st| (st.spec.id, st))
     }
 
     /// Copies the live ids, ascending, into `out` (cleared first) — the
     /// allocation-free way for callers to iterate-and-mutate.
     pub fn ids_into(&self, out: &mut Vec<u64>) {
         out.clear();
-        out.extend(self.index.iter().map(|&(id, _)| id));
+        out.extend(self.index.keys());
+        out.sort_unstable();
     }
 }
 
@@ -130,7 +122,7 @@ mod tests {
     fn insert_lookup_remove_roundtrip() {
         let mut s = TrajSlab::new();
         for id in [5u64, 1, 9, 3] {
-            assert!(s.insert(id, st(id)).is_none());
+            assert!(s.insert(st(id)).is_none());
         }
         assert_eq!(s.len(), 4);
         assert_eq!(s.get(3).unwrap().spec.id, 3);
@@ -145,7 +137,7 @@ mod tests {
     fn iteration_is_id_ordered_regardless_of_insertion_order() {
         let mut s = TrajSlab::new();
         for id in [7u64, 2, 11, 4, 0] {
-            s.insert(id, st(id));
+            s.insert(st(id));
         }
         let ids: Vec<u64> = s.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![0, 2, 4, 7, 11]);
@@ -158,12 +150,12 @@ mod tests {
     fn freed_slots_are_reused_without_growing() {
         let mut s = TrajSlab::new();
         for id in 0..8u64 {
-            s.insert(id, st(id));
+            s.insert(st(id));
         }
         let dense = s.slots.len();
         for id in 0..8u64 {
             s.remove(id);
-            s.insert(100 + id, st(100 + id));
+            s.insert(st(100 + id));
         }
         assert_eq!(s.slots.len(), dense, "churn must recycle slots");
         assert_eq!(s.len(), 8);
@@ -173,7 +165,7 @@ mod tests {
     fn clear_keeps_capacity() {
         let mut s = TrajSlab::new();
         for id in 0..16u64 {
-            s.insert(id, st(id));
+            s.insert(st(id));
         }
         let cap = s.slots.capacity();
         s.clear();

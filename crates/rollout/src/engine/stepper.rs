@@ -10,63 +10,48 @@
 //! completion key is fixed when the trajectory enters the decoding phase —
 //! no heap updates are needed while the batch decodes, and
 //! [`ReplicaEngine::apply_progress`] only bumps the global accumulator
-//! instead of touching every trajectory.
+//! instead of touching every trajectory. The earliest transition is cached
+//! and recomputed once per state change, so the wake that fires an event
+//! does not rediscover it.
 
 use super::{Internal, ReplicaEngine};
 use laminar_sim::Time;
-
-/// Which live heap top holds the earliest pending transition.
-#[derive(Clone, Copy)]
-enum Next {
-    /// The phase-heap top: a prefill completion or an env return.
-    PhaseTop,
-    /// The segment-heap top runs out of tokens.
-    SegmentDone,
-    /// The forced rate re-evaluation one horizon ahead.
-    Recalc,
-}
 
 impl ReplicaEngine {
     /// The next instant at which the replica's state changes on its own,
     /// if any. The world schedules a wake event here.
     ///
-    /// Reads the heap tops without looking them up in the slab: every
-    /// `&mut self` entry point leaves both tops live (it returns through
-    /// [`ReplicaEngine::prune_event_tops`], directly or via
-    /// [`ReplicaEngine::advance_to`]'s discovery loop), and debug builds
-    /// assert that invariant on every call.
+    /// Returns the cached next transition: every `&mut self` entry point
+    /// that moves an input of discovery refreshes the cache before it
+    /// returns (see [`ReplicaEngine::refresh_next`]), and debug builds
+    /// assert on every call that the cache equals a fresh computation.
     pub fn next_event_time(&self) -> Option<Time> {
         debug_assert!(self.event_tops_live(), "stale event-heap top");
-        self.earliest().map(|(t, _)| t)
+        debug_assert!(self.next_is_fresh(), "stale cached transition");
+        self.next.map(|(t, _)| t)
     }
 
     /// Advances the replica's state to `now`, applying every internal
     /// transition (prefill completions, env returns, segment completions,
     /// rate re-evaluations) in order.
     ///
-    /// Each discovery step prunes the heap tops and reads the earliest
-    /// transition off them, so a live top is looked up in the slab once
-    /// per step; the phase top's lookup also yields which transition fires.
+    /// Fires the cached transition and refreshes the cache once per fired
+    /// event, so each event costs one prune and one `earliest`. The closing
+    /// settlement refreshes again only when it moved the clock.
     pub fn advance_to(&mut self, now: Time) {
         let mut guard = 0u64;
-        loop {
-            let phase_top = self.prune_event_tops();
-            let Some((t, next)) = self.earliest() else {
-                break;
-            };
+        while let Some((t, kind)) = self.next {
             if t > now {
                 break;
             }
             guard += 1;
             assert!(guard < 50_000_000, "replica engine event storm — model bug");
-            let kind = match next {
-                Next::PhaseTop => phase_top.expect("a phase-heap top is live after pruning"),
-                Next::SegmentDone => Internal::SegmentDone,
-                Next::Recalc => Internal::Recalc,
-            };
             self.apply_internal(t, kind);
+            self.refresh_next();
         }
-        self.apply_progress(now);
+        if self.apply_progress(now) {
+            self.refresh_next();
+        }
     }
 
     /// Replays the serial per-event wake chains up to `fence`: fires each
@@ -127,29 +112,45 @@ impl ReplicaEngine {
         self.record(t);
     }
 
-    /// The earliest pending internal transition and where it comes from,
-    /// reading both heap tops as live.
+    /// Recomputes the cached next transition: prunes stale heap tops, then
+    /// reads the earliest transition off the live tops. Called after every
+    /// batch of state changes that can move a heap top, the decode rate, the
+    /// progress clock or the prefill pipeline's busy horizon.
+    pub(super) fn refresh_next(&mut self) {
+        let phase_top = self.prune_event_tops();
+        self.next = self.earliest(phase_top);
+    }
+
+    /// Whether the cached transition equals a fresh computation over the
+    /// live heap tops. Checked by debug assertions and tests only.
+    pub(super) fn next_is_fresh(&self) -> bool {
+        let phase_top = self
+            .phase_heap
+            .peek()
+            .and_then(|&std::cmp::Reverse(e)| self.phase_entry_event(e).map(|kind| (e.at, kind)));
+        self.next == self.earliest(phase_top)
+    }
+
+    /// The earliest pending internal transition, given the live phase-heap
+    /// top's deadline and the transition it stands for.
     ///
     /// Tie-breaking replicates the retained full-scan reference
     /// ([`super::reference::NaiveReplicaEngine`]): phase deadlines win ties
     /// (lowest id first), a segment completion pre-empts only when strictly
     /// earlier, and a forced rate re-evaluation only when strictly earlier
     /// than both.
-    fn earliest(&self) -> Option<(Time, Next)> {
-        let mut best = self
-            .phase_heap
-            .peek()
-            .map(|&std::cmp::Reverse(e)| (e.at, Next::PhaseTop));
+    fn earliest(&self, phase_top: Option<(Time, Internal)>) -> Option<(Time, Internal)> {
+        let mut best = phase_top;
         if self.decoding_count > 0 && self.step_secs > 0.0 {
             if let Some(&std::cmp::Reverse(e)) = self.seg_heap.peek() {
                 let rem = (e.key - self.global_steps).max(0.0);
                 let t_done = self.offset(rem);
                 if best.is_none_or(|(bt, _)| t_done < bt) {
-                    best = Some((t_done, Next::SegmentDone));
+                    best = Some((t_done, Internal::SegmentDone));
                 }
                 let t_recalc = self.offset(self.cfg.horizon_steps);
                 if best.is_none_or(|(bt, _)| t_recalc < bt) {
-                    best = Some((t_recalc, Next::Recalc));
+                    best = Some((t_recalc, Internal::Recalc));
                 }
             }
         }
@@ -170,10 +171,11 @@ impl ReplicaEngine {
     /// Advances decode progress to `t` at the current rate — O(1): the
     /// lockstep steps accrue once into the global accumulator and the
     /// aggregate context sums, never per trajectory. Per-trajectory counts
-    /// are materialized lazily at phase transitions.
-    pub(super) fn apply_progress(&mut self, t: Time) {
+    /// are materialized lazily at phase transitions. Returns whether the
+    /// progress clock moved.
+    pub(super) fn apply_progress(&mut self, t: Time) -> bool {
         if t <= self.last_update {
-            return;
+            return false;
         }
         if self.decoding_count > 0 && self.step_secs > 0.0 {
             // Progress only accrues once the prefill pipeline is clear.
@@ -186,6 +188,7 @@ impl ReplicaEngine {
             self.tokens_decoded += grown;
         }
         self.last_update = t;
+        true
     }
 
     pub(super) fn recalc_rate(&mut self) {
@@ -210,6 +213,6 @@ impl ReplicaEngine {
         self.epoch += 1;
         self.recalc_rate();
         self.record(now);
-        self.prune_event_tops();
+        self.refresh_next();
     }
 }

@@ -295,3 +295,107 @@ fn trace_spans_cover_every_phase_of_a_multi_turn_trajectory() {
     run_to_idle(&mut quiet);
     assert!(quiet.take_trace_spans().is_empty());
 }
+
+/// The cached next transition equals a fresh prune + `earliest`, and the
+/// slab's id-ordered views, its storage-order visitor and the progress
+/// stream all show exactly the live set.
+fn assert_cache_and_views(e: &ReplicaEngine, live: &std::collections::BTreeSet<u64>) {
+    assert!(e.event_tops_live(), "stale event-heap top");
+    assert!(e.next_is_fresh(), "cached next transition is stale");
+    let mut ids = Vec::new();
+    e.active.ids_into(&mut ids);
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "ids_into not ascending"
+    );
+    assert!(
+        ids.iter().eq(live.iter()),
+        "ids_into {ids:?} vs live {live:?}"
+    );
+    let states: Vec<u64> = e.active_states().map(|(id, _)| id).collect();
+    assert_eq!(states, ids, "active_states order");
+    assert!(e.active_states().all(|(id, st)| st.spec.id == id));
+    assert!(ids
+        .iter()
+        .all(|&id| e.active.get(id).unwrap().spec.id == id));
+    let mut visited: Vec<u64> = e.active.values().map(|st| st.spec.id).collect();
+    visited.sort_unstable();
+    assert_eq!(visited, ids, "storage-order visitor");
+    let mut streamed = Vec::new();
+    e.for_each_in_progress(|id, _, _| streamed.push(id));
+    streamed.sort_unstable();
+    assert_eq!(streamed, ids, "progress stream");
+}
+
+#[test]
+fn cached_transition_and_slab_views_survive_random_ops() {
+    use laminar_sim::SimRng;
+    use std::collections::BTreeSet;
+    for case in 0..24u64 {
+        let mut rng = SimRng::derive(0x5_1AB, "cache_and_slab", case);
+        let cfg = EngineConfig {
+            max_concurrency: 1 + rng.below(12) as usize,
+            horizon_steps: rng.range_f64(8.0, 256.0),
+            env_stall_budget: rng.chance(0.5).then(|| Duration::from_secs(rng.below(8))),
+            ..EngineConfig::default()
+        };
+        let mut e = ReplicaEngine::new(0, decode_model(), cfg.clone());
+        let mut donor = ReplicaEngine::new(1, decode_model(), cfg);
+        // Ids handed to `e` and not yet completed or drained back out.
+        let mut held = BTreeSet::new();
+        let mut now = Time::ZERO;
+        let mut next_id = 0u64;
+        for step in 0..250u64 {
+            now += Duration::from_millis(rng.below(2000));
+            match rng.below(10) {
+                0 | 1 => {
+                    let s = spec_env(
+                        next_id,
+                        rng.range_u64(50, 800),
+                        rng.range_u64(20, 600),
+                        rng.below(6),
+                        rng.range_u64(20, 600),
+                    );
+                    if rng.chance(0.3) {
+                        donor.submit(s, now);
+                    } else {
+                        e.submit(s, now);
+                        held.insert(next_id);
+                    }
+                    next_id += 1;
+                }
+                2 => {
+                    let moved = donor.drain_in_progress(now);
+                    held.extend(moved.iter().map(|st| st.spec.id));
+                    e.inject(moved, now);
+                }
+                3 => {
+                    let moved = e.drain_in_progress(now);
+                    for st in &moved {
+                        assert!(held.remove(&st.spec.id));
+                    }
+                    donor.inject(moved, now);
+                }
+                4 => e.interrupt_with_weights(step, now),
+                5 => e.set_weight_version(step, now),
+                6 => e.set_perf_factor(rng.range_f64(1.0, 3.0), now),
+                7 => {
+                    e.delay_env_returns(Duration::from_millis(rng.below(4000)), now);
+                }
+                8 => e.stall_prefill_queue(now + Duration::from_millis(rng.below(3000))),
+                _ => {
+                    if let Some(t) = e.next_event_time() {
+                        now = now.max(t);
+                    }
+                    e.advance_to(now);
+                }
+            }
+            for c in e.take_completions() {
+                assert!(held.remove(&c.spec.id), "completed an id it did not hold");
+            }
+            let waiting: BTreeSet<u64> = e.waiting_states().map(|st| st.spec.id).collect();
+            let live: BTreeSet<u64> = held.difference(&waiting).copied().collect();
+            assert_cache_and_views(&e, &live);
+        }
+    }
+}

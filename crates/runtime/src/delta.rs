@@ -33,10 +33,8 @@
 
 use crate::recovery::fnv1a;
 use crate::report::RunReport;
-use laminar_sim::{Time, TraceSpan};
+use laminar_sim::{IdMap, Time, TraceSpan};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Words per page for planes encoded as flat streams. 32 words = 256 bytes:
 /// small enough that a point mutation dirties little, large enough that the
@@ -69,6 +67,15 @@ impl StatePlane {
     /// Appends one natural-granularity chunk.
     pub fn push_chunk(&mut self, words: Vec<u64>) {
         self.chunks.push(words);
+    }
+
+    /// Appends the chunk `encode` writes, stored at its exact length.
+    /// `encode` writes into `scratch`, a buffer reused across chunks, so a
+    /// chunk costs one allocation instead of a growing `Vec`'s several.
+    pub fn push_encoded(&mut self, scratch: &mut Vec<u64>, encode: impl FnOnce(&mut Vec<u64>)) {
+        scratch.clear();
+        encode(scratch);
+        self.chunks.push(scratch.as_slice().to_vec());
     }
 
     /// Splits a flat word stream into [`PAGE_WORDS`]-sized page chunks.
@@ -247,29 +254,10 @@ pub struct CommitStats {
     pub whole_bytes: u64,
 }
 
-/// The chunk map's hasher. Chunk keys are FNV-1a digests already, so a
-/// key is its own hash.
-#[derive(Debug, Clone, Copy, Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the chunk map hashes only u64 keys");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
-    }
-}
-
 /// Content-addressed chunk store plus the manifest chain.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaStore {
-    chunks: HashMap<u64, Vec<u64>, BuildHasherDefault<KeyHasher>>,
+    chunks: IdMap<Vec<u64>>,
     manifests: Vec<Manifest>,
 }
 

@@ -40,6 +40,7 @@
 //! ```
 
 pub mod engine;
+pub mod idmap;
 pub mod policy;
 pub mod rng;
 pub mod stats;
@@ -47,6 +48,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{Scheduler, SimWorld, Simulation};
+pub use idmap::{IdHasher, IdMap};
 pub use policy::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats, TimeSeries, TimeWeighted};
