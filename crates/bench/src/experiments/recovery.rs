@@ -26,8 +26,8 @@ use crate::lab::{self, LabSpec, Summary};
 use laminar_baselines::{OneStepStaleness, PartialRollout, StreamGeneration, VerlSync};
 use laminar_cluster::ModelSpec;
 use laminar_core::{FaultEvent, FaultKind, LaminarSystem, SystemKind};
-use laminar_runtime::recovery::{check_resume_equivalence, Recoverable};
-use laminar_runtime::{NullTrace, RecordingTrace, SystemConfig};
+use laminar_runtime::recovery::{check_resume_equivalence, DeltaCheckpoint, Recoverable};
+use laminar_runtime::{DeltaStore, NullTrace, RecordingTrace, SystemConfig};
 use laminar_sim::{Duration, SpanKind, Time};
 use laminar_workload::{Checkpoint, WorkloadGenerator};
 use std::fmt::Write;
@@ -304,20 +304,20 @@ pub fn recovery(opts: &Opts) -> String {
 
     // Checkpoint descriptors for --resume-from: replayable because the
     // configuration is a pure function of (system, seed).
-    let (_, snaps) = LaminarSystem::default().run_checkpointed(
+    let (store, checkpoints) = commit_checkpoints(
+        &LaminarSystem::default(),
         &replay_config(opts.seed, SystemKind::Laminar),
         cadences[0],
-        &mut NullTrace,
     );
-    for s in &snaps {
+    for ck in &checkpoints {
         let _ = writeln!(
             out,
             "checkpoint system=laminar seed={} every_ns={} index={} at_ns={} fingerprint={:016x}",
             opts.seed,
             cadences[0].as_nanos(),
-            s.index,
-            s.at.as_nanos(),
-            <LaminarSystem as Recoverable>::fingerprint(&s.state),
+            ck.index,
+            ck.at.as_nanos(),
+            committed_fingerprint(&store, ck),
         );
     }
 
@@ -405,6 +405,27 @@ pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> String {
     }
 }
 
+/// Runs `sys` to completion with a delta checkpoint at every `every`,
+/// committed to a store of its own.
+fn commit_checkpoints<S: Recoverable>(
+    sys: &S,
+    cfg: &SystemConfig,
+    every: Duration,
+) -> (DeltaStore, Vec<DeltaCheckpoint<S::Snapshot>>) {
+    let mut store = DeltaStore::new();
+    let (_, checkpoints) = sys.run_delta_checkpointed(cfg, every, &mut NullTrace, &mut store);
+    (store, checkpoints)
+}
+
+/// The state-image fingerprint the checkpoint's manifest records: the
+/// value a descriptor line carries.
+fn committed_fingerprint<S>(store: &DeltaStore, checkpoint: &DeltaCheckpoint<S>) -> u64 {
+    store
+        .manifest(checkpoint.manifest_id)
+        .expect("a committed checkpoint's manifest is in its store")
+        .fingerprint
+}
+
 fn replay<S: Recoverable>(
     sys: &S,
     cfg: &SystemConfig,
@@ -412,16 +433,16 @@ fn replay<S: Recoverable>(
     index: usize,
     want: u64,
 ) -> String {
-    let (_, snapshots) = sys.run_checkpointed(cfg, every, &mut NullTrace);
-    let total = snapshots.len();
-    let snap = snapshots
+    let (store, checkpoints) = commit_checkpoints(sys, cfg, every);
+    let total = checkpoints.len();
+    let ck = checkpoints
         .into_iter()
-        .find(|s| s.index == index)
+        .find(|c| c.index == index)
         .unwrap_or_else(|| panic!("descriptor index {index} out of range ({total} snapshots)"));
-    let got = S::fingerprint(&snap.state);
+    let got = committed_fingerprint(&store, &ck);
     let verified = got == want;
-    let at = snap.at;
-    let resumed = sys.resume(snap.state, &mut NullTrace);
+    let at = ck.at;
+    let resumed = sys.resume(ck.state, &mut NullTrace);
     let base = sys.run_traced(cfg, &mut NullTrace);
     let identical = format!("{resumed:?}") == format!("{base:?}");
     format!(
@@ -466,5 +487,61 @@ mod tests {
             out.contains("resumed report identical to uninterrupted run: yes"),
             "{out}"
         );
+    }
+
+    /// The fingerprint of the first checkpoint a 20 s cadence commits.
+    fn first_fingerprint<S: Recoverable>(sys: &S, kind: SystemKind) -> u64 {
+        let cfg = replay_config(7, kind);
+        let (store, checkpoints) = commit_checkpoints(sys, &cfg, Duration::from_secs(20));
+        let first = checkpoints.first().expect("run crosses a cadence point");
+        committed_fingerprint(&store, first)
+    }
+
+    /// `--resume-from` replays every system a descriptor can name: each
+    /// verifies and resumes identically, and a descriptor with one flipped
+    /// fingerprint bit fails verification.
+    #[test]
+    fn descriptors_replay_for_every_system() {
+        let dir = std::env::temp_dir().join("laminar-replay-test");
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let resume_from = |system: &str, fingerprint: u64| {
+            let path = dir.join(format!("{system}-{fingerprint:016x}.txt"));
+            let line = format!(
+                "checkpoint system={system} seed=7 every_ns={} index=0 fingerprint={fingerprint:016x}",
+                Duration::from_secs(20).as_nanos()
+            );
+            std::fs::write(&path, line).expect("write descriptor");
+            resume_from_descriptor(&path, &Opts::default())
+        };
+        let systems = [
+            (
+                "laminar",
+                first_fingerprint(&LaminarSystem::default(), SystemKind::Laminar),
+            ),
+            ("verl", first_fingerprint(&VerlSync, SystemKind::Verl)),
+            (
+                "one-step",
+                first_fingerprint(&OneStepStaleness, SystemKind::OneStep),
+            ),
+            (
+                "stream-gen",
+                first_fingerprint(&StreamGeneration, SystemKind::StreamGen),
+            ),
+            (
+                "partial-rollout",
+                first_fingerprint(&PartialRollout, SystemKind::PartialRollout),
+            ),
+        ];
+        for (system, fingerprint) in systems {
+            let out = resume_from(system, fingerprint);
+            assert!(out.contains("verified: yes"), "{system}: {out}");
+            assert!(
+                out.contains("resumed report identical to uninterrupted run: yes"),
+                "{system}: {out}"
+            );
+        }
+        let (system, fingerprint) = systems[0];
+        let out = resume_from(system, fingerprint ^ 1);
+        assert!(out.contains("verified: NO"), "{out}");
     }
 }

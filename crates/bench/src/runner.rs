@@ -87,19 +87,19 @@ where
             let f = &f;
             scope.spawn(move || loop {
                 // Own deque first (front), then steal from the back of the
-                // others, scanning clockwise from this worker.
-                let task = queues[w]
-                    .lock()
-                    .expect("queue lock")
-                    .pop_front()
-                    .or_else(|| {
-                        (1..workers).find_map(|k| {
-                            queues[(w + k) % workers]
-                                .lock()
-                                .expect("queue lock")
-                                .pop_back()
-                        })
-                    });
+                // others, scanning clockwise from this worker. One deque
+                // lock at a time: a worker that kept its own deque locked
+                // while locking a neighbour's would deadlock against that
+                // neighbour stealing back.
+                let own = queues[w].lock().expect("queue lock").pop_front();
+                let task = own.or_else(|| {
+                    (1..workers).find_map(|k| {
+                        queues[(w + k) % workers]
+                            .lock()
+                            .expect("queue lock")
+                            .pop_back()
+                    })
+                });
                 let Some((i, item)) = task else {
                     // All deques empty: no work is ever added after spawn,
                     // so this worker is done.
@@ -203,5 +203,28 @@ mod tests {
         let none: Vec<u8> = run_indexed(Vec::new(), 4, |_, x: u8| x);
         assert!(none.is_empty());
         assert_eq!(run_indexed(vec![9], 4, |_, x| x * 2), vec![18]);
+    }
+
+    /// Two workers that run dry together steal from each other at once. A
+    /// worker that held its own deque's lock while taking a neighbour's
+    /// deadlocked against that neighbour: thousands of tiny two-worker runs
+    /// hit the race within seconds on two or more cores (one core runs
+    /// inline and cannot race). A watchdog turns a deadlock into a failure.
+    #[test]
+    fn workers_stealing_from_each_other_never_deadlock() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                let out = run_indexed((0..8).collect::<Vec<u64>>(), 2, |_, x| x + 1);
+                assert_eq!(out, (1..=8).collect::<Vec<u64>>());
+            }
+            done.send(()).expect("the test thread is waiting");
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("run_indexed deadlocked: two workers stuck stealing from each other")
+            }
+            _ => stress.join().expect("stress runs return ordered results"),
+        }
     }
 }

@@ -8,7 +8,7 @@
 use laminar_baselines::{OneStepStaleness, PartialRollout, StreamGeneration, VerlSync};
 use laminar_core::LaminarSystem;
 use laminar_runtime::recovery::{check_checkpoint_soak, check_resume_equivalence, Recoverable};
-use laminar_runtime::{RecordingTrace, RlSystem, SystemConfig};
+use laminar_runtime::{DeltaStore, RecordingTrace, RlSystem, SystemConfig};
 use laminar_sim::Duration;
 use laminar_workload::{Checkpoint, WorkloadGenerator};
 
@@ -104,9 +104,14 @@ fn checkpointed_run_is_byte_identical_to_sharded_run() {
     let mut sharded_trace = RecordingTrace::new();
     let sharded_report = sys.run_traced(&cfg, &mut sharded_trace);
     let mut ck_trace = RecordingTrace::new();
-    let (ck_report, snapshots) = sys.run_checkpointed(&cfg, Duration::from_secs(20), &mut ck_trace);
+    let (ck_report, checkpoints) = sys.run_delta_checkpointed(
+        &cfg,
+        Duration::from_secs(20),
+        &mut ck_trace,
+        &mut DeltaStore::new(),
+    );
     assert!(
-        !snapshots.is_empty(),
+        !checkpoints.is_empty(),
         "run too short to cross a cadence point"
     );
     assert_eq!(

@@ -82,17 +82,6 @@ impl CollectiveModel {
     pub fn actor_push_time(&self, model: &ModelSpec) -> Duration {
         Duration::from_secs_f64(self.actor_push_secs(model))
     }
-
-    /// Storage-system alternative from §4.1 (NFS/Redis style): serialize,
-    /// ship over TCP, deserialize — shown there to cost tens of seconds per
-    /// 4 GB shard. Kept for the design-consideration comparison.
-    pub fn storage_system_secs(&self, model: &ModelSpec, shards: usize) -> f64 {
-        let shard_bytes = model.weight_bytes() / shards.max(1) as f64;
-        // ~8 s serialization per 4 GB shard (paper's profiling) + TCP both ways.
-        let serialize = 8.0 * shard_bytes / 4e9;
-        let ship = 2.0 * self.machine.tcp.transfer_secs(shard_bytes);
-        serialize + ship
-    }
 }
 
 /// HybridEngine context-switch model for colocated synchronous verl.
@@ -157,16 +146,6 @@ mod tests {
         assert!(t32 > 0.2 && t32 < 1.2, "32B push {t32}s");
         assert!(t72 > 0.5 && t72 < 2.5, "72B push {t72}s");
         assert!(t72 > t32);
-    }
-
-    #[test]
-    fn storage_system_is_impractical() {
-        let c = coll();
-        // §4.1: serializing one 4GB shard ~8s, TCP adds 10-20s.
-        let t = c.storage_system_secs(&ModelSpec::qwen_32b(), 16);
-        assert!(t > 10.0, "storage path must be tens of seconds, got {t}");
-        let relay = c.relay_pull_secs(&ModelSpec::qwen_32b(), 4);
-        assert!(t > relay * 10.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! GPU, machine, and cluster hardware specifications.
+//! GPU and machine hardware specifications.
 
 use crate::links::LinkSpec;
 
@@ -54,8 +54,6 @@ pub struct MachineSpec {
     /// flow (the NICs are shared with training traffic, so this is below the
     /// 8×400 Gbps aggregate).
     pub rdma: LinkSpec,
-    /// Commodity TCP path, for the storage-system comparison in §4.1.
-    pub tcp: LinkSpec,
     /// Host DRAM available to relay workers, bytes.
     pub host_memory_bytes: f64,
 }
@@ -71,41 +69,8 @@ impl MachineSpec {
             nvlink: LinkSpec::new("nvlink", 400e9, 3e-6),
             pcie: LinkSpec::new("pcie5", 55e9, 8e-6),
             rdma: LinkSpec::new("rdma", 90e9, 5e-6),
-            tcp: LinkSpec::new("tcp", 1.2e9, 150e-6),
             host_memory_bytes: 2e12,
         }
-    }
-}
-
-/// A homogeneous cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSpec {
-    /// Machine model.
-    pub machine: MachineSpec,
-    /// Machine count.
-    pub machines: usize,
-}
-
-impl ClusterSpec {
-    /// Builds a cluster of `machines` identical machines.
-    pub fn new(machine: MachineSpec, machines: usize) -> Self {
-        ClusterSpec { machine, machines }
-    }
-
-    /// The paper's testbed at a given machine count (128 in §8).
-    pub fn h800_cluster(machines: usize) -> Self {
-        ClusterSpec::new(MachineSpec::h800_server(), machines)
-    }
-
-    /// Builds the smallest H800 cluster holding at least `gpus` GPUs.
-    pub fn h800_for_gpus(gpus: usize) -> Self {
-        let per = MachineSpec::h800_server().gpus;
-        ClusterSpec::h800_cluster(gpus.div_ceil(per))
-    }
-
-    /// Total GPU count.
-    pub fn total_gpus(&self) -> usize {
-        self.machines * self.machine.gpus
     }
 }
 
@@ -119,19 +84,6 @@ mod tests {
         assert!(g.bf16_flops > 9e14);
         assert!(g.hbm_bandwidth > 3e12);
         assert_eq!(g.memory_bytes, 80e9);
-    }
-
-    #[test]
-    fn cluster_counts_gpus() {
-        let c = ClusterSpec::h800_cluster(128);
-        assert_eq!(c.total_gpus(), 1024);
-    }
-
-    #[test]
-    fn h800_for_gpus_rounds_up() {
-        assert_eq!(ClusterSpec::h800_for_gpus(16).machines, 2);
-        assert_eq!(ClusterSpec::h800_for_gpus(17).machines, 3);
-        assert_eq!(ClusterSpec::h800_for_gpus(1024).machines, 128);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`roofline`] — memory-bound decode step latency (Figure 4), the roofline
 //!   batch bound `B` used by the repack algorithm, KVCache capacity, and
 //!   compute-bound prefill latency;
-//! * [`training`] — actor mini-batch/iteration step time under FSDP/TP/PP;
+//! * [`training`] — actor mini-batch/iteration step time from FLOPs at a
+//!   calibrated MFU;
 //! * [`collective`] — the NCCL-style global weight synchronization used by
 //!   the baselines, and the HybridEngine reshard cost of colocated verl;
 //! * [`chain`] — the chain-pipelined relay broadcast model of Appendix D,
@@ -25,15 +26,13 @@ pub mod collective;
 pub mod gpu;
 pub mod links;
 pub mod model;
-pub mod parallel;
 pub mod roofline;
 pub mod training;
 
 pub use chain::ChainBroadcast;
 pub use collective::{CollectiveModel, ReshardModel};
-pub use gpu::{ClusterSpec, GpuSpec, MachineSpec};
+pub use gpu::{GpuSpec, MachineSpec};
 pub use links::LinkSpec;
 pub use model::ModelSpec;
-pub use parallel::ParallelismPlan;
 pub use roofline::DecodeModel;
 pub use training::TrainModel;

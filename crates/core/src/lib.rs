@@ -34,7 +34,7 @@ pub use chaos::{
 pub use convergence::{convergence_curve, ConvergenceConfig, StalenessRegime};
 pub use hyper::{HyperParams, SystemKind};
 pub use laminar_runtime::{RlSystem, RunReport, SystemConfig};
-pub use placement::{paper_configs, placement_for, Placement, ScalePoint};
+pub use placement::{paper_configs, placement_for, Placement};
 pub use system::{
     ChaosRun, ElasticSpec, IdlenessMetric, LaminarSnapshot, LaminarSystem, RecoveryOptions,
     WindowStats,

@@ -6,17 +6,6 @@
 
 use crate::hyper::SystemKind;
 use laminar_cluster::ModelSpec;
-use laminar_runtime::SystemConfig;
-use laminar_workload::WorkloadGenerator;
-
-/// One evaluated cluster size for one model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalePoint {
-    /// Model evaluated.
-    pub model: ModelSpec,
-    /// Total GPUs.
-    pub total_gpus: usize,
-}
 
 /// A train/rollout GPU split plus the rollout TP degree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,17 +103,6 @@ pub fn placement_for(kind: SystemKind, model: &ModelSpec, total_gpus: usize) -> 
     Placement { train, rollout, tp }
 }
 
-/// Builds the full [`SystemConfig`] for a system at a paper scale.
-pub fn build_config(
-    kind: SystemKind,
-    model: ModelSpec,
-    total_gpus: usize,
-    workload: WorkloadGenerator,
-) -> SystemConfig {
-    let p = placement_for(kind, &model, total_gpus);
-    SystemConfig::new(model, p.train, p.rollout, p.tp, workload)
-}
-
 /// All `(total_gpus, placement)` pairs for a system/model (Table 2 rows).
 pub fn paper_configs(kind: SystemKind, model: &ModelSpec) -> Vec<(usize, Placement)> {
     paper_scales(model)
@@ -189,20 +167,5 @@ mod tests {
     #[should_panic(expected = "not a paper scale")]
     fn unknown_scale_panics() {
         let _ = placement_for(SystemKind::Verl, &ModelSpec::qwen_7b(), 48);
-    }
-
-    #[test]
-    fn build_config_produces_runnable_shape() {
-        let cfg = build_config(
-            SystemKind::Laminar,
-            ModelSpec::qwen_7b(),
-            16,
-            laminar_workload::WorkloadGenerator::single_turn(
-                1,
-                laminar_workload::Checkpoint::Math7B,
-            ),
-        );
-        assert_eq!(cfg.total_gpus(), 16);
-        assert_eq!(cfg.replicas(), 8);
     }
 }

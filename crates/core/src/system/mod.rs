@@ -4,12 +4,12 @@
 //!
 //! * [`mod@self`] — experiment toggles, fault/elasticity specs, the world
 //!   state, and system assembly ([`RlSystem::run_traced`]);
-//! * [`driver`] — the steady-state event loop: replica batches, weight
+//! * `driver` — the steady-state event loop: replica batches, weight
 //!   refresh via the relay tier, trainer scheduling, dynamic repack;
-//! * [`faults`] — machine-kill / recovery and trainer-failure handling
+//! * `faults` — machine-kill / recovery and trainer-failure handling
 //!   (Figure 15, §3.3);
-//! * [`elastic`] — mid-run rollout scale-out (§3.3);
-//! * [`timeline`] — throughput-timeline sampling and event-trace emission.
+//! * `elastic` — mid-run rollout scale-out (§3.3);
+//! * `timeline` — throughput-timeline sampling and event-trace emission.
 
 mod driver;
 mod elastic;
@@ -130,7 +130,7 @@ pub struct LaminarSystem {
     pub staleness_cap: Option<u64>,
     /// Replica-group shards for parallel discrete-event execution
     /// (DESIGN.md §11). At 1 (the default) the run uses the serial
-    /// wake-per-event loop; above 1 the [`sharded`] conservative-lookahead
+    /// wake-per-event loop; above 1 the `sharded` conservative-lookahead
     /// driver advances replica engines on up to this many threads between
     /// global interaction fences. Output is byte-identical either way.
     pub shards: usize,

@@ -210,53 +210,6 @@ impl ExperienceBuffer {
         out
     }
 
-    /// Number of *complete* GRPO groups present: prompts with all
-    /// `group_size` responses resident. Critic-free algorithms (GRPO, RLOO,
-    /// DAPO) need whole groups to normalize advantages.
-    pub fn complete_groups(&self, group_size: usize) -> usize {
-        let mut counts: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for e in &self.entries {
-            *counts.entry(e.prompt_id).or_default() += 1;
-        }
-        counts.values().filter(|&&c| c >= group_size.max(1)).count()
-    }
-
-    /// Sampler API for group-based algorithms: removes and returns up to
-    /// `n_groups` *complete* groups of `group_size` responses, oldest
-    /// prompt first (by its earliest completion). Incomplete groups stay
-    /// in the buffer until their stragglers arrive.
-    pub fn sample_groups(&mut self, n_groups: usize, group_size: usize) -> Vec<Vec<Experience>> {
-        let group_size = group_size.max(1);
-        let mut counts: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for e in &self.entries {
-            *counts.entry(e.prompt_id).or_default() += 1;
-        }
-        // Prompts whose groups are complete, in oldest-first buffer order.
-        let mut chosen: Vec<u64> = Vec::with_capacity(n_groups);
-        for e in &self.entries {
-            if chosen.len() == n_groups {
-                break;
-            }
-            if counts.get(&e.prompt_id).copied().unwrap_or(0) >= group_size
-                && !chosen.contains(&e.prompt_id)
-            {
-                chosen.push(e.prompt_id);
-            }
-        }
-        let mut out: Vec<Vec<Experience>> = chosen.iter().map(|_| Vec::new()).collect();
-        let mut kept = VecDeque::with_capacity(self.entries.len());
-        for e in self.entries.drain(..) {
-            match chosen.iter().position(|&p| p == e.prompt_id) {
-                Some(i) if out[i].len() < group_size => out[i].push(e),
-                _ => kept.push_back(e),
-            }
-        }
-        self.entries = kept;
-        self.stats.sampled += out.iter().map(Vec::len).sum::<usize>() as u64;
-        self.stats.occupancy = self.entries.len();
-        out
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -389,70 +342,6 @@ mod tests {
         ids.sort_unstable();
         assert_eq!(ids, (0..20).collect::<Vec<_>>());
         assert!(b.is_empty());
-    }
-
-    fn exp_group(prompt: u64, idx: usize) -> Experience {
-        Experience {
-            trajectory_id: prompt * 16 + idx as u64,
-            prompt_id: prompt,
-            group_index: idx,
-            prompt_tokens: 100,
-            response_tokens: 1000,
-            policy_versions: vec![0],
-            started_at: Time::ZERO,
-            finished_at: Time::from_secs(prompt),
-        }
-    }
-
-    #[test]
-    fn group_sampling_takes_only_complete_groups() {
-        let mut b = ExperienceBuffer::fifo_unbounded();
-        // Prompt 0: complete group of 4; prompt 1: only 2 of 4.
-        for i in 0..4 {
-            b.write(exp_group(0, i));
-        }
-        for i in 0..2 {
-            b.write(exp_group(1, i));
-        }
-        assert_eq!(b.complete_groups(4), 1);
-        let groups = b.sample_groups(5, 4);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].len(), 4);
-        assert!(groups[0].iter().all(|e| e.prompt_id == 0));
-        // The incomplete group stays behind.
-        assert_eq!(b.len(), 2);
-        // Its stragglers arriving later complete it.
-        for i in 2..4 {
-            b.write(exp_group(1, i));
-        }
-        let groups = b.sample_groups(5, 4);
-        assert_eq!(groups.len(), 1);
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn group_sampling_oldest_prompt_first() {
-        let mut b = ExperienceBuffer::fifo_unbounded();
-        for p in [3u64, 1, 2] {
-            for i in 0..2 {
-                b.write(exp_group(p, i));
-            }
-        }
-        let groups = b.sample_groups(2, 2);
-        let prompts: Vec<u64> = groups.iter().map(|g| g[0].prompt_id).collect();
-        assert_eq!(prompts, vec![3, 1], "buffer-arrival order decides");
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn group_sampling_excess_members_remain() {
-        let mut b = ExperienceBuffer::fifo_unbounded();
-        for i in 0..6 {
-            b.write(exp_group(7, i));
-        }
-        let groups = b.sample_groups(1, 4);
-        assert_eq!(groups[0].len(), 4);
-        assert_eq!(b.len(), 2, "extra responses of the prompt stay buffered");
     }
 
     /// The mark-and-drain rewrite must keep the first-n-admissible-in-scan-

@@ -53,12 +53,6 @@ impl RelaySyncModel {
         CollectiveModel::new(self.machine.clone()).relay_pull_time(&self.model, tp)
     }
 
-    /// Rollout-side wait when the wanted version is still in flight:
-    /// `remaining` broadcast time plus the PCIe pull.
-    pub fn pull_in_flight(&self, tp: usize, remaining_broadcast: Duration) -> Duration {
-        remaining_broadcast + self.pull_cached(tp)
-    }
-
     /// The baseline's rollout-side wait under NCCL global synchronization
     /// across `rollout_gpus` GPUs: every rollout blocks for the full global
     /// broadcast (Figure 14's comparison).
@@ -106,13 +100,5 @@ mod tests {
         let t8 = m.broadcast_time(8).as_secs_f64();
         let t128 = m.broadcast_time(128).as_secs_f64();
         assert!(t128 / t8 < 1.2, "t8={t8} t128={t128}");
-    }
-
-    #[test]
-    fn in_flight_pull_adds_remaining() {
-        let m = m32();
-        let cached = m.pull_cached(4);
-        let inflight = m.pull_in_flight(4, Duration::from_secs(1));
-        assert_eq!(inflight, cached + Duration::from_secs(1));
     }
 }

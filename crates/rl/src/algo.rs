@@ -12,7 +12,7 @@
 
 use crate::env::{Problem, ReasonEnv};
 use crate::nn::{clip_grad_norm, Adam};
-use crate::policy::{Policy, TabularPolicy};
+use crate::policy::TabularPolicy;
 use laminar_sim::SimRng;
 
 /// One policy decision inside a trajectory.

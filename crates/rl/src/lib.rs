@@ -7,30 +7,24 @@
 //! policy-gradient learner whose data pipeline exhibits exactly those
 //! stressors. This crate provides one, built from scratch:
 //!
-//! * [`nn`] — dense layers, ReLU, softmax, Adam, gradient checking;
-//! * [`env`] — `ReasonTree`: a hierarchical reasoning task where problem
-//!   difficulty is heavy-tailed, so trajectory lengths are heterogeneous
-//!   exactly like the paper's math workloads;
-//! * [`policy`] — tabular and MLP softmax policies with log-prob gradients;
-//! * [`snapshot`] — a versioned policy store, so trajectories can be
-//!   generated by *any* historical version (staleness) or by several
-//!   versions within one trajectory (partial rollout);
-//! * [`algo`] — GRPO with Clip-Higher (DAPO), PPO, and AReaL's Decoupled
-//!   PPO objective.
+//! * [`nn`] — softmax, Adam, global-norm gradient clipping;
+//! * [`env`](mod@env) — `ReasonTree`: a hierarchical reasoning task where
+//!   problem difficulty is heavy-tailed, so trajectory lengths are
+//!   heterogeneous exactly like the paper's math workloads;
+//! * [`policy`] — tabular softmax policies with log-prob gradients;
+//! * [`algo`] — GRPO with Clip-Higher (DAPO) and AReaL's Decoupled PPO
+//!   objective; [`generate_mixed_episode`] generates one trajectory from
+//!   several policy versions (partial rollout).
 
 pub mod algo;
 pub mod env;
 pub mod nn;
 pub mod policy;
-pub mod ppo;
-pub mod snapshot;
 
 pub use algo::{
     evaluate, generate_episode, generate_mixed_episode, grpo_advantages, GrpoConfig, GrpoTrainer,
     RlTrajectory, TrajStep,
 };
 pub use env::{Problem, ReasonEnv};
-pub use nn::{Adam, Linear, Mlp, Params};
-pub use policy::{MlpPolicy, Policy, TabularPolicy};
-pub use ppo::{gae_advantages, PpoConfig, PpoTrainer, ValueTable};
-pub use snapshot::SnapshotStore;
+pub use nn::{Adam, Params};
+pub use policy::TabularPolicy;

@@ -1,159 +1,6 @@
-//! Minimal dense neural-network kit: linear layers, ReLU MLPs, softmax
-//! utilities, and Adam. No external tensor library — parameters are plain
-//! `Vec<f64>` and every gradient is derived by hand (and verified against
-//! finite differences in the tests).
-
-use laminar_sim::SimRng;
-
-/// A dense layer `y = W·x + b` with accumulated gradients.
-#[derive(Debug, Clone)]
-pub struct Linear {
-    /// Input width.
-    pub in_dim: usize,
-    /// Output width.
-    pub out_dim: usize,
-    /// Row-major weights, `out_dim × in_dim`.
-    pub w: Vec<f64>,
-    /// Biases, `out_dim`.
-    pub b: Vec<f64>,
-    /// Accumulated weight gradients.
-    pub gw: Vec<f64>,
-    /// Accumulated bias gradients.
-    pub gb: Vec<f64>,
-}
-
-impl Linear {
-    /// He-initialized layer.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut SimRng) -> Self {
-        let scale = (2.0 / in_dim as f64).sqrt();
-        let w = (0..in_dim * out_dim)
-            .map(|_| rng.standard_normal() * scale)
-            .collect();
-        Linear {
-            in_dim,
-            out_dim,
-            w,
-            b: vec![0.0; out_dim],
-            gw: vec![0.0; in_dim * out_dim],
-            gb: vec![0.0; out_dim],
-        }
-    }
-
-    /// Forward pass for a single input vector.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.in_dim);
-        let mut y = self.b.clone();
-        for (o, yo) in y.iter_mut().enumerate() {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            *yo += row.iter().zip(x).map(|(w, x)| w * x).sum::<f64>();
-        }
-        y
-    }
-
-    /// Backward pass: given the input `x` and upstream gradient `dy`,
-    /// accumulates parameter gradients and returns `dx`.
-    pub fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(dy.len(), self.out_dim);
-        let mut dx = vec![0.0; self.in_dim];
-        for (o, &g) in dy.iter().enumerate() {
-            self.gb[o] += g;
-            let row = o * self.in_dim;
-            for i in 0..self.in_dim {
-                self.gw[row + i] += g * x[i];
-                dx[i] += g * self.w[row + i];
-            }
-        }
-        dx
-    }
-
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.gw.iter_mut().for_each(|g| *g = 0.0);
-        self.gb.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    /// Visits `(params, grads)` pairs, weights then biases.
-    pub fn visit(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        f(&mut self.w, &mut self.gw);
-        f(&mut self.b, &mut self.gb);
-    }
-}
-
-/// A ReLU MLP with a linear output head.
-#[derive(Debug, Clone)]
-pub struct Mlp {
-    /// Layers, applied in order; ReLU between layers, none after the last.
-    pub layers: Vec<Linear>,
-}
-
-/// Cached activations from an [`Mlp::forward`] pass, needed for backward.
-#[derive(Debug, Clone)]
-pub struct MlpCache {
-    /// Input plus each layer's post-activation output.
-    pub acts: Vec<Vec<f64>>,
-    /// Pre-activation outputs per layer.
-    pub pre: Vec<Vec<f64>>,
-}
-
-impl Mlp {
-    /// Builds an MLP with the given layer widths, e.g. `[in, 64, out]`.
-    pub fn new(dims: &[usize], rng: &mut SimRng) -> Self {
-        assert!(
-            dims.len() >= 2,
-            "an MLP needs at least input and output widths"
-        );
-        let layers = dims
-            .windows(2)
-            .map(|d| Linear::new(d[0], d[1], rng))
-            .collect();
-        Mlp { layers }
-    }
-
-    /// Forward pass returning the output and the cache for backward.
-    pub fn forward(&self, x: &[f64]) -> (Vec<f64>, MlpCache) {
-        let mut acts = vec![x.to_vec()];
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut cur = x.to_vec();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(&cur);
-            pre.push(z.clone());
-            cur = if li + 1 < self.layers.len() {
-                z.iter().map(|v| v.max(0.0)).collect()
-            } else {
-                z
-            };
-            acts.push(cur.clone());
-        }
-        (cur, MlpCache { acts, pre })
-    }
-
-    /// Backward pass from an output gradient, accumulating parameter
-    /// gradients.
-    pub fn backward(&mut self, cache: &MlpCache, dout: &[f64]) {
-        let mut grad = dout.to_vec();
-        for li in (0..self.layers.len()).rev() {
-            if li + 1 < self.layers.len() {
-                // Undo the ReLU of this layer's output.
-                for (g, z) in grad.iter_mut().zip(&cache.pre[li]) {
-                    if *z <= 0.0 {
-                        *g = 0.0;
-                    }
-                }
-            }
-            grad = self.layers[li].backward(&cache.acts[li], &grad);
-        }
-    }
-
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.layers.iter_mut().for_each(Linear::zero_grad);
-    }
-
-    /// Total parameter count.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
-    }
-}
+//! Optimizer kit for the tabular policies: softmax utilities, the
+//! [`Params`] visitor, Adam, and global-norm gradient clipping. No external
+//! tensor library — parameters are plain `Vec<f64>`.
 
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
@@ -175,20 +22,6 @@ pub trait Params {
     /// Visits every `(params, grads)` pair. The traversal order must be
     /// identical on every call for a given model.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64]));
-}
-
-impl Params for Linear {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        self.visit(f);
-    }
-}
-
-impl Params for Mlp {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        for l in &mut self.layers {
-            l.visit(f);
-        }
-    }
 }
 
 /// The Adam optimizer, with first/second-moment state matching a model's
@@ -278,62 +111,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn linear_forward_matches_manual() {
-        let mut rng = SimRng::new(1);
-        let mut l = Linear::new(2, 2, &mut rng);
-        l.w = vec![1.0, 2.0, 3.0, 4.0];
-        l.b = vec![0.5, -0.5];
-        let y = l.forward(&[1.0, -1.0]);
-        assert!((y[0] - (1.0 - 2.0 + 0.5)).abs() < 1e-12);
-        assert!((y[1] - (3.0 - 4.0 - 0.5)).abs() < 1e-12);
-    }
-
-    /// Finite-difference check of the full MLP backward pass through a
-    /// scalar loss `L = sum(softmax_ce)`.
-    #[test]
-    fn mlp_gradients_match_finite_differences() {
-        let mut rng = SimRng::new(7);
-        let mut mlp = Mlp::new(&[3, 5, 4], &mut rng);
-        let x = [0.3, -0.7, 1.1];
-        let target = 2usize;
-
-        let loss = |m: &Mlp| {
-            let (out, _) = m.forward(&x);
-            -log_softmax_at(&out, target)
-        };
-
-        // Analytic gradients.
-        let (out, cache) = mlp.forward(&x);
-        let probs = softmax(&out);
-        let mut dl: Vec<f64> = probs.clone();
-        dl[target] -= 1.0; // d(-logp)/dlogits
-        mlp.zero_grad();
-        mlp.backward(&cache, &dl);
-
-        // Compare a sample of parameters against central differences.
-        let h = 1e-6;
-        let mut checked = 0;
-        for li in 0..mlp.layers.len() {
-            for pi in (0..mlp.layers[li].w.len()).step_by(3) {
-                let orig = mlp.layers[li].w[pi];
-                mlp.layers[li].w[pi] = orig + h;
-                let lp = loss(&mlp);
-                mlp.layers[li].w[pi] = orig - h;
-                let lm = loss(&mlp);
-                mlp.layers[li].w[pi] = orig;
-                let fd = (lp - lm) / (2.0 * h);
-                let an = mlp.layers[li].gw[pi];
-                assert!(
-                    (fd - an).abs() < 1e-5 * (1.0 + fd.abs().max(an.abs())),
-                    "layer {li} w[{pi}]: fd={fd} analytic={an}"
-                );
-                checked += 1;
-            }
-        }
-        assert!(checked > 5);
-    }
-
-    #[test]
     fn softmax_sums_to_one_and_is_stable() {
         let p = softmax(&[1000.0, 1001.0, 999.0]);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -401,12 +178,5 @@ mod tests {
         };
         clip_grad_norm(&mut m2, 1.0);
         assert_eq!(m2.g, vec![0.3, 0.4]);
-    }
-
-    #[test]
-    fn mlp_param_count() {
-        let mut rng = SimRng::new(2);
-        let mlp = Mlp::new(&[4, 8, 3], &mut rng);
-        assert_eq!(mlp.param_count(), 4 * 8 + 8 + 8 * 3 + 3);
     }
 }

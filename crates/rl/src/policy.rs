@@ -1,46 +1,11 @@
-//! Softmax policies over discrete states.
+//! Tabular softmax policies over discrete states.
 
-use crate::nn::{log_softmax_at, softmax, Mlp, Params};
+use crate::nn::{log_softmax_at, softmax, Params};
 use laminar_sim::SimRng;
-
-/// A stochastic policy over a discrete state space.
-pub trait Policy {
-    /// Number of states.
-    fn num_states(&self) -> usize;
-    /// Number of actions.
-    fn num_actions(&self) -> usize;
-    /// Action logits at a state.
-    fn logits(&self, state: usize) -> Vec<f64>;
-
-    /// Action probabilities at a state.
-    fn action_probs(&self, state: usize) -> Vec<f64> {
-        softmax(&self.logits(state))
-    }
-
-    /// Log-probability of an action at a state.
-    fn log_prob(&self, state: usize, action: usize) -> f64 {
-        log_softmax_at(&self.logits(state), action)
-    }
-
-    /// Samples an action.
-    fn sample_action(&self, state: usize, rng: &mut SimRng) -> usize {
-        let probs = self.action_probs(state);
-        rng.weighted_index(&probs)
-            .expect("probabilities sum to one")
-    }
-
-    /// Accumulates the policy-gradient contribution
-    /// `coeff · ∇ log π(action | state)` into the policy's gradients.
-    fn accumulate_logp_grad(&mut self, state: usize, action: usize, coeff: f64);
-
-    /// Clears accumulated gradients.
-    fn zero_grad(&mut self);
-}
 
 /// A tabular softmax policy: independent logits per state.
 #[derive(Debug, Clone)]
 pub struct TabularPolicy {
-    states: usize,
     actions: usize,
     logits: Vec<f64>,
     grads: Vec<f64>,
@@ -50,29 +15,38 @@ impl TabularPolicy {
     /// Uniform-initialized policy.
     pub fn new(states: usize, actions: usize) -> Self {
         TabularPolicy {
-            states,
             actions,
             logits: vec![0.0; states * actions],
             grads: vec![0.0; states * actions],
         }
     }
-}
 
-impl Policy for TabularPolicy {
-    fn num_states(&self) -> usize {
-        self.states
-    }
-
-    fn num_actions(&self) -> usize {
-        self.actions
-    }
-
+    /// Action logits at a state.
     fn logits(&self, state: usize) -> Vec<f64> {
         let base = state * self.actions;
         self.logits[base..base + self.actions].to_vec()
     }
 
-    fn accumulate_logp_grad(&mut self, state: usize, action: usize, coeff: f64) {
+    /// Action probabilities at a state.
+    pub fn action_probs(&self, state: usize) -> Vec<f64> {
+        softmax(&self.logits(state))
+    }
+
+    /// Log-probability of an action at a state.
+    pub fn log_prob(&self, state: usize, action: usize) -> f64 {
+        log_softmax_at(&self.logits(state), action)
+    }
+
+    /// Samples an action.
+    pub fn sample_action(&self, state: usize, rng: &mut SimRng) -> usize {
+        let probs = self.action_probs(state);
+        rng.weighted_index(&probs)
+            .expect("probabilities sum to one")
+    }
+
+    /// Accumulates the policy-gradient contribution
+    /// `coeff · ∇ log π(action | state)` into the policy's gradients.
+    pub fn accumulate_logp_grad(&mut self, state: usize, action: usize, coeff: f64) {
         // ∇_logits log π(a|s) = onehot(a) − softmax(logits).
         let probs = self.action_probs(state);
         let base = state * self.actions;
@@ -85,7 +59,8 @@ impl Policy for TabularPolicy {
         }
     }
 
-    fn zero_grad(&mut self) {
+    /// Clears accumulated gradients.
+    pub fn zero_grad(&mut self) {
         self.grads.iter_mut().for_each(|g| *g = 0.0);
     }
 }
@@ -93,67 +68,6 @@ impl Policy for TabularPolicy {
 impl Params for TabularPolicy {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         f(&mut self.logits, &mut self.grads);
-    }
-}
-
-/// An MLP softmax policy over one-hot state encodings.
-#[derive(Debug, Clone)]
-pub struct MlpPolicy {
-    states: usize,
-    actions: usize,
-    mlp: Mlp,
-}
-
-impl MlpPolicy {
-    /// Builds an MLP policy with one hidden layer of `hidden` units.
-    pub fn new(states: usize, actions: usize, hidden: usize, rng: &mut SimRng) -> Self {
-        MlpPolicy {
-            states,
-            actions,
-            mlp: Mlp::new(&[states, hidden, actions], rng),
-        }
-    }
-
-    fn onehot(&self, state: usize) -> Vec<f64> {
-        let mut x = vec![0.0; self.states];
-        x[state] = 1.0;
-        x
-    }
-}
-
-impl Policy for MlpPolicy {
-    fn num_states(&self) -> usize {
-        self.states
-    }
-
-    fn num_actions(&self) -> usize {
-        self.actions
-    }
-
-    fn logits(&self, state: usize) -> Vec<f64> {
-        self.mlp.forward(&self.onehot(state)).0
-    }
-
-    fn accumulate_logp_grad(&mut self, state: usize, action: usize, coeff: f64) {
-        let x = self.onehot(state);
-        let (out, cache) = self.mlp.forward(&x);
-        let probs = softmax(&out);
-        let mut dlogits = vec![0.0; self.actions];
-        for (i, p) in probs.iter().enumerate() {
-            let onehot = if i == action { 1.0 } else { 0.0 };
-            dlogits[i] = coeff * (onehot - p);
-        }
-        self.mlp.backward(&cache, &dlogits);
-    }
-
-    fn zero_grad(&mut self) {
-        self.mlp.zero_grad();
-    }
-}
-
-impl Params for MlpPolicy {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        self.mlp.visit_params(f);
     }
 }
 
@@ -187,25 +101,6 @@ mod tests {
         // Untouched state stays uniform.
         let other = p.action_probs(1);
         assert!((other[0] - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mlp_policy_learns_state_dependent_actions() {
-        let mut rng = SimRng::new(3);
-        let mut p = MlpPolicy::new(4, 3, 16, &mut rng);
-        let mut opt = Adam::new(0.05);
-        // Target: action = state % 3.
-        for _ in 0..300 {
-            p.zero_grad();
-            for s in 0..4 {
-                p.accumulate_logp_grad(s, s % 3, -1.0);
-            }
-            opt.step(&mut p);
-        }
-        for s in 0..4 {
-            let probs = p.action_probs(s);
-            assert!(probs[s % 3] > 0.8, "state {s}: {probs:?}");
-        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! The implementation is split along its natural seams:
 //!
 //! * [`mod@self`] — the engine struct, configuration, and inspection surface;
-//! * [`lifecycle`] — the trajectory state machine: admission, submission,
+//! * `lifecycle` — the trajectory state machine: admission, submission,
 //!   interrupts, drains/injects (repack moves), segment and env transitions;
-//! * [`stepper`] — the batch step loop: internal event discovery, virtual
+//! * `stepper` — the batch step loop: internal event discovery, virtual
 //!   time advancement, decode-rate re-evaluation, and KVCache accounting.
 
 mod lifecycle;

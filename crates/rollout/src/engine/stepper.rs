@@ -23,7 +23,7 @@ impl ReplicaEngine {
     ///
     /// Returns the cached next transition: every `&mut self` entry point
     /// that moves an input of discovery refreshes the cache before it
-    /// returns (see [`ReplicaEngine::refresh_next`]), and debug builds
+    /// returns (see `ReplicaEngine::refresh_next`), and debug builds
     /// assert on every call that the cache equals a fresh computation.
     pub fn next_event_time(&self) -> Option<Time> {
         debug_assert!(self.event_tops_live(), "stale event-heap top");

@@ -494,7 +494,7 @@ impl WordEnc {
         self
     }
 
-    /// Option<Time> as (present, nanos).
+    /// `Option<Time>` as (present, nanos).
     pub fn ot(&mut self, t: Option<Time>) -> &mut Self {
         self.words.push(t.is_some() as u64);
         self.words.push(t.map_or(0, |t| t.as_nanos()));

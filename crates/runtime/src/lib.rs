@@ -34,7 +34,7 @@ pub use delta::{CommitStats, DeltaStore, Manifest, StateImage, StatePlane};
 pub use policy::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use recovery::{
     check_checkpoint_soak, check_resume_equivalence, CheckpointCost, CheckpointSoak,
-    DeltaCheckpoint, Recoverable, ResumeEquivalence, RunSnapshot,
+    DeltaCheckpoint, Recoverable, ResumeEquivalence,
 };
 pub use report::{consumed_at, ConsumedTraj, RlSystem, RunReport};
 pub use trace::{NullTrace, RecordingTrace, SpanKind, TraceSink, TraceSpan};

@@ -24,25 +24,14 @@ use crate::report::{RlSystem, RunReport};
 use crate::trace::{RecordingTrace, TraceSink};
 use laminar_sim::{Duration, Time};
 
-/// One snapshot captured at a checkpoint cadence point.
-#[derive(Debug, Clone)]
-pub struct RunSnapshot<S> {
-    /// The cadence instant this snapshot represents (a multiple of the
-    /// checkpoint interval). The run itself sits at its first safe pause
-    /// point at or after this instant: between events for the event-driven
-    /// systems, at an iteration boundary for the barrier systems.
-    pub at: Time,
-    /// 0-based index of the cadence point.
-    pub index: usize,
-    /// The full run state.
-    pub state: S,
-}
-
 /// One delta checkpoint: the committed manifest plus the in-memory resume
 /// state it describes.
 #[derive(Debug, Clone)]
 pub struct DeltaCheckpoint<S> {
-    /// The cadence instant this checkpoint represents.
+    /// The cadence instant this checkpoint represents (a multiple of the
+    /// checkpoint interval). The run itself sits at its first safe pause
+    /// point at or after this instant: between events for the event-driven
+    /// systems, at an iteration boundary for the barrier systems.
     pub at: Time,
     /// 0-based index of the cadence point.
     pub index: usize,
@@ -60,9 +49,8 @@ pub struct DeltaCheckpoint<S> {
 /// A system supplies four pieces — [`start`](Recoverable::start),
 /// [`advance`](Recoverable::advance), [`finish`](Recoverable::finish) and
 /// [`encode_state`](Recoverable::encode_state) — and the trait writes the
-/// cadence loop ([`run_checkpointed`](Recoverable::run_checkpointed),
-/// [`run_delta_checkpointed`](Recoverable::run_delta_checkpointed)) and
-/// [`resume`](Recoverable::resume) once for every system.
+/// cadence loop ([`run_delta_checkpointed`](Recoverable::run_delta_checkpointed))
+/// and [`resume`](Recoverable::resume) once for every system.
 pub trait Recoverable: RlSystem {
     /// The full mid-run state. Cloneable so one run can yield many
     /// independent resumable snapshots.
@@ -80,34 +68,6 @@ pub trait Recoverable: RlSystem {
     /// report.
     fn finish(run: Self::Snapshot, trace: &mut dyn TraceSink) -> RunReport;
 
-    /// Runs to completion, capturing a snapshot at every multiple of
-    /// `every` (virtual time) crossed before the run finishes. Produces
-    /// exactly the report and trace of [`RlSystem::run_traced`] — taking
-    /// snapshots never perturbs the run.
-    fn run_checkpointed(
-        &self,
-        cfg: &SystemConfig,
-        every: Duration,
-        trace: &mut dyn TraceSink,
-    ) -> (RunReport, Vec<RunSnapshot<Self::Snapshot>>) {
-        assert!(
-            every > Duration::ZERO,
-            "checkpoint cadence must be positive"
-        );
-        let mut run = self.start(cfg, trace.enabled());
-        let mut snapshots = Vec::new();
-        let mut deadline = Time::ZERO + every;
-        while !Self::advance(&mut run, deadline) {
-            snapshots.push(RunSnapshot {
-                at: deadline,
-                index: snapshots.len(),
-                state: run.clone(),
-            });
-            deadline += every;
-        }
-        (Self::finish(run, trace), snapshots)
-    }
-
     /// Resumes a snapshot to completion. The report and the *complete*
     /// trace (systems buffer spans in-state, so the resumed run emits the
     /// full history) are byte-identical to the uninterrupted run's.
@@ -120,29 +80,22 @@ pub trait Recoverable: RlSystem {
 
     /// Encodes the snapshot as its canonical [`StateImage`] — every mutable
     /// plane, chunked at natural state granularity. This is the persisted
-    /// form delta checkpoints commit and the domain of [`fingerprint`]:
-    /// two snapshots are equivalent iff their images are identical.
-    ///
-    /// [`fingerprint`]: Recoverable::fingerprint
+    /// form delta checkpoints commit: two snapshots are equivalent iff their
+    /// images are identical. A committed manifest records the image's
+    /// fingerprint, which checkpoint descriptor files persist so
+    /// `--resume-from` can verify that a deterministic replay reconstructed
+    /// the same state before resuming.
     fn encode_state(snapshot: &Self::Snapshot) -> StateImage;
 
-    /// A cheap deterministic digest of the snapshot state: the FNV-1a
-    /// fingerprint of the canonical state image. Checkpoint descriptor
-    /// files persist this so `--resume-from` can verify that a
-    /// deterministic replay reconstructed the same state before resuming,
-    /// and manifests record it so [`resume_verified`] can prove the stored
-    /// chunks are the ones committed.
-    ///
-    /// [`resume_verified`]: Recoverable::resume_verified
-    fn fingerprint(snapshot: &Self::Snapshot) -> u64 {
-        Self::encode_state(snapshot).fingerprint()
-    }
-
     /// Runs to completion, committing a delta checkpoint into `store` at
-    /// every cadence point: each snapshot's
-    /// [`encode_state`](Recoverable::encode_state) image, encoded from
-    /// scratch. The store deduplicates unchanged chunks, so the persisted
-    /// bytes per point stay O(dirty) while the encode itself is O(world).
+    /// every multiple of `every` (virtual time) crossed before the run
+    /// finishes: each snapshot's [`encode_state`](Recoverable::encode_state)
+    /// image, encoded from scratch. The run clones its state at each cadence
+    /// point and commits the images in index order once it has finished.
+    /// Produces exactly the report and trace of [`RlSystem::run_traced`] —
+    /// checkpointing never perturbs the run. The store deduplicates
+    /// unchanged chunks, so the persisted bytes per point stay O(dirty)
+    /// while the encode itself is O(world).
     fn run_delta_checkpointed(
         &self,
         cfg: &SystemConfig,
@@ -150,18 +103,29 @@ pub trait Recoverable: RlSystem {
         trace: &mut dyn TraceSink,
         store: &mut DeltaStore,
     ) -> (RunReport, Vec<DeltaCheckpoint<Self::Snapshot>>) {
-        let (report, snapshots) = self.run_checkpointed(cfg, every, trace);
-        let checkpoints = snapshots
+        assert!(
+            every > Duration::ZERO,
+            "checkpoint cadence must be positive"
+        );
+        let mut run = self.start(cfg, trace.enabled());
+        let mut paused = Vec::new();
+        let mut deadline = Time::ZERO + every;
+        while !Self::advance(&mut run, deadline) {
+            paused.push((deadline, run.clone()));
+            deadline += every;
+        }
+        let report = Self::finish(run, trace);
+        let checkpoints = paused
             .into_iter()
-            .map(|snap| {
-                let image = Self::encode_state(&snap.state);
-                let (manifest_id, stats) = store.commit(snap.at, &image);
+            .enumerate()
+            .map(|(index, (at, state))| {
+                let (manifest_id, stats) = store.commit(at, &Self::encode_state(&state));
                 DeltaCheckpoint {
-                    at: snap.at,
-                    index: snap.index,
+                    at,
+                    index,
                     manifest_id,
                     stats,
-                    state: snap.state,
+                    state,
                 }
             })
             .collect();

@@ -213,19 +213,6 @@ impl<W: SimWorld> Simulation<W> {
         self.scheduler.now()
     }
 
-    /// Runs until the queue drains or the clock passes `deadline`, whichever
-    /// comes first. Events scheduled strictly after the deadline are left in
-    /// the queue.
-    pub fn run_until(&mut self, deadline: Time) -> Time {
-        while let Some(t) = self.scheduler.next_event_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-        self.scheduler.now()
-    }
-
     /// Runs until `pred` holds on the world, the queue drains, or the event
     /// budget is exhausted. Returns `true` if the predicate was met.
     pub fn run_while<F: FnMut(&W) -> bool>(&mut self, mut keep_going: F, max_events: u64) -> bool {
@@ -326,20 +313,6 @@ mod tests {
         sim.scheduler.at(Time::from_nanos(100), true);
         sim.run_to_completion();
         assert_eq!(sim.world.delivered_at, vec![100, 100]);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Simulation::new(Recorder::default());
-        for i in 1..=10u64 {
-            sim.scheduler.at(Time::from_secs(i), i as u32);
-        }
-        sim.run_until(Time::from_secs(4));
-        assert_eq!(sim.world.seen.len(), 4);
-        assert_eq!(sim.scheduler.pending(), 6);
-        // Resuming picks up where we left off.
-        sim.run_to_completion();
-        assert_eq!(sim.world.seen.len(), 10);
     }
 
     #[test]

@@ -51,6 +51,6 @@ pub use engine::{Scheduler, SimWorld, Simulation};
 pub use idmap::{IdHasher, IdMap};
 pub use policy::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats, TimeSeries, TimeWeighted};
+pub use stats::{Histogram, TimeSeries, TimeWeighted};
 pub use time::{Duration, Time};
 pub use trace::{SpanKind, TraceSpan};

@@ -1,96 +1,8 @@
-//! Statistics utilities used across experiments: running moments, sample
-//! histograms with percentile queries, time-weighted averages of step
-//! functions, and time series for timeline plots.
+//! Statistics utilities used across experiments: sample histograms with
+//! percentile queries, time-weighted averages of step functions, and time
+//! series for timeline plots.
 
 use crate::time::{Duration, Time};
-
-/// Running mean/variance/min/max via Welford's algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation. Non-finite values are ignored.
-    pub fn add(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n;
-        self.m2 += other.m2 + d * d * self.n as f64 * other.n as f64 / n;
-        self.mean = mean;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A sample reservoir with exact percentile queries.
 ///
@@ -336,50 +248,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
-    }
-
-    #[test]
-    fn online_stats_ignores_non_finite() {
-        let mut s = OnlineStats::new();
-        s.add(f64::NAN);
-        s.add(f64::INFINITY);
-        s.add(5.0);
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.mean(), 5.0);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.add(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
 
     #[test]
     fn histogram_quantiles() {

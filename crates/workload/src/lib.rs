@@ -10,7 +10,7 @@
 //!   mixtures) with analytic quantiles where available;
 //! * [`lengths`] — response-length models calibrated per model checkpoint
 //!   (Figure 2 left, Figure 17), including length evolution across training;
-//! * [`env`] — code-sandbox latency model (Figure 2 right);
+//! * [`env`](mod@env) — code-sandbox latency model (Figure 2 right);
 //! * [`spec`] — [`spec::TrajectorySpec`]: the system-independent description
 //!   of one trajectory (prompt tokens + alternating decode/environment
 //!   segments) consumed by every rollout engine, so all systems replay

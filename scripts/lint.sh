@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Lint gate: formatting and clippy across the whole workspace, warnings
-# denied. Run before sending a change out for review.
+# Lint gate: formatting, clippy and rustdoc across the whole workspace,
+# warnings denied. Run before sending a change out for review.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,6 +12,12 @@ fi
 
 cargo clippy --workspace --all-targets -- -D warnings
 echo "lint: clean"
+
+# Rustdoc: a broken, ambiguous or private intra-doc link and a malformed
+# HTML tag in a doc comment pass the compiler, clippy and the tests, so
+# only a doc build with warnings denied catches them.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+echo "docs: clean"
 
 # The repo benchmark (perfbench/) is a package with its own [workspace],
 # so nothing above compiles it. Type-check it here: deleting or renaming a

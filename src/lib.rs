@@ -13,13 +13,13 @@
 //! * [`cluster`] — H800-class hardware model, roofline decode/training
 //!   costs, collective and chain-broadcast models;
 //! * [`workload`] — heavy-tailed trajectory/sandbox workload generators;
-//! * [`data`] — prompt pool, partial response pool, experience buffer;
+//! * [`data`] — partial response pool, experience buffer;
 //! * [`relay`] — the relay-worker parameter service (analytic model and a
 //!   real threaded implementation with fault-tolerant chain broadcast);
 //! * [`rollout`] — continuous-batching replica engine, Algorithm 1 repack,
 //!   rollout manager;
-//! * [`rl`] — from-scratch NN, GRPO / PPO / Decoupled-PPO, the ReasonTree
-//!   environment;
+//! * [`rl`] — tabular softmax policies, GRPO with Clip-Higher and
+//!   Decoupled PPO, the ReasonTree environment;
 //! * [`runtime`] — the shared system substrate: [`runtime::SystemConfig`],
 //!   the [`runtime::RlSystem`] trait, batch generation, and the structured
 //!   event-trace layer ([`runtime::TraceSink`]);
@@ -62,13 +62,13 @@ pub use laminar_workload as workload;
 /// The most commonly used types, for `use laminar::prelude::*`.
 pub mod prelude {
     pub use laminar_baselines::{OneStepStaleness, PartialRollout, StreamGeneration, VerlSync};
-    pub use laminar_cluster::{ClusterSpec, DecodeModel, GpuSpec, MachineSpec, ModelSpec};
+    pub use laminar_cluster::{DecodeModel, GpuSpec, MachineSpec, ModelSpec};
     pub use laminar_core::{
         convergence_curve, generate_schedule, overlapping_scenario, placement_for, ChaosConfig,
         ChaosRun, ConvergenceConfig, FaultEvent, FaultKind, HyperParams, LaminarSystem,
         StalenessRegime, SystemKind,
     };
-    pub use laminar_data::{Experience, ExperienceBuffer, PartialResponsePool, PromptPool};
+    pub use laminar_data::{Experience, ExperienceBuffer, PartialResponsePool};
     pub use laminar_fleet::{
         fleet_overlapping_scenario, generate_fleet_schedule, run_fleet, FleetChaosConfig,
         FleetConfig, FleetFaultEvent, FleetFaultKind, FleetRun, TenantProfile,

@@ -60,9 +60,10 @@ const CHECKPOINT_HASH_GOLDENS: [(&str, u64); 8] = [
     ("commit 1 manifest fingerprint", 0x0b1ebd9eb5554b33),
 ];
 
-/// `Recoverable::fingerprint` of the first cadence points of a 20 s
-/// `run_checkpointed` on the seed-11 `small_test` config, per
-/// `(system, index)`. Checkpoint descriptor lines carry these values.
+/// State-image fingerprints of the first cadence points of a 20 s
+/// `run_delta_checkpointed` on the seed-11 `small_test` config, per
+/// `(system, index)`, as the committed manifests record them. Checkpoint
+/// descriptor lines carry these values.
 const SNAPSHOT_GOLDENS: [(&str, usize, u64); 4] = [
     ("laminar", 0, 0xf5b0d4a2febbb2af),
     ("laminar", 1, 0x6af51d3108dadcd1),
@@ -70,8 +71,8 @@ const SNAPSHOT_GOLDENS: [(&str, usize, u64); 4] = [
     ("partial-rollout", 1, 0x2a1030b91258bd58),
 ];
 
-/// Snapshot count and FNV-1a fold of every snapshot's
-/// `(index, at_ns, Recoverable::fingerprint)` for a `run_checkpointed` on
+/// Checkpoint count and FNV-1a fold of every checkpoint's
+/// `(index, at_ns, manifest fingerprint)` for a `run_delta_checkpointed` on
 /// the seed-11 `small_test` config, per `(system, cadence secs)`. The
 /// barrier systems pause only between iterations, so an iteration that
 /// crosses several cadence points yields one snapshot per point; the fold
@@ -280,28 +281,34 @@ fn checkpoint_hashes_match_goldens() {
     );
 }
 
-/// `Recoverable::fingerprint` of the first `n` 20 s cadence snapshots.
-fn snapshot_fps<S: Recoverable>(sys: &S, cfg: &SystemConfig, n: usize) -> Vec<u64> {
-    let (_, snapshots) = sys.run_checkpointed(cfg, Duration::from_secs(20), &mut NullTrace);
-    assert!(
-        snapshots.len() >= n,
-        "run crossed {} cadence points",
-        snapshots.len()
-    );
-    snapshots[..n]
+/// `(index, at_ns, fingerprint)` of every checkpoint a `secs`-cadence
+/// `run_delta_checkpointed` commits, the fingerprint read from the
+/// committed manifest.
+fn checkpoint_fps<S: Recoverable>(sys: &S, cfg: &SystemConfig, secs: u64) -> Vec<[u64; 3]> {
+    let mut store = DeltaStore::new();
+    let every = Duration::from_secs(secs);
+    let (_, checkpoints) = sys.run_delta_checkpointed(cfg, every, &mut NullTrace, &mut store);
+    checkpoints
         .iter()
-        .map(|s| S::fingerprint(&s.state))
+        .map(|c| {
+            let manifest = store.manifest(c.manifest_id).expect("committed manifest");
+            [c.index as u64, c.at.as_nanos(), manifest.fingerprint]
+        })
         .collect()
 }
 
-/// Snapshot count and `(index, at_ns, fingerprint)` fold of a
-/// `run_checkpointed` at a `secs` cadence.
+/// Fingerprints of the first `n` 20 s cadence checkpoints.
+fn snapshot_fps<S: Recoverable>(sys: &S, cfg: &SystemConfig, n: usize) -> Vec<u64> {
+    let fps = checkpoint_fps(sys, cfg, 20);
+    assert!(fps.len() >= n, "run crossed {} cadence points", fps.len());
+    fps[..n].iter().map(|&[.., fp]| fp).collect()
+}
+
+/// Checkpoint count and `(index, at_ns, fingerprint)` fold at a `secs`
+/// cadence.
 fn cadence_fold<S: Recoverable>(sys: &S, cfg: &SystemConfig, secs: u64) -> (usize, u64) {
-    let (_, snapshots) = sys.run_checkpointed(cfg, Duration::from_secs(secs), &mut NullTrace);
-    let words = snapshots
-        .iter()
-        .flat_map(|s| [s.index as u64, s.at.as_nanos(), S::fingerprint(&s.state)]);
-    (snapshots.len(), fnv1a(words))
+    let fps = checkpoint_fps(sys, cfg, secs);
+    (fps.len(), fnv1a(fps.into_iter().flatten()))
 }
 
 #[test]
