@@ -17,7 +17,10 @@ use crate::common::{
 };
 use laminar_cluster::TrainModel;
 use laminar_rollout::{CompletedTraj, ReplicaEngine};
-use laminar_runtime::delta::{encode_report_plane, StateImage, StatePlane, WordEnc};
+use laminar_runtime::delta::{
+    encode_engine_spans_plane, encode_engines_plane, encode_report_plane, StateImage, StatePlane,
+    WordEnc,
+};
 use laminar_runtime::recovery::Recoverable;
 use laminar_sim::{Duration, Scheduler, SimWorld, Simulation, Time};
 use laminar_workload::{Dataset, TrajectorySpec};
@@ -392,28 +395,8 @@ impl Recoverable for PartialRollout {
         }
         img.push_plane(buffer);
 
-        let mut engines = StatePlane::new("engines");
-        for eng in &w.engines {
-            engines.push_encoded(&mut scratch, |words| eng.checkpoint_scalar_words(words));
-            for (_, st) in eng.active_states() {
-                engines.push_encoded(&mut scratch, |words| st.encode_words(words));
-            }
-            for st in eng.waiting_states() {
-                engines.push_encoded(&mut scratch, |words| st.encode_words(words));
-            }
-            for done in eng.completions() {
-                engines.push_encoded(&mut scratch, |words| done.encode_words(words));
-            }
-        }
-        img.push_plane(engines);
-
-        let mut spans = StatePlane::new("spans");
-        spans.extend_spans(&w.trace_spans);
-        for eng in &w.engines {
-            spans.extend_spans(eng.trace_spans());
-        }
-        img.push_plane(spans);
-
+        img.push_plane(encode_engines_plane(&w.engines));
+        img.push_plane(encode_engine_spans_plane(&w.trace_spans, &w.engines));
         img.push_plane(encode_report_plane("report", &w.report));
         img
     }

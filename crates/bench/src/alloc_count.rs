@@ -5,13 +5,12 @@
 //! allocation bumps a relaxed atomic counter and the current-bytes gauge
 //! (whose running maximum is the peak-RSS proxy), then defers to
 //! [`std::alloc::System`]. Counting is **gated**: until [`enable`] is
-//! called the fast path is a single relaxed load, so registering the
-//! wrapper in the `laminar-experiments` binary costs experiment runs
-//! nothing measurable — only `--shard-curve` turns the counters on.
+//! called the fast path is a single relaxed load, so a registered wrapper
+//! costs the code it does not measure nothing measurable.
 //!
 //! The wrapper must be registered as the global allocator by the *binary*
-//! or test target that measures (`laminar_experiments.rs`, the `perfbench`
-//! benchmark, and the `tests/alloc_budget.rs` allocation-budget test);
+//! or test target that measures (the `perfbench` benchmark and the
+//! `tests/alloc_budget.rs` allocation-budget test);
 //! library tests run under the default allocator, where [`is_active`]
 //! stays `false` and reported stats are zero. Allocation counts are
 //! deterministic, so a budget on them is a real regression gate, not a

@@ -1,12 +1,11 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! laminar-experiments [--full] [--seed N] [--jobs N] [--shards N] [--chaos-seed N]
+//! laminar-experiments [--full] [--seed N] [--jobs N] [--chaos-seed N]
 //!                     [--recovery-seed N] [--fleet-cells N] [--fleet-seed N]
 //!                     [--checkpoint-every SECS] [--out DIR]
 //!                     [--trace FILE] <id>... | all | list
 //! laminar-experiments --spec FILE... [--full] [--jobs N] [--out DIR]
-//! laminar-experiments --shard-curve [--smoke] [--bench-out FILE]
 //! laminar-experiments --resume-from FILE
 //! laminar-experiments --list
 //! ```
@@ -21,20 +20,9 @@
 //! grids) across N worker threads. Output is byte-identical for every N:
 //! result files are written, and trace spans flushed, in experiment id
 //! order after the parallel runs complete. The default is the machine's
-//! available parallelism; `--jobs 1` forces the serial path.
-//!
-//! `--shards N` (default 1) runs every Laminar system under the
-//! conservative-lookahead sharded driver with N replica-group shards.
-//! Output is byte-identical at every shard count — sharding is purely a
-//! wall-clock lever. The request is clamped so `jobs × shards` never
-//! exceeds the machine's available parallelism.
-//!
-//! `--shard-curve` instead runs the sharded-driver scaling curve (the CI
-//! multi-core datapoint): wall seconds, fence-window stats, and the
-//! byte-identity verdict at shards 1/2/4/8, written as a schema-6 report
-//! to `BENCH_shard_curve.json` (override with `--bench-out`). `--smoke`
-//! shortens the fixed run. Exits nonzero on a false determinism verdict.
-//! The repo benchmark proper is the `perfbench` package.
+//! available parallelism; `--jobs 1` forces the serial path. Trial-level
+//! `--jobs` is the only parallelism: each run is one serial event loop.
+//! The repo benchmark is the `perfbench` package.
 //!
 //! `--checkpoint-every SECS` sets the checkpoint cadence the `recovery`
 //! experiment exercises; its report includes `checkpoint ...` descriptor
@@ -57,18 +45,12 @@
 //! its title and spec-overridable knobs.
 
 use laminar_bench::{
-    all_experiment_ids, benchmarks, default_jobs, effective_jobs, resume_from_descriptor,
-    run_experiment, run_indexed, run_spec, LabSpec, Opts, REGISTRY,
+    all_experiment_ids, default_jobs, effective_jobs, resume_from_descriptor, run_experiment,
+    run_indexed, run_spec, LabSpec, Opts, REGISTRY,
 };
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Counting allocator for the shard curve's per-point allocation counts.
-/// Dormant (one relaxed load per allocation) until `--shard-curve`
-/// enables it.
-#[global_allocator]
-static ALLOC: laminar_bench::alloc_count::CountingAlloc = laminar_bench::alloc_count::CountingAlloc;
 
 fn main() {
     let mut opts = Opts {
@@ -76,9 +58,6 @@ fn main() {
         ..Opts::default()
     };
     let mut out_dir = PathBuf::from("results");
-    let mut shard_curve = false;
-    let mut smoke = false;
-    let mut bench_out: Option<PathBuf> = None;
     let mut resume_from: Option<PathBuf> = None;
     let mut specs: Vec<PathBuf> = Vec::new();
     let mut ids: Vec<String> = Vec::new();
@@ -87,8 +66,6 @@ fn main() {
         match a.as_str() {
             "--full" => opts.quick = false,
             "--quick" => opts.quick = true,
-            "--shard-curve" => shard_curve = true,
-            "--smoke" => smoke = true,
             "--seed" => {
                 opts.seed = args
                     .next()
@@ -101,13 +78,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
                     .expect("--jobs requires a positive integer");
-            }
-            "--shards" => {
-                opts.shards = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--shards requires a positive integer");
             }
             "--chaos-seed" => {
                 opts.chaos_seed = args
@@ -150,11 +120,6 @@ fn main() {
             "--out" => {
                 out_dir = PathBuf::from(args.next().expect("--out requires a directory"));
             }
-            "--bench-out" => {
-                bench_out = Some(PathBuf::from(
-                    args.next().expect("--bench-out requires a file"),
-                ));
-            }
             "--trace" => {
                 opts.trace = Some(PathBuf::from(args.next().expect("--trace requires a file")));
             }
@@ -182,18 +147,6 @@ fn main() {
             }
             other => ids.push(other.to_string()),
         }
-    }
-    if shard_curve {
-        let report = benchmarks::run_shard_curve(smoke);
-        println!("{}", report.summary());
-        let out = bench_out.unwrap_or_else(|| PathBuf::from("BENCH_shard_curve.json"));
-        report.write(&out).expect("write shard-curve JSON");
-        eprintln!("wrote {}", out.display());
-        if !report.deterministic {
-            eprintln!("shard-curve: FAILURE sharded driver diverged from serial output");
-            std::process::exit(1);
-        }
-        return;
     }
     if let Some(path) = resume_from {
         // Deterministic checkpoint replay: rebuild the run described by the
@@ -235,9 +188,8 @@ fn main() {
     }
     if ids.is_empty() {
         eprintln!(
-            "usage: laminar-experiments [--full] [--seed N] [--jobs N] [--shards N] [--chaos-seed N] [--recovery-seed N] [--fleet-cells N] [--fleet-seed N] [--checkpoint-every SECS] [--out DIR] [--trace FILE] <id>... | all | list\n\
+            "usage: laminar-experiments [--full] [--seed N] [--jobs N] [--chaos-seed N] [--recovery-seed N] [--fleet-cells N] [--fleet-seed N] [--checkpoint-every SECS] [--out DIR] [--trace FILE] <id>... | all | list\n\
              \x20      laminar-experiments --spec FILE... [--full] [--jobs N] [--out DIR]\n\
-             \x20      laminar-experiments --shard-curve [--smoke] [--bench-out FILE]\n\
              \x20      laminar-experiments --resume-from FILE\n\
              \x20      laminar-experiments --list"
         );

@@ -33,13 +33,6 @@ pub struct Opts {
     /// Worker threads for intra-experiment grid fan-out ([`Opts::run_grid`]).
     /// `1` (the default) runs every grid cell inline.
     pub jobs: usize,
-    /// Replica-group shards for Laminar runs (`--shards`, default 1): the
-    /// conservative-lookahead sharded driver fans replica event loops
-    /// across this many worker threads between fences. Output is
-    /// byte-identical at every shard count; the request is clamped so
-    /// `jobs × shards` never oversubscribes the machine (see
-    /// [`crate::runner::effective_shards`]).
-    pub shards: usize,
     /// Root seed for the `chaos` experiment's fault-schedule generator.
     /// Seed `k` of the sweep uses `chaos_seed + k`.
     pub chaos_seed: u64,
@@ -72,7 +65,6 @@ impl Default for Opts {
             seed: 7,
             trace: None,
             jobs: 1,
-            shards: 1,
             chaos_seed: 1,
             recovery_seed: 1,
             fleet_cells: 4,
@@ -135,23 +127,15 @@ impl Opts {
         }
     }
 
-    /// The shard count Laminar runs actually use: the `--shards` request
-    /// clamped against [`Opts::jobs`] so nested parallelism never
-    /// oversubscribes the machine.
-    pub fn effective_shards(&self) -> usize {
-        crate::runner::effective_shards(self.shards, self.jobs)
-    }
-
     /// Runs a system kind on a configuration. With [`Opts::trace`] set, the
     /// run's event spans are appended to the JSONL trace file (or to the
     /// installed trace buffer).
     pub fn run_system(&self, kind: SystemKind, cfg: &SystemConfig) -> RunReport {
-        let shards = self.effective_shards();
         if !self.tracing() {
-            return dispatch(kind, cfg, shards, &mut laminar_runtime::NullTrace);
+            return dispatch(kind, cfg, &mut laminar_runtime::NullTrace);
         }
         let mut rec = RecordingTrace::new();
-        let report = dispatch(kind, cfg, shards, &mut rec);
+        let report = dispatch(kind, cfg, &mut rec);
         self.sink_trace(&rec);
         report
     }
@@ -163,17 +147,13 @@ impl Opts {
     /// byte-identical to a `jobs = 1` run.
     pub fn run_grid(&self, runs: Vec<(SystemKind, SystemConfig)>) -> Vec<RunReport> {
         let tracing = self.tracing();
-        let shards = self.effective_shards();
         let results = crate::runner::run_indexed(runs, self.jobs, |_, (kind, cfg)| {
             if tracing {
                 let mut rec = RecordingTrace::new();
-                let report = dispatch(kind, &cfg, shards, &mut rec);
+                let report = dispatch(kind, &cfg, &mut rec);
                 (report, Some(rec))
             } else {
-                (
-                    dispatch(kind, &cfg, shards, &mut laminar_runtime::NullTrace),
-                    None,
-                )
+                (dispatch(kind, &cfg, &mut laminar_runtime::NullTrace), None)
             }
         });
         results
@@ -199,14 +179,10 @@ impl Opts {
     }
 }
 
-/// Runs `kind` on `cfg`, forwarding spans to `trace`. `shards` selects the
-/// Laminar driver (1 = serial wake loop, >1 = conservative-lookahead
-/// sharded loop — byte-identical output either way); the baselines are
-/// serial-only and ignore it.
+/// Runs `kind` on `cfg`, forwarding spans to `trace`.
 pub(crate) fn dispatch(
     kind: SystemKind,
     cfg: &SystemConfig,
-    shards: usize,
     trace: &mut dyn TraceSink,
 ) -> RunReport {
     match kind {
@@ -214,11 +190,7 @@ pub(crate) fn dispatch(
         SystemKind::OneStep => OneStepStaleness.run_traced(cfg, trace),
         SystemKind::StreamGen => StreamGeneration.run_traced(cfg, trace),
         SystemKind::PartialRollout => PartialRollout.run_traced(cfg, trace),
-        SystemKind::Laminar => LaminarSystem {
-            shards,
-            ..LaminarSystem::default()
-        }
-        .run_traced(cfg, trace),
+        SystemKind::Laminar => LaminarSystem::default().run_traced(cfg, trace),
     }
 }
 

@@ -12,7 +12,6 @@
 //! (8192-trajectory batches up to the 1024-GPU scale point).
 
 pub mod alloc_count;
-pub mod benchmarks;
 pub mod experiments;
 pub mod lab;
 pub mod runner;
@@ -23,4 +22,4 @@ pub use experiments::{
     all_experiment_ids, find_experiment, run_experiment, ExperimentDef, Opts, REGISTRY,
 };
 pub use lab::{run_spec, LabReport, LabSpec};
-pub use runner::{default_jobs, effective_jobs, effective_shards, run_indexed};
+pub use runner::{default_jobs, effective_jobs, run_indexed};

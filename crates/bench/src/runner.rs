@@ -36,18 +36,6 @@ pub fn effective_jobs(jobs: usize, items: usize) -> usize {
     jobs.max(1).min(items.max(1)).min(default_jobs())
 }
 
-/// The shard count a `--shards` request resolves to when runs fan across
-/// `jobs` worker threads: the product `jobs × shards` is clamped to the
-/// machine's available parallelism (floor 1 shard). Oversubscribing cores
-/// with nested shard workers inside already-parallel experiment grids only
-/// adds contention — and because the sharded driver's output is
-/// byte-identical at every shard count, clamping is purely a perf
-/// decision, exactly like [`effective_jobs`].
-pub fn effective_shards(shards: usize, jobs: usize) -> usize {
-    let budget = default_jobs() / jobs.max(1);
-    shards.max(1).min(budget.max(1))
-}
-
 /// Runs `f` over `items` on up to `jobs` scoped threads, returning results
 /// in input order. `f` receives the item's input index alongside the item.
 /// The thread pool is only spawned when [`effective_jobs`] resolves above 1;
@@ -175,27 +163,6 @@ mod tests {
             x + 1
         });
         assert_eq!(out, (1..=16).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn shards_clamp_to_the_core_budget() {
-        let cores = default_jobs();
-        // Serial jobs leave the whole machine to the shard workers.
-        assert_eq!(effective_shards(1, 1), 1);
-        assert_eq!(effective_shards(cores + 7, 1), cores);
-        // jobs × shards never exceeds available parallelism…
-        for jobs in 1..=cores + 2 {
-            for shards in 1..=cores + 2 {
-                let eff = effective_shards(shards, jobs);
-                assert!(eff >= 1);
-                assert!(
-                    eff == 1 || jobs * eff <= cores,
-                    "jobs={jobs} shards={shards} resolved to {eff} on {cores} cores"
-                );
-            }
-        }
-        // …and saturated jobs floor the shard count at 1.
-        assert_eq!(effective_shards(8, cores), 1);
     }
 
     #[test]

@@ -2,7 +2,16 @@
 //! report text and trace JSONL are byte-identical for every `--jobs` value.
 
 use laminar_bench::{run_experiment, run_indexed, Opts};
+use laminar_runtime::trace::first_line_difference;
 use std::path::PathBuf;
+
+/// Fails naming the first differing line when the serial and parallel
+/// outputs differ (a multi-megabyte `assert_eq!` would print both texts).
+fn assert_same_bytes(serial: &str, parallel: &str, what: &str) {
+    if let Some(d) = first_line_difference(serial, parallel) {
+        panic!("{what} differs with --jobs 4 at {d}");
+    }
+}
 
 fn temp_trace(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -34,9 +43,9 @@ fn run_with_jobs(id: &str, jobs: usize, tag: &str) -> (String, String) {
 fn grid_experiment_is_byte_identical_across_job_counts() {
     let (report1, trace1) = run_with_jobs("fig11", 1, "j1");
     let (report4, trace4) = run_with_jobs("fig11", 4, "j4");
-    assert_eq!(report1, report4, "fig11 report text differs with --jobs 4");
+    assert_same_bytes(&report1, &report4, "fig11 report text");
     assert!(!trace1.is_empty(), "serial run produced no trace spans");
-    assert_eq!(trace1, trace4, "fig11 trace JSONL differs with --jobs 4");
+    assert_same_bytes(&trace1, &trace4, "fig11 trace JSONL");
 }
 
 /// The chaos experiment fans its seeded sweep across workers and sinks each
@@ -46,12 +55,12 @@ fn grid_experiment_is_byte_identical_across_job_counts() {
 fn chaos_experiment_is_byte_identical_across_job_counts() {
     let (report1, trace1) = run_with_jobs("chaos", 1, "chaos_j1");
     let (report4, trace4) = run_with_jobs("chaos", 4, "chaos_j4");
-    assert_eq!(report1, report4, "chaos report text differs with --jobs 4");
+    assert_same_bytes(&report1, &report4, "chaos report text");
     assert!(
         !trace1.is_empty(),
         "serial chaos run produced no trace spans"
     );
-    assert_eq!(trace1, trace4, "chaos trace JSONL differs with --jobs 4");
+    assert_same_bytes(&trace1, &trace4, "chaos trace JSONL");
     assert!(report1.contains("all seeds green: yes"), "{report1}");
 }
 
@@ -72,7 +81,7 @@ fn fleet_experiment_is_byte_identical_across_job_counts() {
         )
     };
     let (report1, report4) = (run(1), run(4));
-    assert_eq!(report1, report4, "fleet report text differs with --jobs 4");
+    assert_same_bytes(&report1, &report4, "fleet report text");
     assert!(report1.contains("all seeds green: yes"), "{report1}");
 }
 
@@ -105,7 +114,10 @@ fn experiment_fanout_with_buffered_traces_matches_serial() {
     };
     let (reports1, trace1) = run_all(1);
     let (reports4, trace4) = run_all(4);
-    assert_eq!(reports1, reports4, "report text differs with jobs=4");
+    assert_eq!(reports1.len(), reports4.len());
+    for (id, (r1, r4)) in ids.iter().zip(reports1.iter().zip(&reports4)) {
+        assert_same_bytes(r1, r4, &format!("{id} report text"));
+    }
     assert!(!trace1.is_empty(), "serial fan-out produced no trace spans");
-    assert_eq!(trace1, trace4, "buffered trace JSONL differs with jobs=4");
+    assert_same_bytes(&trace1, &trace4, "buffered trace JSONL");
 }

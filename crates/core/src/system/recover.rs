@@ -22,7 +22,10 @@
 
 use super::{Ev, LaminarSystem, World};
 use laminar_data::{Eviction, ExperienceBuffer, PartialResponsePool, Sampler};
-use laminar_runtime::delta::{encode_report_plane, fnv1a_bytes, StateImage, StatePlane, WordEnc};
+use laminar_runtime::delta::{
+    encode_engine_spans_plane, encode_engines_plane, encode_report_plane, fnv1a_bytes, StateImage,
+    StatePlane, WordEnc,
+};
 use laminar_runtime::recovery::Recoverable;
 use laminar_runtime::{RunReport, SpanKind, SystemConfig, TraceSink};
 use laminar_sim::{Scheduler, Simulation, Time};
@@ -111,29 +114,7 @@ impl World {
 /// boundary, it is a deterministic checkpoint.
 #[derive(Clone)]
 pub struct LaminarSnapshot {
-    sim: Simulation<World>,
-}
-
-impl LaminarSystem {
-    /// The serial twin a checkpointed run executes: snapshots freeze the
-    /// run between queue events, a boundary the sharded driver's
-    /// out-of-queue fence loop doesn't expose. The two drivers produce
-    /// byte-identical output, so resume equivalence is unaffected — but the
-    /// override is no longer silent: a run explicitly configured with
-    /// `shards > 1` gets a notice that checkpointing drove it serially.
-    fn checkpoint_serial(&self) -> LaminarSystem {
-        if self.shards > 1 {
-            eprintln!(
-                "laminar: checkpointed run drives the serial wake loop \
-                 (shards={} requested; output is byte-identical either way)",
-                self.shards
-            );
-        }
-        LaminarSystem {
-            shards: 1,
-            ..self.clone()
-        }
-    }
+    pub(super) sim: Simulation<World>,
 }
 
 impl Recoverable for LaminarSystem {
@@ -141,7 +122,7 @@ impl Recoverable for LaminarSystem {
 
     fn start(&self, cfg: &SystemConfig, record_trace: bool) -> LaminarSnapshot {
         LaminarSnapshot {
-            sim: self.checkpoint_serial().build(cfg, record_trace),
+            sim: self.build(cfg, record_trace),
         }
     }
 
@@ -187,8 +168,8 @@ fn build_image(sim: &Simulation<World>) -> StateImage {
     img.push_plane(pool_plane(w));
     img.push_plane(partials_plane(&w.partials));
     img.push_plane(buffer_plane(&w.buffer));
-    img.push_plane(engines_plane(w));
-    img.push_plane(spans_plane(w));
+    img.push_plane(encode_engines_plane(&w.engines));
+    img.push_plane(encode_engine_spans_plane(&w.trace_spans, &w.engines));
     img.push_plane(encode_report_plane("report", &w.report));
     img
 }
@@ -225,7 +206,10 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
         .b(w.degraded)
         .ot(w.capacity_low_since)
         .t(w.degraded_entered)
-        .b(w.sharded);
+        // The retired sharded driver's mode flag, always off. It and the
+        // per-replica wake-queue words below stay as constants so images,
+        // fingerprints and checkpoint descriptors keep their bytes.
+        .b(false);
     for word in w.rng.state_words() {
         e.u(word);
     }
@@ -236,9 +220,10 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
     for &p in &w.pulling {
         e.b(p);
     }
-    e.z(w.armed.len());
-    for q in &w.armed {
-        e.b(q.is_empty());
+    // One "wake queue empty" flag per replica, always true.
+    e.z(w.alive.len());
+    for _ in &w.alive {
+        e.b(true);
     }
     let mut words = e.take();
     for b in &w.breakers {
@@ -386,42 +371,6 @@ fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
     let mut scratch = Vec::new();
     for exp in b.iter() {
         plane.push_encoded(&mut scratch, |words| exp.encode_words(words));
-    }
-    plane
-}
-
-/// Per engine: the scalar chunk, one chunk per resident (active)
-/// trajectory, one per env-waiting trajectory, one per undrained
-/// completion.
-fn engines_plane(w: &World) -> StatePlane {
-    let mut plane = StatePlane::new("engines");
-    let mut scratch = Vec::new();
-    for eng in &w.engines {
-        plane.push_encoded(&mut scratch, |words| eng.checkpoint_scalar_words(words));
-        for (_, st) in eng.active_states() {
-            plane.push_encoded(&mut scratch, |words| st.encode_words(words));
-        }
-        for st in eng.waiting_states() {
-            plane.push_encoded(&mut scratch, |words| st.encode_words(words));
-        }
-        for done in eng.completions() {
-            plane.push_encoded(&mut scratch, |words| done.encode_words(words));
-        }
-    }
-    plane
-}
-
-/// Driver span batches followed by each engine's, [`SPAN_BATCH`] spans per
-/// chunk. Span streams are append-only between commits (engines buffer
-/// spans until the final drain), so only the tail batch of each source
-/// changes per cadence and the store deduplicates the frozen full batches.
-///
-/// [`SPAN_BATCH`]: laminar_runtime::delta::SPAN_BATCH
-fn spans_plane(w: &World) -> StatePlane {
-    let mut plane = StatePlane::new("spans");
-    plane.extend_spans(&w.trace_spans);
-    for eng in &w.engines {
-        plane.extend_spans(eng.trace_spans());
     }
     plane
 }

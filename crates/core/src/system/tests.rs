@@ -468,250 +468,3 @@ fn slow_node_hurts_throughput_then_recovers() {
         clean.throughput
     );
 }
-
-/// The conservative-lookahead sharded driver (DESIGN.md §11) must be
-/// invisible in the output: a clean run at any shard count produces the
-/// byte-identical report and JSONL event trace the serial wake loop does.
-#[test]
-fn sharded_run_matches_serial_byte_identically() {
-    let mut c = cfg();
-    c.iterations = 3;
-    c.warmup = 0;
-    let fingerprint = |shards: usize| {
-        let sys = LaminarSystem {
-            shards,
-            record_timeline: true,
-            ..LaminarSystem::default()
-        };
-        let mut trace = RecordingTrace::new();
-        let report = sys.run_traced(&c, &mut trace);
-        (format!("{report:?}"), trace.to_jsonl())
-    };
-    let serial = fingerprint(1);
-    for shards in [2, 4, 8] {
-        let sharded = fingerprint(shards);
-        assert_eq!(
-            serial.1, sharded.1,
-            "JSONL trace diverged at shards={shards}"
-        );
-        assert_eq!(serial.0, sharded.0, "report diverged at shards={shards}");
-    }
-}
-
-/// Sharded execution under chaos: a generated fault schedule (kills,
-/// trainer crashes, stragglers, env stalls, relay outages) driven through
-/// the lookahead fences must uphold every invariant and reproduce the
-/// serial run's report and trace byte for byte — faults are queue events,
-/// i.e. fences, so the shards observe them at identical instants.
-#[test]
-fn sharded_chaos_run_matches_serial_byte_identically() {
-    let mut c = cfg();
-    c.iterations = 3;
-    c.warmup = 0;
-    let chaos = crate::chaos::ChaosConfig {
-        events: 60,
-        earliest: Time::from_secs(5),
-        horizon: Time::from_secs(90),
-        replicas: c.replicas(),
-    };
-    let run = |shards: usize| {
-        let sys = LaminarSystem {
-            shards,
-            faults: crate::chaos::generate_schedule(23, &chaos),
-            staleness_cap: Some(4),
-            ..LaminarSystem::default()
-        };
-        sys.run_chaos(&c)
-    };
-    let serial = run(1);
-    assert_eq!(serial.violations(), Vec::<String>::new());
-    for shards in [2, 4, 8] {
-        let sharded = run(shards);
-        assert_eq!(sharded.violations(), Vec::<String>::new());
-        assert_eq!(
-            serial.trace.to_jsonl(),
-            sharded.trace.to_jsonl(),
-            "chaos trace diverged between serial and shards={shards}"
-        );
-        assert_eq!(
-            format!("{:?}", serial.report),
-            format!("{:?}", sharded.report),
-            "chaos report diverged between serial and shards={shards}"
-        );
-        assert_eq!(
-            serial.outcome.audit.faults_applied,
-            sharded.outcome.audit.faults_applied
-        );
-    }
-}
-
-/// The fence-batching planner against the retained one-event-per-fence
-/// loop (`fence_batch` = false), across 32 generated chaos schedules:
-/// batching must be invisible — byte-identical reports and traces — while
-/// actually batching (more than one central event per barrier on average
-/// across the sweep).
-#[test]
-fn batched_fence_windows_match_unbatched_across_seeds() {
-    let mut c = cfg();
-    c.iterations = 2;
-    c.warmup = 0;
-    let chaos = crate::chaos::ChaosConfig {
-        events: 24,
-        earliest: Time::from_secs(5),
-        horizon: Time::from_secs(60),
-        replicas: c.replicas(),
-    };
-    let mut batched_events = 0u64;
-    let mut batched_barriers = 0u64;
-    let mut unbatched_barriers = 0u64;
-    let mut batched_windows = 0u64;
-    for seed in 0..32u64 {
-        let run = |fence_batch: bool| {
-            let sys = LaminarSystem {
-                shards: 4,
-                fence_batch,
-                faults: crate::chaos::generate_schedule(seed, &chaos),
-                staleness_cap: Some(4),
-                record_timeline: true,
-                ..LaminarSystem::default()
-            };
-            let mut trace = RecordingTrace::new();
-            let (report, stats) = sys.run_traced_stats(&c, &mut trace);
-            (format!("{report:?}"), trace.to_jsonl(), stats)
-        };
-        let batched = run(true);
-        let unbatched = run(false);
-        assert_eq!(
-            batched.1, unbatched.1,
-            "trace diverged between batched and unbatched fences at seed {seed}"
-        );
-        assert_eq!(
-            batched.0, unbatched.0,
-            "report diverged between batched and unbatched fences at seed {seed}"
-        );
-        batched_events += batched.2.central_events;
-        batched_barriers += batched.2.barriers;
-        unbatched_barriers += unbatched.2.barriers;
-        batched_windows += batched.2.batched_windows;
-    }
-    assert!(
-        batched_barriers < unbatched_barriers,
-        "fence batching must shrink the total barrier count across the sweep: \
-         {batched_barriers} vs {unbatched_barriers}"
-    );
-    assert!(
-        batched_windows > 0,
-        "no window ever absorbed more than one central event across the sweep \
-         ({batched_events} events over {batched_barriers} barriers)"
-    );
-}
-
-/// Two events aimed at the same *running* replica must not share a fence
-/// window: a busy replica carries no frozen certificate, so its
-/// single-replica events are terminal — the planner fences at them exactly
-/// like at a global event. Guards the commuting-footprint argument
-/// (DESIGN.md §11) against a regression that would batch them.
-#[test]
-fn same_replica_events_do_not_batch_on_a_running_replica() {
-    use super::sharded::Footprint;
-    let c = cfg();
-    let sys = LaminarSystem {
-        shards: 4,
-        ..LaminarSystem::default()
-    };
-    let sim = sys.build(&c, false);
-    let w = &sim.world;
-    for r in 0..c.replicas() {
-        // Fresh world: every replica has a submitted batch in flight.
-        assert!(
-            !w.frozen(r),
-            "replica {r} should not be frozen right after start_batch"
-        );
-        // Unfrozen ⇒ the planner treats its resume/probe as terminal,
-        // so a second event touching it lands in the next window.
-        assert_eq!(
-            w.classify(&Ev::ReplicaResume { r, version: 1 }),
-            Footprint::Single(r)
-        );
-        assert_eq!(w.classify(&Ev::BreakerProbe { r }), Footprint::Single(r));
-    }
-    // Engine-striking chaos and weight publishes stay window-terminal.
-    assert_eq!(
-        w.classify(&Ev::WeightsAvailable { version: 1 }),
-        Footprint::Global
-    );
-    assert_eq!(w.classify(&Ev::RepackTick), Footprint::Global);
-    // Trainer bookkeeping is engine-free but horizon-capped.
-    assert_eq!(w.classify(&Ev::TrainerCheck), Footprint::Trainer);
-    assert_eq!(
-        w.classify(&Ev::TrainerDone {
-            tokens: 0.0,
-            epoch: 0
-        }),
-        Footprint::Trainer
-    );
-}
-
-/// Dead and mid-pull replicas keep their buffered completions (a repack
-/// release can park a group inside an engine across a pull) but drop out
-/// of the hand-off min until they return; `repush_head` re-admits them.
-#[test]
-fn dead_and_pulling_replicas_hold_completions_out_of_the_handoff_min() {
-    let c = cfg();
-    let sys = LaminarSystem {
-        shards: 2,
-        ..LaminarSystem::default()
-    };
-    let mut sim = sys.build(&c, false);
-    // Advance far enough that at least one engine holds a completion.
-    let mut fence = Time::from_secs(5);
-    loop {
-        sim.world.advance_shards(fence, 2);
-        if sim.world.next_handoff(Time::MAX).is_some() {
-            break;
-        }
-        fence += laminar_sim::Duration::from_secs_f64(5.0);
-        assert!(
-            fence < Time::from_secs(600),
-            "no completion materialized — workload model changed?"
-        );
-    }
-    let t = sim.world.next_handoff(Time::MAX).unwrap();
-    let holders: Vec<usize> = (0..c.replicas())
-        .filter(|&r| sim.world.engines[r].first_completion_time() == Some(t))
-        .collect();
-    assert_eq!(
-        holders.len(),
-        1,
-        "hand-off min must correspond to exactly one engine's buffered head"
-    );
-    let r = holders[0];
-
-    // Kill the holder: the hand-off min must no longer surface its head,
-    // while the engine still buffers the completion.
-    sim.world.alive[r] = false;
-    assert_ne!(
-        sim.world.next_handoff(Time::MAX),
-        Some(t),
-        "dead replica must not surface in the hand-off min"
-    );
-    assert_eq!(
-        sim.world.engines[r].first_completion_time(),
-        Some(t),
-        "the dead replica's engine must keep holding the completion"
-    );
-
-    // Revive + re-admit: the lazily-invalidated heap needs the explicit
-    // repush (the `ReplicaResume` / recovery paths call it).
-    sim.world.alive[r] = true;
-    sim.world.repush_head(r);
-    assert_eq!(sim.world.next_handoff(Time::MAX), Some(t));
-
-    // Same exclusion while the replica is mid weight-pull.
-    sim.world.pulling[r] = true;
-    assert_ne!(sim.world.next_handoff(Time::MAX), Some(t));
-    assert_eq!(sim.world.engines[r].first_completion_time(), Some(t));
-    sim.world.pulling[r] = false;
-    sim.world.repush_head(r);
-    assert_eq!(sim.world.next_handoff(Time::MAX), Some(t));
-}

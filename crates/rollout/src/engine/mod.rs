@@ -371,30 +371,6 @@ impl ReplicaEngine {
         std::mem::take(&mut self.completions)
     }
 
-    /// Finish instant of the earliest undrained completion, if any.
-    /// Completions accumulate in finish order, so this is the buffered
-    /// stream's head — the sharded driver's next hand-off interaction.
-    pub fn first_completion_time(&self) -> Option<Time> {
-        self.completions.first().map(|c| c.finished_at)
-    }
-
-    /// Drains only the completions that finished at or before `t`,
-    /// preserving order. The sharded driver uses this to replay hand-offs
-    /// at their own instants — grouped exactly as the serial wake chain
-    /// delivered them — while later completions stay buffered.
-    pub fn take_completions_through(&mut self, t: Time) -> Vec<CompletedTraj> {
-        let split = self
-            .completions
-            .iter()
-            .position(|c| c.finished_at > t)
-            .unwrap_or(self.completions.len());
-        if split == self.completions.len() {
-            std::mem::take(&mut self.completions)
-        } else {
-            self.completions.drain(..split).collect()
-        }
-    }
-
     /// Drains accumulated trace spans (empty unless
     /// [`EngineConfig::record_trace`] is set).
     pub fn take_trace_spans(&mut self) -> Vec<TraceSpan> {

@@ -33,6 +33,7 @@
 
 use crate::recovery::fnv1a;
 use crate::report::RunReport;
+use laminar_rollout::ReplicaEngine;
 use laminar_sim::{IdMap, Time, TraceSpan};
 use std::collections::hash_map::Entry;
 
@@ -543,6 +544,40 @@ fn span_kind_word(s: &TraceSpan) -> u64 {
 pub fn encode_span_plane(name: &'static str, spans: &[TraceSpan]) -> StatePlane {
     let mut plane = StatePlane::new(name);
     plane.extend_spans(spans);
+    plane
+}
+
+/// Encodes replica engines as the `engines` plane. Per engine: the scalar
+/// chunk, one chunk per resident (active) trajectory, one per env-waiting
+/// trajectory, one per undrained completion.
+pub fn encode_engines_plane(engines: &[ReplicaEngine]) -> StatePlane {
+    let mut plane = StatePlane::new("engines");
+    let mut scratch = Vec::new();
+    for eng in engines {
+        plane.push_encoded(&mut scratch, |words| eng.checkpoint_scalar_words(words));
+        for (_, st) in eng.active_states() {
+            plane.push_encoded(&mut scratch, |words| st.encode_words(words));
+        }
+        for st in eng.waiting_states() {
+            plane.push_encoded(&mut scratch, |words| st.encode_words(words));
+        }
+        for done in eng.completions() {
+            plane.push_encoded(&mut scratch, |words| done.encode_words(words));
+        }
+    }
+    plane
+}
+
+/// Encodes the `spans` plane of an engine-driven run: the driver's span
+/// batches followed by each engine's, [`SPAN_BATCH`] spans per chunk. Span
+/// streams are append-only between commits (engines buffer spans until the
+/// final drain), so only the tail batch of each source changes per cadence
+/// and the store deduplicates the frozen full batches.
+pub fn encode_engine_spans_plane(driver: &[TraceSpan], engines: &[ReplicaEngine]) -> StatePlane {
+    let mut plane = encode_span_plane("spans", driver);
+    for eng in engines {
+        plane.extend_spans(eng.trace_spans());
+    }
     plane
 }
 

@@ -21,7 +21,7 @@
 use crate::config::SystemConfig;
 use crate::delta::{CommitStats, DeltaStore, StateImage};
 use crate::report::{RlSystem, RunReport};
-use crate::trace::{RecordingTrace, TraceSink};
+use crate::trace::{first_line_difference, RecordingTrace, TraceSink};
 use laminar_sim::{Duration, Time};
 
 /// One delta checkpoint: the committed manifest plus the in-memory resume
@@ -292,6 +292,7 @@ impl CheckpointSoak {
 /// the delta-checkpointed run's store, and the first divergence found so
 /// far.
 struct CheckedRun {
+    base_report: RunReport,
     base_text: String,
     base_jsonl: String,
     store: DeltaStore,
@@ -317,14 +318,18 @@ impl CheckedRun {
             sys.run_delta_checkpointed(cfg, every, &mut ck_trace, &mut store);
         let mut run = CheckedRun {
             base_text: format!("{base_report:?}"),
+            base_report,
             base_jsonl: base_trace.to_jsonl(),
             store,
             checkpointed_identical: false,
             first_divergence: None,
         };
-        run.checkpointed_identical = run.matches(&ck_report, &ck_trace);
-        if !run.checkpointed_identical {
-            run.diverged("checkpointed run diverged from uninterrupted run".to_string());
+        let difference = run.difference(&ck_report, &ck_trace);
+        run.checkpointed_identical = difference.is_none();
+        if let Some(at) = difference {
+            run.diverged(format!(
+                "checkpointed run diverged from uninterrupted run at {at}"
+            ));
         } else if checkpoints.is_empty() {
             run.diverged(format!(
                 "run ended before the first cadence point (t = {:.1}s); no checkpoint committed",
@@ -334,9 +339,17 @@ impl CheckedRun {
         (run, checkpoints)
     }
 
-    /// Whether a run's report and trace equal the uninterrupted run's.
-    fn matches(&self, report: &RunReport, trace: &RecordingTrace) -> bool {
-        format!("{report:?}") == self.base_text && trace.to_jsonl() == self.base_jsonl
+    /// Where a run's report or trace first differs from the uninterrupted
+    /// run's (`report line N: ...` or `trace line N: ...`, uninterrupted
+    /// side first); `None` when both are byte-identical.
+    fn difference(&self, report: &RunReport, trace: &RecordingTrace) -> Option<String> {
+        if format!("{report:?}") != self.base_text {
+            // The one-line `Debug` text would only ever name line 1; the
+            // pretty form puts each field and element on its own line.
+            let (base, run) = (format!("{:#?}", self.base_report), format!("{report:#?}"));
+            return first_line_difference(&base, &run).map(|d| format!("report {d}"));
+        }
+        first_line_difference(&self.base_jsonl, &trace.to_jsonl()).map(|d| format!("trace {d}"))
     }
 
     /// Records `what` unless an earlier divergence was already recorded.
@@ -377,10 +390,11 @@ pub fn check_checkpoint_soak<S: Recoverable>(
         if index == last_index {
             let mut trace = RecordingTrace::new();
             let report = sys.resume(ckpt.state, &mut trace);
-            last_resume_identical = run.matches(&report, &trace);
-            if !last_resume_identical {
+            let difference = run.difference(&report, &trace);
+            last_resume_identical = difference.is_none();
+            if let Some(d) = difference {
                 run.diverged(format!(
-                    "resume from final checkpoint {index} (t = {:.1}s) diverged",
+                    "resume from final checkpoint {index} (t = {:.1}s) diverged at {d}",
                     at.as_secs_f64()
                 ));
             }
@@ -418,13 +432,12 @@ pub fn check_resume_equivalence<S: Recoverable>(
         match sys.resume_verified(&run.store, ckpt, &mut trace) {
             Ok(report) => {
                 fingerprints_verified += 1;
-                if run.matches(&report, &trace) {
-                    resumes_identical += 1;
-                } else {
-                    run.diverged(format!(
-                        "resume from checkpoint {index} (t = {:.1}s) diverged",
+                match run.difference(&report, &trace) {
+                    None => resumes_identical += 1,
+                    Some(d) => run.diverged(format!(
+                        "resume from checkpoint {index} (t = {:.1}s) diverged at {d}",
                         at.as_secs_f64()
-                    ));
+                    )),
                 }
             }
             Err(err) => run.diverged(format!(
@@ -441,5 +454,52 @@ pub fn check_resume_equivalence<S: Recoverable>(
         fingerprints_verified,
         cost,
         first_divergence: run.first_divergence,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::{SpanKind, TraceSpan};
+
+    fn span(secs: u64) -> TraceSpan {
+        TraceSpan::new(SpanKind::Stall, Time::ZERO, Time::from_secs(secs), None, 0)
+    }
+
+    /// A divergence verdict names the first differing line of the report
+    /// (one field per line) or of the trace JSONL.
+    #[test]
+    fn divergence_names_the_first_differing_report_or_trace_line() {
+        let report = RunReport {
+            system: "x".into(),
+            ..RunReport::default()
+        };
+        let mut trace = RecordingTrace::new();
+        trace.record(span(1));
+        let run = CheckedRun {
+            base_text: format!("{report:?}"),
+            base_report: report.clone(),
+            base_jsonl: trace.to_jsonl(),
+            store: DeltaStore::new(),
+            checkpointed_identical: true,
+            first_divergence: None,
+        };
+        assert_eq!(run.difference(&report, &trace), None);
+
+        let mut longer = trace.clone();
+        longer.record(span(2));
+        let d = run.difference(&report, &longer).expect("trace grew");
+        assert!(d.starts_with("trace line 2: (end of text) vs `{"), "{d}");
+
+        let faster = RunReport {
+            throughput: 2.5,
+            ..report.clone()
+        };
+        let d = run.difference(&faster, &trace).expect("report changed");
+        assert!(d.starts_with("report line "), "{d}");
+        assert!(
+            d.ends_with(": `    throughput: 0.0,` vs `    throughput: 2.5,`"),
+            "{d}"
+        );
     }
 }

@@ -146,6 +146,48 @@ impl TraceSink for RecordingTrace {
     }
 }
 
+/// Longest stretch of a line [`first_line_difference`] quotes, in
+/// characters.
+const QUOTE_CHARS: usize = 160;
+
+/// Names where two texts (report renders, JSONL traces) first differ:
+/// `None` when they are byte-identical, otherwise the 1-based number of
+/// the first differing line and both versions of it, each cut to 160
+/// characters. When one text is a prefix of the other, the first extra
+/// line is named and the shorter side reads `(end of text)`.
+pub fn first_line_difference(a: &str, b: &str) -> Option<String> {
+    if a == b {
+        return None;
+    }
+    // A final newline on both sides ends the last line rather than
+    // starting an empty one.
+    let (a, b) = match (a.strip_suffix('\n'), b.strip_suffix('\n')) {
+        (Some(a), Some(b)) => (a, b),
+        _ => (a, b),
+    };
+    let (mut left, mut right) = (a.split('\n'), b.split('\n'));
+    let mut line = 0usize;
+    loop {
+        line += 1;
+        match (left.next(), right.next()) {
+            (Some(x), Some(y)) if x == y => {}
+            (None, None) => unreachable!("unequal texts split into unequal lines"),
+            (x, y) => return Some(format!("line {line}: {} vs {}", quote(x), quote(y))),
+        }
+    }
+}
+
+/// One side of a [`first_line_difference`] verdict.
+fn quote(line: Option<&str>) -> String {
+    match line {
+        None => "(end of text)".to_string(),
+        Some(l) => match l.char_indices().nth(QUOTE_CHARS) {
+            Some((cut, _)) => format!("`{}…`", &l[..cut]),
+            None => format!("`{l}`"),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,5 +253,35 @@ mod tests {
         t.record_all(spans);
         assert_eq!(t.take().len(), 2);
         assert!(t.spans().is_empty());
+    }
+
+    #[test]
+    fn equal_texts_have_no_difference() {
+        assert_eq!(first_line_difference("a\nb\n", "a\nb\n"), None);
+        assert_eq!(first_line_difference("", ""), None);
+    }
+
+    #[test]
+    fn difference_names_the_first_differing_middle_line() {
+        assert_eq!(
+            first_line_difference("a\nb\nc\nd\n", "a\nB\nc\nD\n").as_deref(),
+            Some("line 2: `b` vs `B`")
+        );
+        // Long lines are quoted up to 160 characters.
+        let (x, y) = ("x".repeat(500), format!("{}y", "x".repeat(499)));
+        let d = first_line_difference(&x, &y).expect("texts differ");
+        assert_eq!(d, format!("line 1: `{0}…` vs `{0}…`", "x".repeat(160)));
+    }
+
+    #[test]
+    fn difference_names_the_first_extra_line_of_a_longer_text() {
+        assert_eq!(
+            first_line_difference("a\nb\n", "a\nb\nc\nd\n").as_deref(),
+            Some("line 3: (end of text) vs `c`")
+        );
+        assert_eq!(
+            first_line_difference("a\nb\nc", "a\nb").as_deref(),
+            Some("line 3: `c` vs (end of text)")
+        );
     }
 }

@@ -25,7 +25,7 @@ echo "docs: clean"
 cargo check --manifest-path perfbench/Cargo.toml
 echo "perfbench: compiles"
 
-# Lab smoke: the committed two-variant × two-seed spec end to end through
+# Lab smoke: the committed four-variant × two-seed spec end to end through
 # the planner/executor. Its regression gates compare against
 # specs/smoke.baseline.jsonl; the simulation is deterministic, so this one
 # DOES fail lint on any gate breach.
