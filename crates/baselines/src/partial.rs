@@ -18,8 +18,8 @@ use crate::common::{
 use laminar_cluster::TrainModel;
 use laminar_rollout::{CompletedTraj, ReplicaEngine};
 use laminar_runtime::delta::{
-    encode_engine_spans_plane, encode_engines_plane, encode_report_plane, StateImage, StatePlane,
-    WordEnc,
+    encode_engine_spans_plane, encode_engines_plane, encode_queue_plane, encode_report_plane,
+    StateImage, StatePlane, WordEnc,
 };
 use laminar_runtime::recovery::Recoverable;
 use laminar_sim::{Duration, Scheduler, SimWorld, Simulation, Time};
@@ -368,31 +368,19 @@ impl Recoverable for PartialRollout {
         driver.extend_paged(e.words());
         img.push_plane(driver);
 
-        let mut scratch = Vec::new();
-        let mut queue = StatePlane::new("queue");
-        for (at, seq, ev) in sim.scheduler.pending_entries() {
-            queue.push_encoded(&mut scratch, |words| {
-                words.extend([at.as_nanos(), seq]);
-                match ev {
-                    Ev::ReplicaWake { r, epoch } => words.extend([0, *r as u64, *epoch]),
-                    Ev::TrainerCheck => words.push(1),
-                    Ev::TrainerDone { tokens } => words.extend([2, tokens.to_bits()]),
-                    Ev::Interrupt { version } => words.extend([3, *version]),
-                }
-            });
-        }
-        img.push_plane(queue);
+        img.push_plane(encode_queue_plane(&sim.scheduler, |ev, words| match ev {
+            Ev::ReplicaWake { r, epoch } => words.extend([0, *r as u64, *epoch]),
+            Ev::TrainerCheck => words.push(1),
+            Ev::TrainerDone { tokens } => words.extend([2, tokens.to_bits()]),
+            Ev::Interrupt { version } => words.extend([3, *version]),
+        }));
 
         let mut specs = StatePlane::new("specs");
-        for spec in &w.specs {
-            specs.push_encoded(&mut scratch, |words| spec.encode_words(words));
-        }
+        specs.extend_records(&w.specs, |spec, words| spec.encode_words(words));
         img.push_plane(specs);
 
         let mut buffer = StatePlane::new("buffer");
-        for done in &w.buffer {
-            buffer.push_encoded(&mut scratch, |words| done.encode_words(words));
-        }
+        buffer.extend_records(&w.buffer, |done, words| done.encode_words(words));
         img.push_plane(buffer);
 
         img.push_plane(encode_engines_plane(&w.engines));

@@ -338,12 +338,7 @@ fn pipeline_encode(run: &PipelineRun) -> StateImage {
             e.f(x);
         }
     }
-    for series in [&run.gen_series, &run.train_series] {
-        e.z(series.len());
-        for &(t, v) in series.points() {
-            e.t(t).f(v);
-        }
-    }
+    e.series(&run.gen_series).series(&run.train_series);
     let mut scalars = StatePlane::new("scalars");
     scalars.extend_paged(e.words());
     img.push_plane(scalars);

@@ -238,12 +238,8 @@ impl Recoverable for VerlSync {
             .b(snapshot.enabled);
         let (next_prompt, next_traj) = snapshot.ds.cursor();
         e.u(next_prompt).u(next_traj);
-        for series in [&snapshot.gen_series, &snapshot.train_series] {
-            e.z(series.len());
-            for &(t, v) in series.points() {
-                e.t(t).f(v);
-            }
-        }
+        e.series(&snapshot.gen_series)
+            .series(&snapshot.train_series);
         let mut scalars = StatePlane::new("scalars");
         scalars.extend_paged(e.words());
         img.push_plane(scalars);

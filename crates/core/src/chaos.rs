@@ -728,24 +728,13 @@ pub struct GoodputDip {
     pub mttr: Option<Duration>,
 }
 
-/// Invariant bounds the fleet checker enforces.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetBounds {
-    /// Minimum per-tenant completion-share margin (share relative to the
-    /// tenant's weighted fair entitlement, capped by its demand share).
-    pub starvation_floor: f64,
-    /// Minimum goodput retained through any single cell kill.
-    pub min_goodput_retained: f64,
-}
+/// Minimum per-tenant completion-share margin the fleet checker enforces
+/// (share relative to the tenant's weighted fair entitlement, capped by its
+/// demand share).
+const STARVATION_FLOOR: f64 = 0.5;
 
-impl Default for FleetBounds {
-    fn default() -> Self {
-        FleetBounds {
-            starvation_floor: 0.5,
-            min_goodput_retained: 0.3,
-        }
-    }
-}
+/// Minimum goodput retained through any single cell kill.
+const MIN_GOODPUT_RETAINED: f64 = 0.3;
 
 /// End-of-run fleet snapshot handed to the invariant checker.
 #[derive(Debug, Clone)]
@@ -768,8 +757,6 @@ pub struct FleetOutcome {
     pub cell_quarantined: Vec<bool>,
     /// Measured goodput dips, one per applied `CellCrash`.
     pub dips: Vec<GoodputDip>,
-    /// Bounds in force for this run.
-    pub bounds: FleetBounds,
 }
 
 impl FleetOutcome {
@@ -867,20 +854,20 @@ impl FleetOutcome {
         // No tenant starvation: completion share must stay above the
         // weighted-fair floor.
         let margin = self.starvation_margin();
-        if margin < self.bounds.starvation_floor {
+        if margin < STARVATION_FLOOR {
             v.push(format!(
-                "tenant starvation: completion-share margin {margin:.3} below floor {:.3}",
-                self.bounds.starvation_floor
+                "tenant starvation: completion-share margin {margin:.3} below floor \
+                 {STARVATION_FLOOR:.3}"
             ));
         }
         // Bounded goodput dip with measured recovery, per cell kill.
         for d in &self.dips {
-            if d.retained < self.bounds.min_goodput_retained {
+            if d.retained < MIN_GOODPUT_RETAINED {
                 v.push(format!(
-                    "cell kill at {:.0}s dropped goodput to {:.3} of baseline (floor {:.3})",
+                    "cell kill at {:.0}s dropped goodput to {:.3} of baseline (floor \
+                     {MIN_GOODPUT_RETAINED:.3})",
                     d.fault_at.as_secs_f64(),
                     d.retained,
-                    self.bounds.min_goodput_retained
                 ));
             }
             if d.mttr.is_none() {
@@ -1154,7 +1141,6 @@ mod tests {
             cell_alive: vec![true, true],
             cell_quarantined: vec![false, false],
             dips: vec![],
-            bounds: FleetBounds::default(),
         }
     }
 

@@ -28,13 +28,11 @@ pub mod system;
 
 pub use chaos::{
     fleet_overlapping_scenario, generate_fleet_schedule, generate_schedule, overlapping_scenario,
-    ChaosAudit, ChaosConfig, ChaosOutcome, FaultEvent, FaultKind, FleetAudit, FleetBounds,
-    FleetChaosConfig, FleetFaultEvent, FleetFaultKind, FleetOutcome, GoodputDip,
+    ChaosAudit, ChaosConfig, ChaosOutcome, FaultEvent, FaultKind, FleetAudit, FleetChaosConfig,
+    FleetFaultEvent, FleetFaultKind, FleetOutcome, GoodputDip,
 };
 pub use convergence::{convergence_curve, ConvergenceConfig, StalenessRegime};
 pub use hyper::{HyperParams, SystemKind};
 pub use laminar_runtime::{RlSystem, RunReport, SystemConfig};
 pub use placement::{paper_configs, placement_for, Placement};
-pub use system::{
-    ChaosRun, ElasticSpec, IdlenessMetric, LaminarSnapshot, LaminarSystem, RecoveryOptions,
-};
+pub use system::{ChaosRun, ElasticSpec, IdlenessMetric, LaminarSnapshot, LaminarSystem};

@@ -2,9 +2,10 @@
 //! weight refresh through the relay tier, trainer scheduling over the
 //! experience buffer, and the dynamic repack (Algorithm 1).
 
+use super::recover::{DEGRADED_ADMISSION_FRAC, STALENESS_RELAX};
 use super::{Ev, IdlenessMetric, World};
 use laminar_data::Experience;
-use laminar_rollout::manager::LoadSample;
+use laminar_rollout::manager::{LoadSample, REPACK_INTERVAL};
 use laminar_rollout::CompletedTraj;
 use laminar_runtime::{BreakerState, ConsumedTraj, SpanKind};
 use laminar_sim::{Duration, Scheduler, SimWorld, Time};
@@ -52,9 +53,7 @@ impl World {
     /// degraded so the surviving fleet is not oversubscribed.
     fn admission_target(&self) -> usize {
         if self.degraded {
-            ((self.replica_batch as f64 * self.opts.recovery.degraded_admission_frac).floor()
-                as usize)
-                .max(1)
+            ((self.replica_batch as f64 * DEGRADED_ADMISSION_FRAC).floor() as usize).max(1)
         } else {
             self.replica_batch
         }
@@ -290,12 +289,7 @@ impl SimWorld for World {
                 // effect, sampled staleness must stay within the configured
                 // cap plus the relax allowance.
                 if let Some(cap) = self.opts.staleness_cap {
-                    let bound = cap
-                        + if self.degraded {
-                            self.opts.recovery.staleness_relax
-                        } else {
-                            0
-                        };
+                    let bound = cap + if self.degraded { STALENESS_RELAX } else { 0 };
                     for e in &sampled {
                         self.audit
                             .staleness_check(e.staleness(self.version), bound, self.degraded);
@@ -397,7 +391,7 @@ impl SimWorld for World {
                 }
                 self.run_repack(now, sched);
                 if !self.done() {
-                    sched.after(self.manager.repack_interval(), Ev::RepackTick);
+                    sched.after(REPACK_INTERVAL, Ev::RepackTick);
                 }
             }
             Ev::SampleTick => {

@@ -1,6 +1,6 @@
 //! Elastic scale-out: rollout machines joining mid-run (§3.3).
 
-use super::{Ev, World};
+use super::{Ev, World, REPLICA_BREAKER};
 use laminar_rollout::ReplicaEngine;
 use laminar_runtime::CircuitBreaker;
 use laminar_sim::{Scheduler, Time};
@@ -20,8 +20,7 @@ impl World {
             ));
             self.alive.push(true);
             self.pulling.push(false);
-            self.breakers
-                .push(CircuitBreaker::new(self.opts.recovery.breaker));
+            self.breakers.push(CircuitBreaker::new(REPLICA_BREAKER));
             self.manager.register(r, now);
             // New machines initialize from the relay tier (§3.3).
             self.engines[r].set_weight_version(self.relay_version, now);

@@ -4,6 +4,7 @@
 
 use super::{Ev, World};
 use crate::chaos::FaultKind;
+use laminar_rollout::manager::C_MAX_FRAC;
 use laminar_rollout::ReplicaEngine;
 use laminar_runtime::SpanKind;
 use laminar_sim::{Duration, Scheduler, Time};
@@ -80,7 +81,6 @@ impl World {
         }
         // Phase 2: redirect to healthy replicas generating the same weight
         // version, within capacity; otherwise restart from the prompt pool.
-        let c_max_frac = self.manager.c_max_frac();
         let mut extra_kv = vec![0.0_f64; self.engines.len()];
         let mut extra_reqs = vec![0_usize; self.engines.len()];
         for p in lost {
@@ -91,7 +91,7 @@ impl World {
                     && !self.pulling[h]
                     && self.engines[h].weight_version() == version
                     && self.engines[h].kv_reserved_tokens() + extra_kv[h] + need
-                        <= c_max_frac * self.engines[h].kv_capacity_tokens()
+                        <= C_MAX_FRAC * self.engines[h].kv_capacity_tokens()
                     && self.engines[h].n_reqs() + extra_reqs[h]
                         < self.engines[h].roofline_batch_limit()
             });
@@ -105,7 +105,7 @@ impl World {
                         &killed,
                         self.alive[h],
                         self.engines[h].kv_reserved_tokens() + extra_kv[h],
-                        c_max_frac * self.engines[h].kv_capacity_tokens(),
+                        C_MAX_FRAC * self.engines[h].kv_capacity_tokens(),
                         self.engines[h].n_reqs() + extra_reqs[h],
                         self.engines[h].roofline_batch_limit(),
                     );

@@ -26,7 +26,7 @@ pub use recover::LaminarSnapshot;
 use crate::chaos::{ChaosAudit, ChaosOutcome, FaultEvent};
 use laminar_data::{Eviction, ExperienceBuffer, PartialResponsePool, Sampler};
 use laminar_relay::RelaySyncModel;
-use laminar_rollout::manager::{ManagerConfig, RolloutManager};
+use laminar_rollout::manager::{RolloutManager, REPACK_INTERVAL};
 use laminar_rollout::{EngineConfig, ReplicaEngine};
 use laminar_runtime::recovery::Recoverable;
 use laminar_runtime::{
@@ -56,46 +56,26 @@ pub enum IdlenessMetric {
     StaticThreshold(usize),
 }
 
-/// Recovery-plane policy knobs: per-replica circuit breaking, the env-call
-/// retry budget, and the graceful-degradation rules the driver follows
-/// under sustained capacity loss (DESIGN.md §8).
-#[derive(Debug, Clone)]
-pub struct RecoveryOptions {
-    /// Per-replica circuit breaker: consecutive fault hits within the
-    /// window trip it; a tripped replica is not re-admitted every sweep but
-    /// waits out the cooldown and re-enters through a single probe batch.
-    pub breaker: BreakerConfig,
-    /// Retry/backoff policy whose total budget bounds how long any one
-    /// trajectory may sit in stalled environment calls before the call is
-    /// abandoned and the trajectory completes early.
-    pub env_retry: RetryPolicy,
-    /// Degraded mode arms when the alive fraction of the fleet drops below
-    /// this threshold…
-    pub degraded_alive_frac: f64,
-    /// …and stays below it for this long (transient kills that recover
-    /// quickly never degrade the run).
-    pub degraded_window: Duration,
-    /// Admission target multiplier while degraded: each replica batch
-    /// shrinks to `replica_batch * frac` (min 1) so the surviving fleet is
-    /// not oversubscribed.
-    pub degraded_admission_frac: f64,
-    /// While degraded, a configured staleness cap is relaxed by at most
-    /// this many versions — the audited degraded-mode bound.
-    pub staleness_relax: u64,
-}
+/// Per-replica circuit breaker (DESIGN.md §8): three fault hits, each
+/// within 60 s of the last, trip it; a tripped replica is not re-admitted
+/// every sweep but waits out the 120 s cooldown and re-enters through a
+/// single probe batch.
+const REPLICA_BREAKER: BreakerConfig = BreakerConfig {
+    failure_threshold: 3,
+    window: Duration::from_secs(60),
+    cooldown: Duration::from_secs(120),
+};
 
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        RecoveryOptions {
-            breaker: BreakerConfig::default(),
-            env_retry: RetryPolicy::default(),
-            degraded_alive_frac: 0.75,
-            degraded_window: Duration::from_secs(30),
-            degraded_admission_frac: 0.5,
-            staleness_relax: 4,
-        }
-    }
-}
+/// Retry/backoff policy whose total budget bounds how long any one
+/// trajectory may sit in stalled environment calls before the call is
+/// abandoned and the trajectory completes early.
+const ENV_RETRY: RetryPolicy = RetryPolicy {
+    base: Duration::from_millis(500),
+    factor: 2.0,
+    max_delay: Duration::from_secs(30),
+    max_retries: 5,
+    jitter: 0.1,
+};
 
 /// The Laminar system, with experiment toggles.
 #[derive(Debug, Clone)]
@@ -123,11 +103,9 @@ pub struct LaminarSystem {
     pub record_timeline: bool,
     /// Timeline sampling period.
     pub sample_every: Duration,
-    /// Recovery-plane policies (breakers, env-retry budget, degradation).
-    pub recovery: RecoveryOptions,
     /// Trainer-side staleness cap: when set, sampling skips experiences
-    /// older than this many versions (relaxed by
-    /// [`RecoveryOptions::staleness_relax`] while degraded).
+    /// older than this many versions (relaxed by four versions while the
+    /// driver is degraded, DESIGN.md §8.3).
     pub staleness_cap: Option<u64>,
     /// Ignored: every Laminar run uses the one serial event loop. Kept
     /// only because the `perfbench` package's `core.sharded_s2_speedup`
@@ -147,7 +125,6 @@ impl Default for LaminarSystem {
             replica_batch: None,
             record_timeline: false,
             sample_every: Duration::from_secs(10),
-            recovery: RecoveryOptions::default(),
             staleness_cap: None,
             shards: 1,
         }
@@ -281,7 +258,7 @@ impl World {
         c.record_trace = self.record_trace;
         // Env calls may stall for at most the retry policy's total backoff
         // budget before the call is abandoned and the trajectory ends.
-        c.env_stall_budget = Some(self.opts.recovery.env_retry.total_budget());
+        c.env_stall_budget = Some(ENV_RETRY.total_budget());
         c
     }
 
@@ -433,7 +410,7 @@ impl LaminarSystem {
                 .min((cfg.global_batch() / replicas).max(cfg.group_size))
                 .max(1)
         });
-        let mut manager = RolloutManager::new(ManagerConfig::default());
+        let mut manager = RolloutManager::default();
         for r in 0..replicas {
             manager.register(r, Time::ZERO);
         }
@@ -483,7 +460,7 @@ impl LaminarSystem {
             trace_spans: Vec::new(),
             trainer_started: Time::ZERO,
             trainer_free_at: Time::ZERO,
-            breakers: vec![CircuitBreaker::new(self.recovery.breaker); replicas],
+            breakers: vec![CircuitBreaker::new(REPLICA_BREAKER); replicas],
             degraded: false,
             capacity_low_since: None,
             degraded_entered: Time::ZERO,
@@ -499,8 +476,7 @@ impl LaminarSystem {
             sim.world.start_batch(r, Time::ZERO, &mut sim.scheduler);
             sim.world.wake(r, &mut sim.scheduler);
         }
-        sim.scheduler
-            .after(ManagerConfig::default().repack_interval, Ev::RepackTick);
+        sim.scheduler.after(REPACK_INTERVAL, Ev::RepackTick);
         if self.record_timeline {
             sim.scheduler.after(self.sample_every, Ev::SampleTick);
         }

@@ -2,11 +2,12 @@
 //! and deterministic checkpoint/restore (DESIGN.md §8).
 //!
 //! **Degradation.** Every fault path that changes fleet capacity calls
-//! [`World::note_capacity`]. When the alive fraction drops below the
-//! configured threshold, a [`Ev::DegradeCheck`] is armed one degraded
-//! window later; if capacity is still low when it fires, the driver enters
-//! degraded mode — the per-replica admission target shrinks and a
-//! configured staleness cap is relaxed by a bounded allowance — and emits a
+//! [`World::note_capacity`]. When the alive fraction drops below
+//! [`DEGRADED_ALIVE_FRAC`], a [`Ev::DegradeCheck`] is armed one
+//! [`DEGRADED_WINDOW`] later; if capacity is still low when it fires, the
+//! driver enters degraded mode — the per-replica admission target shrinks
+//! by [`DEGRADED_ADMISSION_FRAC`] and a configured staleness cap is relaxed
+//! by [`STALENESS_RELAX`] versions — and emits a
 //! [`SpanKind::Degraded`] marker. Capacity returning (machine recovery or
 //! elastic scale-out) exits the mode and emits a [`SpanKind::Recovered`]
 //! span covering the whole episode, which is what the recovery benchmark
@@ -23,12 +24,29 @@
 use super::{Ev, LaminarSystem, World};
 use laminar_data::{Eviction, ExperienceBuffer, PartialResponsePool, Sampler};
 use laminar_runtime::delta::{
-    encode_engine_spans_plane, encode_engines_plane, encode_report_plane, fnv1a_bytes, StateImage,
-    StatePlane, WordEnc,
+    encode_engine_spans_plane, encode_engines_plane, encode_queue_plane, encode_report_plane,
+    fnv1a_bytes, StateImage, StatePlane, WordEnc,
 };
 use laminar_runtime::recovery::Recoverable;
 use laminar_runtime::{RunReport, SpanKind, SystemConfig, TraceSink};
-use laminar_sim::{Scheduler, Simulation, Time};
+use laminar_sim::{Duration, Scheduler, Simulation, Time};
+
+/// Degraded mode arms when the alive fraction of the fleet drops below
+/// this threshold…
+const DEGRADED_ALIVE_FRAC: f64 = 0.75;
+
+/// …and stays below it for this long (transient kills that recover
+/// quickly never degrade the run).
+const DEGRADED_WINDOW: Duration = Duration::from_secs(30);
+
+/// Admission target multiplier while degraded: each replica batch shrinks
+/// to `replica_batch * frac` (min 1) so the surviving fleet is not
+/// oversubscribed.
+pub(super) const DEGRADED_ADMISSION_FRAC: f64 = 0.5;
+
+/// While degraded, a configured staleness cap is relaxed by at most this
+/// many versions — the audited degraded-mode bound.
+pub(super) const STALENESS_RELAX: u64 = 4;
 
 impl World {
     fn alive_count(&self) -> usize {
@@ -40,10 +58,10 @@ impl World {
     /// ends the degraded episode as soon as capacity returns.
     pub(super) fn note_capacity(&mut self, now: Time, sched: &mut Scheduler<Ev>) {
         let frac = self.alive_count() as f64 / self.alive.len().max(1) as f64;
-        if frac < self.opts.recovery.degraded_alive_frac {
+        if frac < DEGRADED_ALIVE_FRAC {
             if self.capacity_low_since.is_none() {
                 self.capacity_low_since = Some(now);
-                sched.after(self.opts.recovery.degraded_window, Ev::DegradeCheck);
+                sched.after(DEGRADED_WINDOW, Ev::DegradeCheck);
             }
         } else {
             self.capacity_low_since = None;
@@ -62,7 +80,7 @@ impl World {
         let Some(since) = self.capacity_low_since else {
             return;
         };
-        if now.since(since) >= self.opts.recovery.degraded_window {
+        if now.since(since) >= DEGRADED_WINDOW {
             self.enter_degraded(now);
         }
     }
@@ -72,7 +90,7 @@ impl World {
     fn effective_staleness_cap(&self) -> Option<u64> {
         self.opts.staleness_cap.map(|cap| {
             if self.degraded {
-                cap + self.opts.recovery.staleness_relax
+                cap + STALENESS_RELAX
             } else {
                 cap
             }
@@ -164,7 +182,7 @@ fn build_image(sim: &Simulation<World>) -> StateImage {
     let mut img = StateImage::new();
     img.push_plane(driver_plane(sim));
     img.push_plane(audit_plane(w));
-    img.push_plane(queue_plane(&sim.scheduler));
+    img.push_plane(encode_queue_plane(&sim.scheduler, encode_ev));
     img.push_plane(pool_plane(w));
     img.push_plane(partials_plane(&w.partials));
     img.push_plane(buffer_plane(&w.buffer));
@@ -281,20 +299,6 @@ fn audit_plane(w: &World) -> StatePlane {
     plane
 }
 
-/// One chunk per pending simulation event, in delivery order `(at, seq)` —
-/// a total order, so the stream is exactly the remaining event schedule.
-fn queue_plane(sched: &Scheduler<Ev>) -> StatePlane {
-    let mut plane = StatePlane::new("queue");
-    let mut scratch = Vec::new();
-    for (at, seq, ev) in sched.pending_entries() {
-        plane.push_encoded(&mut scratch, |words| {
-            words.extend([at.as_nanos(), seq]);
-            encode_ev(ev, words);
-        });
-    }
-    plane
-}
-
 /// Canonical event encoding: a stable discriminant plus the payload.
 fn encode_ev(ev: &Ev, out: &mut Vec<u64>) {
     match ev {
@@ -327,10 +331,7 @@ fn encode_ev(ev: &Ev, out: &mut Vec<u64>) {
 /// One chunk per pooled prompt assignment, in admission (deque) order.
 fn pool_plane(w: &World) -> StatePlane {
     let mut plane = StatePlane::new("pool");
-    let mut scratch = Vec::new();
-    for spec in &w.pool {
-        plane.push_encoded(&mut scratch, |words| spec.encode_words(words));
-    }
+    plane.extend_records(&w.pool, |spec, words| spec.encode_words(words));
     plane
 }
 
@@ -338,11 +339,9 @@ fn pool_plane(w: &World) -> StatePlane {
 fn partials_plane(p: &PartialResponsePool) -> StatePlane {
     let mut plane = StatePlane::new("partials");
     plane.push_chunk(vec![p.total_updates(), p.recovered(), p.len() as u64]);
-    let mut scratch = Vec::new();
-    for id in p.ids() {
-        let partial = p.get(id).expect("listed id present");
-        plane.push_encoded(&mut scratch, |words| partial.encode_words(words));
-    }
+    plane.extend_records(p.ids(), |id, words| {
+        p.get(id).expect("listed id present").encode_words(words)
+    });
     plane
 }
 
@@ -368,9 +367,6 @@ fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
         .u(stats.evicted);
     let mut plane = StatePlane::new("buffer");
     plane.push_chunk(head.take());
-    let mut scratch = Vec::new();
-    for exp in b.iter() {
-        plane.push_encoded(&mut scratch, |words| exp.encode_words(words));
-    }
+    plane.extend_records(b.iter(), |exp, words| exp.encode_words(words));
     plane
 }

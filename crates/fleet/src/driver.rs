@@ -23,15 +23,36 @@
 //!   so the belief lag between a crash and the next health sweep cannot
 //!   lose work.
 
-use crate::health::HealthConfig;
 use crate::router::{CellLoad, Router};
 use crate::tenant::TenantProfile;
-use laminar_core::chaos::{
-    FleetAudit, FleetBounds, FleetFaultEvent, FleetFaultKind, FleetOutcome, GoodputDip,
-};
+use laminar_core::chaos::{FleetAudit, FleetFaultEvent, FleetFaultKind, FleetOutcome, GoodputDip};
 use laminar_runtime::policy::RetryPolicy;
 use laminar_sim::{Duration, Scheduler, SimRng, SimWorld, Simulation, Time};
 use std::collections::BTreeMap;
+
+/// How often cells emit heartbeats.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(2);
+
+/// How often the router sweeps heartbeat freshness.
+const SWEEP_INTERVAL: Duration = Duration::from_secs(2);
+
+/// Backoff pacing for re-dispatch of crash-orphaned work.
+const REDISPATCH: RetryPolicy = RetryPolicy {
+    base: Duration::from_secs(2),
+    factor: 2.0,
+    max_delay: Duration::from_secs(20),
+    max_retries: 6,
+    jitter: 0.1,
+};
+
+/// How often the router drains deferred admissions.
+const ADMIT_SWEEP_INTERVAL: Duration = Duration::from_secs(1);
+
+/// Goodput timeline window.
+const GOODPUT_WINDOW: Duration = Duration::from_secs(5);
+
+/// Event budget: exceeding it marks the run as failed to drain.
+const MAX_EVENTS: u64 = 5_000_000;
 
 /// Full fleet run configuration.
 #[derive(Debug, Clone)]
@@ -51,18 +72,6 @@ pub struct FleetConfig {
     pub horizon: Duration,
     /// Fleet fault schedule.
     pub faults: Vec<FleetFaultEvent>,
-    /// Health/quarantine tuning.
-    pub health: HealthConfig,
-    /// Backoff pacing for re-dispatch of crash-orphaned work.
-    pub redispatch: RetryPolicy,
-    /// Invariant bounds enforced by the outcome checker.
-    pub bounds: FleetBounds,
-    /// How often the router drains deferred admissions.
-    pub admit_sweep_interval: Duration,
-    /// Goodput timeline window.
-    pub goodput_window: Duration,
-    /// Event budget: exceeding it marks the run as failed to drain.
-    pub max_events: u64,
 }
 
 impl FleetConfig {
@@ -76,18 +85,6 @@ impl FleetConfig {
             seed,
             horizon: Duration::from_secs(600),
             faults: Vec::new(),
-            health: HealthConfig::default(),
-            redispatch: RetryPolicy {
-                base: Duration::from_secs(2),
-                factor: 2.0,
-                max_delay: Duration::from_secs(20),
-                max_retries: 6,
-                jitter: 0.1,
-            },
-            bounds: FleetBounds::default(),
-            admit_sweep_interval: Duration::from_secs(1),
-            goodput_window: Duration::from_secs(5),
-            max_events: 5_000_000,
         }
     }
 }
@@ -255,7 +252,7 @@ impl FleetWorld {
                     in_flight: BTreeMap::new(),
                 })
                 .collect(),
-            router: Router::new(&cfg.tenants, cfg.cells, cfg.health),
+            router: Router::new(&cfg.tenants, cfg.cells),
             arrival_rngs: (0..n_t)
                 .map(|t| SimRng::derive(seed, "fleet-arrival", t as u64))
                 .collect(),
@@ -390,11 +387,7 @@ impl FleetWorld {
     /// budget is exhausted (work is never dropped).
     fn schedule_redispatch(&mut self, now: Time, req: u64, sched: &mut Scheduler<FEv>) {
         let attempts = self.requests[&req].attempts;
-        match self
-            .cfg
-            .redispatch
-            .delay(attempts, &mut self.redispatch_rng)
-        {
+        match REDISPATCH.delay(attempts, &mut self.redispatch_rng) {
             Some(d) => {
                 self.requests.get_mut(&req).expect("known request").attempts = attempts + 1;
                 self.pending_redispatch += 1;
@@ -504,7 +497,7 @@ impl SimWorld for FleetWorld {
             FEv::AdmitSweep => {
                 self.drain_backlog(now, sched);
                 if !self.finished() {
-                    sched.after(self.cfg.admit_sweep_interval, FEv::AdmitSweep);
+                    sched.after(ADMIT_SWEEP_INTERVAL, FEv::AdmitSweep);
                 }
             }
             FEv::Complete { cell, req, epoch } => {
@@ -520,8 +513,7 @@ impl SimWorld for FleetWorld {
                 self.window_completions += 1;
                 self.latencies.push(now.since(r.arrived).as_nanos());
                 let ratio = now.since(started).as_secs_f64() / r.service.as_secs_f64().max(1e-9);
-                let tripped =
-                    self.router.health[cell].observe_completion(now, req, ratio, &self.cfg.health);
+                let tripped = self.router.health[cell].observe_completion(now, req, ratio);
                 if tripped {
                     self.audit.quarantine_entries += 1;
                 }
@@ -529,18 +521,18 @@ impl SimWorld for FleetWorld {
             }
             FEv::Heartbeat { cell } => {
                 if self.cells[cell].alive && !self.router.partitioned[cell] {
-                    self.router.health[cell].heartbeat(now, &self.cfg.health);
+                    self.router.health[cell].heartbeat(now);
                 }
                 if !self.finished() {
-                    sched.after(self.cfg.health.heartbeat_interval, FEv::Heartbeat { cell });
+                    sched.after(HEARTBEAT_INTERVAL, FEv::Heartbeat { cell });
                 }
             }
             FEv::HealthSweep => {
                 for h in &mut self.router.health {
-                    h.sweep(now, &self.cfg.health);
+                    h.sweep(now);
                 }
                 if !self.finished() {
-                    sched.after(self.cfg.health.sweep_interval, FEv::HealthSweep);
+                    sched.after(SWEEP_INTERVAL, FEv::HealthSweep);
                 }
             }
             FEv::Fault { idx } => self.apply_fault(now, idx, sched),
@@ -574,7 +566,7 @@ impl SimWorld for FleetWorld {
                 self.timeline.push(self.window_completions);
                 self.window_completions = 0;
                 if !self.finished() {
-                    sched.after(self.cfg.goodput_window, FEv::GoodputTick);
+                    sched.after(GOODPUT_WINDOW, FEv::GoodputTick);
                 }
             }
         }
@@ -693,7 +685,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     sim.scheduler.immediately(FEv::AdmitSweep);
     sim.scheduler.immediately(FEv::HealthSweep);
     sim.scheduler
-        .at(Time::ZERO + cfg.goodput_window, FEv::GoodputTick);
+        .at(Time::ZERO + GOODPUT_WINDOW, FEv::GoodputTick);
     for c in 0..cfg.cells {
         sim.scheduler.immediately(FEv::Heartbeat { cell: c });
     }
@@ -711,7 +703,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     for (idx, f) in cfg.faults.iter().enumerate() {
         sim.scheduler.at(f.at, FEv::Fault { idx });
     }
-    let drained = sim.run_while(|w| !w.finished(), cfg.max_events);
+    let drained = sim.run_while(|w| !w.finished(), MAX_EVENTS);
     // Let the clock settle any trailing recurring events cheaply.
     let makespan = sim.scheduler.now();
     let mut w = sim.world;
@@ -728,7 +720,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     }
     let dips = measure_dips(
         &w.timeline,
-        w.cfg.goodput_window,
+        GOODPUT_WINDOW,
         w.horizon_time(),
         &w.crash_spans,
         &w.fault_spans,
@@ -761,7 +753,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
             .map(|h| h.quarantined(makespan))
             .collect(),
         dips: dips.clone(),
-        bounds: w.cfg.bounds,
         audit: w.audit.clone(),
     };
     let mttr_max_secs = dips

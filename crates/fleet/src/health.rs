@@ -43,55 +43,39 @@ pub struct CellHealth {
     pub probe_req: Option<u64>,
 }
 
-/// Health tuning shared by every cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// How often cells emit heartbeats.
-    pub heartbeat_interval: Duration,
-    /// How often the router sweeps heartbeat freshness.
-    pub sweep_interval: Duration,
-    /// Heartbeat age beyond which a cell is declared unreachable.
-    pub miss_threshold: Duration,
-    /// A completion whose observed/expected latency ratio is at or above
-    /// this counts as a breaker failure.
-    pub slow_ratio: f64,
-    /// EWMA smoothing factor for the latency ratio (weight of the newest
-    /// observation).
-    pub ewma_alpha: f64,
-    /// Breaker tuning (threshold of consecutive slow completions, cooldown
-    /// before the probe).
-    pub breaker: BreakerConfig,
-}
+/// Heartbeat age beyond which a cell is declared unreachable.
+const MISS_THRESHOLD: Duration = Duration::from_secs(7);
 
-impl Default for HealthConfig {
+/// A completion whose observed/expected latency ratio is at or above this
+/// counts as a breaker failure.
+const SLOW_RATIO: f64 = 1.8;
+
+/// EWMA smoothing factor for the latency ratio (weight of the newest
+/// observation).
+const EWMA_ALPHA: f64 = 0.25;
+
+/// Quarantine breaker: three consecutive slow completions trip it, and a
+/// probe is admitted after a 30 s cooldown.
+const CELL_BREAKER: BreakerConfig = BreakerConfig {
+    failure_threshold: 3,
+    window: Duration::from_secs(60),
+    cooldown: Duration::from_secs(30),
+};
+
+impl Default for CellHealth {
+    /// A fresh, reachable, unquarantined cell view.
     fn default() -> Self {
-        HealthConfig {
-            heartbeat_interval: Duration::from_secs(2),
-            sweep_interval: Duration::from_secs(2),
-            miss_threshold: Duration::from_secs(7),
-            slow_ratio: 1.8,
-            ewma_alpha: 0.25,
-            breaker: BreakerConfig {
-                failure_threshold: 3,
-                window: Duration::from_secs(60),
-                cooldown: Duration::from_secs(30),
-            },
+        CellHealth {
+            last_heartbeat: Time::ZERO,
+            reachable: true,
+            latency_ratio_ewma: 1.0,
+            breaker: CircuitBreaker::new(CELL_BREAKER),
+            probe_req: None,
         }
     }
 }
 
 impl CellHealth {
-    /// A fresh, reachable, unquarantined cell view.
-    pub fn new(cfg: &HealthConfig) -> Self {
-        CellHealth {
-            last_heartbeat: Time::ZERO,
-            reachable: true,
-            latency_ratio_ewma: 1.0,
-            breaker: CircuitBreaker::new(cfg.breaker),
-            probe_req: None,
-        }
-    }
-
     /// True while the breaker rejects ordinary admissions at `now`.
     pub fn quarantined(&self, now: Time) -> bool {
         self.breaker.is_open(now)
@@ -116,13 +100,13 @@ impl CellHealth {
     /// transition (a restarted cell rejoining), in which case the breaker
     /// is reset: the replacement process is presumed clean, and any probe
     /// orphaned by the crash is forgotten.
-    pub fn heartbeat(&mut self, now: Time, cfg: &HealthConfig) -> bool {
+    pub fn heartbeat(&mut self, now: Time) -> bool {
         self.last_heartbeat = now;
         if self.reachable {
             return false;
         }
         self.reachable = true;
-        self.breaker = CircuitBreaker::new(cfg.breaker);
+        self.breaker = CircuitBreaker::new(CELL_BREAKER);
         self.probe_req = None;
         self.latency_ratio_ewma = 1.0;
         true
@@ -130,8 +114,8 @@ impl CellHealth {
 
     /// Sweeps heartbeat freshness at `now`. Returns `true` on a
     /// reachable→unreachable transition.
-    pub fn sweep(&mut self, now: Time, cfg: &HealthConfig) -> bool {
-        if self.reachable && now.since(self.last_heartbeat) > cfg.miss_threshold {
+    pub fn sweep(&mut self, now: Time) -> bool {
+        if self.reachable && now.since(self.last_heartbeat) > MISS_THRESHOLD {
             self.reachable = false;
             return true;
         }
@@ -142,16 +126,9 @@ impl CellHealth {
     /// breaker. `ratio` is observed/expected latency for the completed
     /// request. Returns `true` if this observation tripped the breaker
     /// (quarantine entry).
-    pub fn observe_completion(
-        &mut self,
-        now: Time,
-        req: u64,
-        ratio: f64,
-        cfg: &HealthConfig,
-    ) -> bool {
-        self.latency_ratio_ewma =
-            (1.0 - cfg.ewma_alpha) * self.latency_ratio_ewma + cfg.ewma_alpha * ratio;
-        let slow = ratio >= cfg.slow_ratio;
+    pub fn observe_completion(&mut self, now: Time, req: u64, ratio: f64) -> bool {
+        self.latency_ratio_ewma = (1.0 - EWMA_ALPHA) * self.latency_ratio_ewma + EWMA_ALPHA * ratio;
+        let slow = ratio >= SLOW_RATIO;
         if self.probe_req == Some(req) {
             // The probe's outcome alone decides the half-open breaker.
             self.probe_req = None;
@@ -191,61 +168,55 @@ mod tests {
 
     #[test]
     fn stale_heartbeats_denylist_and_fresh_ones_rejoin() {
-        let cfg = HealthConfig::default();
-        let mut h = CellHealth::new(&cfg);
-        h.heartbeat(Time::from_secs(2), &cfg);
-        assert!(!h.sweep(Time::from_secs(4), &cfg));
-        assert!(h.sweep(Time::from_secs(10), &cfg), "7s stale: unreachable");
+        let mut h = CellHealth::default();
+        h.heartbeat(Time::from_secs(2));
+        assert!(!h.sweep(Time::from_secs(4)));
+        assert!(h.sweep(Time::from_secs(10)), "7s stale: unreachable");
         assert!(!h.reachable);
-        assert!(!h.sweep(Time::from_secs(12), &cfg), "no repeat transition");
-        assert!(
-            h.heartbeat(Time::from_secs(30), &cfg),
-            "rejoins on heartbeat"
-        );
+        assert!(!h.sweep(Time::from_secs(12)), "no repeat transition");
+        assert!(h.heartbeat(Time::from_secs(30)), "rejoins on heartbeat");
         assert!(h.reachable);
     }
 
     #[test]
     fn consecutive_slow_completions_quarantine_probe_decides() {
-        let cfg = HealthConfig::default();
-        let mut h = CellHealth::new(&cfg);
+        let mut h = CellHealth::default();
         let t = Time::from_secs(10);
-        assert!(!h.observe_completion(t, 1, 2.5, &cfg));
-        assert!(!h.observe_completion(t, 2, 2.5, &cfg));
-        assert!(h.observe_completion(t, 3, 2.5, &cfg), "third slow trips");
+        assert!(!h.observe_completion(t, 1, 2.5));
+        assert!(!h.observe_completion(t, 2, 2.5));
+        assert!(h.observe_completion(t, 3, 2.5), "third slow trips");
         assert!(h.quarantined(t));
         assert!(!h.wants_probe(t), "cooldown not elapsed");
-        let after = t + cfg.breaker.cooldown;
+        let after = t + CELL_BREAKER.cooldown;
         assert!(h.wants_probe(after));
         h.begin_probe(after, 99);
         assert!(!h.wants_probe(after), "one probe at a time");
         // Completions of old in-flight work during quarantine are ignored.
-        assert!(!h.observe_completion(after, 4, 1.0, &cfg));
+        assert!(!h.observe_completion(after, 4, 1.0));
         assert!(h.probe_req.is_some());
         // A fast probe closes the breaker.
-        assert!(!h.observe_completion(after, 99, 1.0, &cfg));
+        assert!(!h.observe_completion(after, 99, 1.0));
         assert!(!h.quarantined(after + Duration::from_secs(1)));
     }
 
     #[test]
     fn failed_probe_reopens_and_rejoin_resets_breaker() {
-        let cfg = HealthConfig::default();
-        let mut h = CellHealth::new(&cfg);
+        let mut h = CellHealth::default();
         let t = Time::from_secs(10);
         for req in 0..3 {
-            h.observe_completion(t, req, 5.0, &cfg);
+            h.observe_completion(t, req, 5.0);
         }
-        let probe_at = t + cfg.breaker.cooldown;
+        let probe_at = t + CELL_BREAKER.cooldown;
         h.begin_probe(probe_at, 7);
         assert!(
-            h.observe_completion(probe_at, 7, 5.0, &cfg),
+            h.observe_completion(probe_at, 7, 5.0),
             "slow probe re-trips"
         );
         assert!(h.quarantined(probe_at + Duration::from_secs(1)));
         // A crash + restart clears quarantine through the rejoin path.
         h.reachable = false;
         h.probe_req = Some(8); // orphaned probe
-        assert!(h.heartbeat(probe_at + Duration::from_secs(5), &cfg));
+        assert!(h.heartbeat(probe_at + Duration::from_secs(5)));
         assert!(h.probe_req.is_none());
         assert!(!h.quarantined(probe_at + Duration::from_secs(5)));
     }

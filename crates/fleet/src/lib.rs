@@ -40,12 +40,12 @@ pub mod router;
 pub mod tenant;
 
 pub use driver::{run_fleet, FleetConfig, FleetReport, FleetRun};
-pub use health::{CellHealth, HealthConfig};
+pub use health::CellHealth;
 pub use router::{CellLoad, Router, TokenBucket};
 pub use tenant::{TenantClass, TenantProfile};
 
 // Re-export the fleet chaos plane so callers need only this crate.
 pub use laminar_core::chaos::{
-    fleet_overlapping_scenario, generate_fleet_schedule, FleetAudit, FleetBounds, FleetChaosConfig,
+    fleet_overlapping_scenario, generate_fleet_schedule, FleetAudit, FleetChaosConfig,
     FleetFaultEvent, FleetFaultKind, FleetOutcome, GoodputDip,
 };

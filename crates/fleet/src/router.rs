@@ -6,7 +6,7 @@
 //! total order over tenants — so a fleet run is a pure function of its
 //! seeds and fault schedule.
 
-use crate::health::{CellHealth, HealthConfig};
+use crate::health::CellHealth;
 use crate::tenant::TenantProfile;
 use laminar_sim::Time;
 use std::collections::VecDeque;
@@ -88,22 +88,19 @@ pub struct Router {
     /// Cells the router currently cannot reach over the control plane
     /// (partition flags; heartbeats from these are dropped).
     pub partitioned: Vec<bool>,
-    /// Health tuning.
-    pub cfg: HealthConfig,
 }
 
 impl Router {
     /// A router for `cells` cells serving the given tenants.
-    pub fn new(tenants: &[TenantProfile], cells: usize, cfg: HealthConfig) -> Self {
+    pub fn new(tenants: &[TenantProfile], cells: usize) -> Self {
         Router {
             buckets: tenants
                 .iter()
                 .map(|t| TokenBucket::new(t.bucket_rate, t.bucket_burst))
                 .collect(),
             backlog: tenants.iter().map(|_| VecDeque::new()).collect(),
-            health: (0..cells).map(|_| CellHealth::new(&cfg)).collect(),
+            health: (0..cells).map(|_| CellHealth::default()).collect(),
             partitioned: vec![false; cells],
-            cfg,
         }
     }
 
@@ -180,10 +177,10 @@ mod tests {
     #[test]
     fn routing_prefers_least_loaded_and_skips_unreachable() {
         let tenants = TenantProfile::standard_mix(3);
-        let mut r = Router::new(&tenants, 3, HealthConfig::default());
+        let mut r = Router::new(&tenants, 3);
         let now = Time::from_secs(5);
         for h in &mut r.health {
-            h.heartbeat(now, &HealthConfig::default());
+            h.heartbeat(now);
         }
         let loads = [
             CellLoad {
@@ -209,7 +206,7 @@ mod tests {
     #[test]
     fn drain_order_serves_most_underserved_weighted_tenant_first() {
         let tenants = TenantProfile::standard_mix(3); // weights 1, 1, 1.5
-        let r = Router::new(&tenants, 2, HealthConfig::default());
+        let r = Router::new(&tenants, 2);
         // Tenant 2 has 1.5× weight: 30 completions /1.5 = 20 effective,
         // so it ranks between tenant 1 (10) and tenant 0 (40).
         let order = r.drain_order(&[40, 10, 30], &tenants);

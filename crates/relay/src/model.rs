@@ -8,6 +8,11 @@
 use laminar_cluster::{ChainBroadcast, CollectiveModel, MachineSpec, ModelSpec};
 use laminar_sim::Duration;
 
+/// Resharding cost on the master relay, seconds (CPU memory reshuffle into
+/// the rollout TP layout; overlapped with broadcast in practice, charged to
+/// the broadcast path).
+const RESHARD_SECS: f64 = 0.25;
+
 /// Relay-tier weight synchronization latency model.
 #[derive(Debug, Clone)]
 pub struct RelaySyncModel {
@@ -15,20 +20,12 @@ pub struct RelaySyncModel {
     pub machine: MachineSpec,
     /// Model being synchronized.
     pub model: ModelSpec,
-    /// Resharding cost on the master relay, seconds (CPU memory reshuffle
-    /// into the rollout TP layout; overlapped with broadcast in practice,
-    /// charged to the broadcast path).
-    pub reshard_secs: f64,
 }
 
 impl RelaySyncModel {
     /// Standard calibration.
     pub fn new(machine: MachineSpec, model: ModelSpec) -> Self {
-        RelaySyncModel {
-            machine,
-            model,
-            reshard_secs: 0.25,
-        }
+        RelaySyncModel { machine, model }
     }
 
     /// Time the *actor* stalls per weight publication: one push to the
@@ -43,7 +40,7 @@ impl RelaySyncModel {
     pub fn broadcast_time(&self, relay_machines: usize) -> Duration {
         let chain = ChainBroadcast::new(self.machine.rdma.clone());
         let t = chain.optimal_broadcast_secs(relay_machines.max(1), self.model.weight_bytes());
-        Duration::from_secs_f64(t + self.reshard_secs)
+        Duration::from_secs_f64(t + RESHARD_SECS)
     }
 
     /// Rollout-side wait to update to the latest weights when the version is

@@ -134,33 +134,33 @@ pub fn surrogate_coeff(ratio: f64, adv: f64, clip_low: f64, clip_high: f64) -> f
     }
 }
 
+/// Learning rate.
+const LR: f64 = 0.02;
+
+/// Lower clip `ε_low`.
+const CLIP_LOW: f64 = 0.2;
+
+/// Global gradient-norm cap.
+const MAX_GRAD_NORM: f64 = 5.0;
+
+/// Truncation `c` of the behaviour importance weight in decoupled mode.
+const IS_TRUNCATION: f64 = 2.0;
+
 /// Trainer configuration (Table 3's Laminar column by default).
 #[derive(Debug, Clone)]
 pub struct GrpoConfig {
-    /// Learning rate.
-    pub lr: f64,
-    /// Lower clip `ε_low`.
-    pub clip_low: f64,
     /// Upper clip `ε_high` (Clip-Higher: 0.28).
     pub clip_high: f64,
-    /// Global gradient-norm cap.
-    pub max_grad_norm: f64,
     /// Decoupled PPO: reference the proximal policy instead of the
     /// behaviour policy, reweighting by a truncated behaviour ratio.
     pub decoupled: bool,
-    /// Truncation `c` of the behaviour importance weight in decoupled mode.
-    pub is_truncation: f64,
 }
 
 impl Default for GrpoConfig {
     fn default() -> Self {
         GrpoConfig {
-            lr: 0.02,
-            clip_low: 0.2,
             clip_high: 0.28,
-            max_grad_norm: 5.0,
             decoupled: false,
-            is_truncation: 2.0,
         }
     }
 }
@@ -192,7 +192,7 @@ impl GrpoTrainer {
     /// Fresh trainer at version 0.
     pub fn new(env: &ReasonEnv, cfg: GrpoConfig) -> Self {
         let policy = TabularPolicy::new(env.num_states(), env.actions);
-        let opt = Adam::new(cfg.lr);
+        let opt = Adam::new(LR);
         GrpoTrainer {
             policy,
             cfg,
@@ -242,16 +242,14 @@ impl GrpoTrainer {
                     let (ref_logp, is_weight) = if self.cfg.decoupled {
                         let prox = proximal.expect("decoupled mode needs a proximal policy");
                         let prox_logp = prox.log_prob(step.state, step.action);
-                        let w = (prox_logp - step.behavior_logp)
-                            .exp()
-                            .min(self.cfg.is_truncation);
+                        let w = (prox_logp - step.behavior_logp).exp().min(IS_TRUNCATION);
                         (prox_logp, w)
                     } else {
                         (step.behavior_logp, 1.0)
                     };
                     let ratio = (cur_logp - ref_logp).exp();
                     ratio_sum += ratio;
-                    let coeff = surrogate_coeff(ratio, adv, self.cfg.clip_low, self.cfg.clip_high);
+                    let coeff = surrogate_coeff(ratio, adv, CLIP_LOW, self.cfg.clip_high);
                     if coeff == 0.0 && adv != 0.0 {
                         clipped += 1;
                     }
@@ -265,7 +263,7 @@ impl GrpoTrainer {
                 }
             }
         }
-        clip_grad_norm(&mut self.policy, self.cfg.max_grad_norm);
+        clip_grad_norm(&mut self.policy, MAX_GRAD_NORM);
         self.opt.step(&mut self.policy);
         self.version += 1;
         stats.mean_reward = reward_sum / stats.trajectories.max(1) as f64;

@@ -24,20 +24,21 @@ pub trait Params {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64]));
 }
 
+/// Adam's first-moment decay.
+const BETA1: f64 = 0.9;
+
+/// Adam's second-moment decay.
+const BETA2: f64 = 0.999;
+
+/// Adam's stability epsilon.
+const EPS: f64 = 1e-8;
+
 /// The Adam optimizer, with first/second-moment state matching a model's
 /// visit order.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f64,
-    /// First-moment decay.
-    pub beta1: f64,
-    /// Second-moment decay.
-    pub beta2: f64,
-    /// Stability epsilon.
-    pub eps: f64,
-    /// Decoupled weight decay.
-    pub weight_decay: f64,
     step: u64,
     m: Vec<Vec<f64>>,
     v: Vec<Vec<f64>>,
@@ -48,10 +49,6 @@ impl Adam {
     pub fn new(lr: f64) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
             step: 0,
             m: vec![],
             v: vec![],
@@ -62,10 +59,9 @@ impl Adam {
     /// stable across calls.
     pub fn step(&mut self, model: &mut dyn Params) {
         self.step += 1;
-        let b1c = 1.0 - self.beta1.powi(self.step as i32);
-        let b2c = 1.0 - self.beta2.powi(self.step as i32);
-        let (beta1, beta2, eps, lr, wd) =
-            (self.beta1, self.beta2, self.eps, self.lr, self.weight_decay);
+        let b1c = 1.0 - BETA1.powi(self.step as i32);
+        let b2c = 1.0 - BETA2.powi(self.step as i32);
+        let lr = self.lr;
         let m = &mut self.m;
         let v = &mut self.v;
         let mut slot = 0usize;
@@ -78,11 +74,11 @@ impl Adam {
             assert_eq!(ms.len(), params.len(), "visit order changed under Adam");
             for i in 0..params.len() {
                 let g = grads[i];
-                ms[i] = beta1 * ms[i] + (1.0 - beta1) * g;
-                vs[i] = beta2 * vs[i] + (1.0 - beta2) * g * g;
+                ms[i] = BETA1 * ms[i] + (1.0 - BETA1) * g;
+                vs[i] = BETA2 * vs[i] + (1.0 - BETA2) * g * g;
                 let mhat = ms[i] / b1c;
                 let vhat = vs[i] / b2c;
-                params[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * params[i]);
+                params[i] -= lr * (mhat / (vhat.sqrt() + EPS));
             }
             slot += 1;
         });

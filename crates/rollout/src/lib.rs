@@ -11,7 +11,7 @@
 //!
 //! [`repack`] implements Algorithm 1 (Best-Fit trajectory consolidation),
 //! and [`manager`] the rollout manager: per-replica monitoring, weight
-//! version grouping, repack triggering, and heartbeat failover.
+//! version grouping, repack triggering, and replica health.
 
 pub mod engine;
 pub mod manager;
@@ -20,6 +20,6 @@ pub mod traj;
 
 pub use engine::reference::NaiveReplicaEngine;
 pub use engine::{CompletedTraj, EngineConfig, ReplicaEngine};
-pub use manager::{ManagerConfig, ReplicaHealth, RolloutManager};
+pub use manager::{ReplicaHealth, RolloutManager};
 pub use repack::{plan_repack, RepackPlan, ReplicaLoad};
 pub use traj::{Phase, PolicyVersions, TrajState};

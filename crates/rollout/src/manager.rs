@@ -1,58 +1,43 @@
 //! The rollout manager (§3.1, §5.1): monitoring, repack coordination, and
-//! heartbeat failover.
+//! replica health.
 //!
 //! The manager runs on a CPU machine, isolated from GPU failures. It
 //! periodically samples every replica's load, groups replicas by weight
-//! version, runs the Best-Fit planner per group, and tracks replica health
-//! from heartbeats. It holds only coordination state — the enclosing system
-//! world executes the planned moves against the actual engines.
+//! version, runs the Best-Fit planner per group, and tracks which replicas
+//! are healthy: the enclosing system evicts a replica the instant its
+//! machine fails and marks it recovered when the replacement is up. It
+//! holds only coordination state — the enclosing system world executes the
+//! planned moves against the actual engines.
 
 use crate::repack::{plan_repack, RepackPlan, ReplicaLoad};
 use laminar_sim::{Duration, Time};
 use std::collections::HashMap;
 
+/// Periodic repack check interval (5 s in §5.1).
+pub const REPACK_INTERVAL: Duration = Duration::from_secs(5);
+
+/// KVCache threshold `C_max` as a fraction of capacity (≈0.99 in §5.2):
+/// the repack and failure-redirect capacity bound.
+pub const C_MAX_FRAC: f64 = 0.99;
+
 /// Health state of one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaHealth {
-    /// Heartbeats arriving.
+    /// Serving.
     Healthy,
-    /// Heartbeat missed; recovery in progress.
-    Failed,
     /// Evicted from the job (machine withdrawn).
     Evicted,
 }
 
-/// Manager configuration.
-#[derive(Debug, Clone)]
-pub struct ManagerConfig {
-    /// Periodic repack check interval (5 s in §5.1).
-    pub repack_interval: Duration,
-    /// KVCache threshold `C_max` as a fraction of capacity (≈0.99 in §5.2).
-    pub c_max_frac: f64,
-    /// Heartbeat deadline: a replica silent for longer is failed.
-    pub heartbeat_deadline: Duration,
-}
-
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        ManagerConfig {
-            repack_interval: Duration::from_secs(5),
-            c_max_frac: 0.99,
-            heartbeat_deadline: Duration::from_secs(10),
-        }
-    }
-}
-
 /// The rollout manager.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RolloutManager {
-    cfg: ManagerConfig,
     prev_kv: HashMap<usize, f64>,
     health: HashMap<usize, ReplicaHealth>,
-    last_heartbeat: HashMap<usize, Time>,
+    /// When each replica was registered or last marked recovered.
+    healthy_since: HashMap<usize, Time>,
     repacks_planned: u64,
     replicas_released: u64,
-    failures_detected: u64,
 }
 
 /// A replica's load sample as handed to the manager (before `C_prev`
@@ -76,38 +61,16 @@ pub struct LoadSample {
 }
 
 impl RolloutManager {
-    /// Creates a manager.
-    pub fn new(cfg: ManagerConfig) -> Self {
-        RolloutManager {
-            cfg,
-            prev_kv: HashMap::new(),
-            health: HashMap::new(),
-            last_heartbeat: HashMap::new(),
-            repacks_planned: 0,
-            replicas_released: 0,
-            failures_detected: 0,
-        }
-    }
-
-    /// The configured repack check interval.
-    pub fn repack_interval(&self) -> Duration {
-        self.cfg.repack_interval
-    }
-
-    /// The configured KVCache headroom fraction used as the repack (and
-    /// failure-redirect) capacity bound.
-    pub fn c_max_frac(&self) -> f64 {
-        self.cfg.c_max_frac
-    }
-
     /// Appends the manager's complete mutable state as a fixed-order word
     /// stream for the delta-checkpoint scalar plane. Map entries are
     /// emitted in ascending replica order so the encoding never leaks
-    /// `HashMap` iteration order.
+    /// `HashMap` iteration order. The third word is always 0: it held a
+    /// failure counter that nothing increments, kept so checkpoint images
+    /// keep their layout.
     pub fn checkpoint_words(&self, out: &mut Vec<u64>) {
         out.push(self.repacks_planned);
         out.push(self.replicas_released);
-        out.push(self.failures_detected);
+        out.push(0);
         let mut ids: Vec<usize> = self.health.keys().copied().collect();
         ids.sort_unstable();
         out.push(ids.len() as u64);
@@ -115,11 +78,10 @@ impl RolloutManager {
             out.push(r as u64);
             out.push(match self.health[&r] {
                 ReplicaHealth::Healthy => 0,
-                ReplicaHealth::Failed => 1,
                 ReplicaHealth::Evicted => 2,
             });
             out.push(
-                self.last_heartbeat
+                self.healthy_since
                     .get(&r)
                     .copied()
                     .unwrap_or(Time::ZERO)
@@ -132,14 +94,7 @@ impl RolloutManager {
     /// Registers a replica as healthy at `now`.
     pub fn register(&mut self, replica: usize, now: Time) {
         self.health.insert(replica, ReplicaHealth::Healthy);
-        self.last_heartbeat.insert(replica, now);
-    }
-
-    /// Records a heartbeat.
-    pub fn heartbeat(&mut self, replica: usize, now: Time) {
-        if self.health.get(&replica) == Some(&ReplicaHealth::Healthy) {
-            self.last_heartbeat.insert(replica, now);
-        }
+        self.healthy_since.insert(replica, now);
     }
 
     /// Health of a replica (`Evicted` if unknown).
@@ -150,33 +105,10 @@ impl RolloutManager {
             .unwrap_or(ReplicaHealth::Evicted)
     }
 
-    /// Scans for replicas whose heartbeat deadline passed, marking and
-    /// returning the newly failed ones.
-    pub fn detect_failures(&mut self, now: Time) -> Vec<usize> {
-        // Collect ids first (by reference — no clone of the health map per
-        // tick), then mark, so the borrow of `health` ends before mutation.
-        let mut failed: Vec<usize> = self
-            .health
-            .iter()
-            .filter(|&(_, &h)| h == ReplicaHealth::Healthy)
-            .filter(|&(r, _)| {
-                let last = self.last_heartbeat.get(r).copied().unwrap_or(Time::ZERO);
-                now.since(last) > self.cfg.heartbeat_deadline
-            })
-            .map(|(&r, _)| r)
-            .collect();
-        failed.sort_unstable();
-        for &r in &failed {
-            self.health.insert(r, ReplicaHealth::Failed);
-            self.failures_detected += 1;
-        }
-        failed
-    }
-
     /// Marks a failed replica recovered (re-initialized in place, §3.3).
     pub fn mark_recovered(&mut self, replica: usize, now: Time) {
         self.health.insert(replica, ReplicaHealth::Healthy);
-        self.last_heartbeat.insert(replica, now);
+        self.healthy_since.insert(replica, now);
     }
 
     /// Evicts a replica (machine withdrawn after repeated failure).
@@ -228,7 +160,7 @@ impl RolloutManager {
                 .filter(in_group)
                 .map(|s| s.kv_capacity)
                 .fold(f64::INFINITY, f64::min)
-                * self.cfg.c_max_frac;
+                * C_MAX_FRAC;
             let b = samples
                 .iter()
                 .filter(in_group)
@@ -254,11 +186,6 @@ impl RolloutManager {
     pub fn replicas_released(&self) -> u64 {
         self.replicas_released
     }
-
-    /// Total failures detected by heartbeat monitoring.
-    pub fn failures_detected(&self) -> u64 {
-        self.failures_detected
-    }
 }
 
 #[cfg(test)]
@@ -279,7 +206,7 @@ mod tests {
 
     #[test]
     fn plan_groups_by_version() {
-        let mut m = RolloutManager::new(ManagerConfig::default());
+        let mut m = RolloutManager::default();
         for r in 0..4 {
             m.register(r, Time::ZERO);
         }
@@ -315,37 +242,26 @@ mod tests {
 
     #[test]
     fn failed_replicas_excluded_from_planning() {
-        let mut m = RolloutManager::new(ManagerConfig::default());
+        let mut m = RolloutManager::default();
         m.register(0, Time::ZERO);
         m.register(1, Time::ZERO);
         let warm = vec![sample(0, 200.0, 2, 1), sample(1, 200.0, 2, 1)];
         m.plan(&warm);
-        // Replica 1 misses its heartbeat.
-        let failed = m.detect_failures(Time::from_secs(60));
-        assert_eq!(failed, vec![0, 1]); // neither ever heartbeat after t=0
         let cool = vec![sample(0, 100.0, 1, 1), sample(1, 100.0, 1, 1)];
+        assert!(!m.clone().plan(&cool).is_empty(), "two healthy tails merge");
+        // Replica 1's machine fails: alone in its version group, replica 0
+        // has nothing to consolidate with.
+        m.evict(1);
         assert!(m.plan(&cool).is_empty());
     }
 
     #[test]
-    fn heartbeat_keeps_replica_healthy() {
-        let mut m = RolloutManager::new(ManagerConfig::default());
-        m.register(0, Time::ZERO);
-        m.register(1, Time::ZERO);
-        m.heartbeat(0, Time::from_secs(55));
-        let failed = m.detect_failures(Time::from_secs(60));
-        assert_eq!(failed, vec![1]);
-        assert_eq!(m.health(0), ReplicaHealth::Healthy);
-        assert_eq!(m.health(1), ReplicaHealth::Failed);
-        assert_eq!(m.failures_detected(), 1);
-    }
-
-    #[test]
     fn recovery_and_eviction_lifecycle() {
-        let mut m = RolloutManager::new(ManagerConfig::default());
+        let mut m = RolloutManager::default();
         m.register(0, Time::ZERO);
-        m.detect_failures(Time::from_secs(60));
-        assert_eq!(m.health(0), ReplicaHealth::Failed);
+        assert_eq!(m.health(0), ReplicaHealth::Healthy);
+        m.evict(0);
+        assert_eq!(m.health(0), ReplicaHealth::Evicted);
         m.mark_recovered(0, Time::from_secs(61));
         assert_eq!(m.health(0), ReplicaHealth::Healthy);
         m.evict(0);
@@ -359,7 +275,7 @@ mod tests {
 
     #[test]
     fn release_counter_accumulates() {
-        let mut m = RolloutManager::new(ManagerConfig::default());
+        let mut m = RolloutManager::default();
         for r in 0..3 {
             m.register(r, Time::ZERO);
         }

@@ -34,7 +34,7 @@
 use crate::recovery::fnv1a;
 use crate::report::RunReport;
 use laminar_rollout::ReplicaEngine;
-use laminar_sim::{IdMap, Time, TraceSpan};
+use laminar_sim::{IdMap, Scheduler, Time, TimeSeries, TraceSpan};
 use std::collections::hash_map::Entry;
 
 /// Words per page for planes encoded as flat streams. 32 words = 256 bytes:
@@ -70,13 +70,21 @@ impl StatePlane {
         self.chunks.push(words);
     }
 
-    /// Appends the chunk `encode` writes, stored at its exact length.
-    /// `encode` writes into `scratch`, a buffer reused across chunks, so a
-    /// chunk costs one allocation instead of a growing `Vec`'s several.
-    pub fn push_encoded(&mut self, scratch: &mut Vec<u64>, encode: impl FnOnce(&mut Vec<u64>)) {
-        scratch.clear();
-        encode(scratch);
-        self.chunks.push(scratch.as_slice().to_vec());
+    /// Appends one chunk per record, in iteration order, each holding the
+    /// words `encode` writes for that record and stored at its exact
+    /// length. `encode` writes into one buffer reused across records, so
+    /// a chunk costs one allocation instead of a growing `Vec`'s several.
+    pub fn extend_records<R>(
+        &mut self,
+        records: impl IntoIterator<Item = R>,
+        mut encode: impl FnMut(R, &mut Vec<u64>),
+    ) {
+        let mut scratch = Vec::new();
+        for record in records {
+            scratch.clear();
+            encode(record, &mut scratch);
+            self.chunks.push(scratch.as_slice().to_vec());
+        }
     }
 
     /// Splits a flat word stream into [`PAGE_WORDS`]-sized page chunks.
@@ -495,6 +503,15 @@ impl WordEnc {
         self
     }
 
+    /// A time series as its length, then each point's (time, value).
+    pub fn series(&mut self, series: &TimeSeries) -> &mut Self {
+        self.z(series.len());
+        for &(t, v) in series.points() {
+            self.t(t).f(v);
+        }
+        self
+    }
+
     /// `Option<Time>` as (present, nanos).
     pub fn ot(&mut self, t: Option<Time>) -> &mut Self {
         self.words.push(t.is_some() as u64);
@@ -547,23 +564,32 @@ pub fn encode_span_plane(name: &'static str, spans: &[TraceSpan]) -> StatePlane 
     plane
 }
 
+/// Encodes a simulation's pending events as the `queue` plane: one chunk
+/// per event in delivery order `(at, seq)` — a total order, so the plane
+/// is exactly the remaining event schedule — holding `[at_ns, seq]` and
+/// then the payload `encode_ev` writes.
+pub fn encode_queue_plane<E>(
+    sched: &Scheduler<E>,
+    mut encode_ev: impl FnMut(&E, &mut Vec<u64>),
+) -> StatePlane {
+    let mut plane = StatePlane::new("queue");
+    plane.extend_records(sched.pending_entries(), |(at, seq, ev), words| {
+        words.extend([at.as_nanos(), seq]);
+        encode_ev(ev, words);
+    });
+    plane
+}
+
 /// Encodes replica engines as the `engines` plane. Per engine: the scalar
 /// chunk, one chunk per resident (active) trajectory, one per env-waiting
 /// trajectory, one per undrained completion.
 pub fn encode_engines_plane(engines: &[ReplicaEngine]) -> StatePlane {
     let mut plane = StatePlane::new("engines");
-    let mut scratch = Vec::new();
     for eng in engines {
-        plane.push_encoded(&mut scratch, |words| eng.checkpoint_scalar_words(words));
-        for (_, st) in eng.active_states() {
-            plane.push_encoded(&mut scratch, |words| st.encode_words(words));
-        }
-        for st in eng.waiting_states() {
-            plane.push_encoded(&mut scratch, |words| st.encode_words(words));
-        }
-        for done in eng.completions() {
-            plane.push_encoded(&mut scratch, |words| done.encode_words(words));
-        }
+        plane.extend_records([eng], |eng, words| eng.checkpoint_scalar_words(words));
+        plane.extend_records(eng.active_states(), |(_, st), words| st.encode_words(words));
+        plane.extend_records(eng.waiting_states(), |st, words| st.encode_words(words));
+        plane.extend_records(eng.completions(), |done, words| done.encode_words(words));
     }
     plane
 }

@@ -42,18 +42,6 @@ pub struct RetryPolicy {
     pub jitter: f64,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base: Duration::from_millis(500),
-            factor: 2.0,
-            max_delay: Duration::from_secs(30),
-            max_retries: 5,
-            jitter: 0.1,
-        }
-    }
-}
-
 impl RetryPolicy {
     /// The deterministic (pre-jitter) delay for retry `attempt` (0-based),
     /// or `None` once retries are exhausted.
@@ -119,16 +107,6 @@ pub struct BreakerConfig {
     pub window: Duration,
     /// How long a tripped breaker stays open before admitting a probe.
     pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            window: Duration::from_secs(60),
-            cooldown: Duration::from_secs(120),
-        }
-    }
 }
 
 /// A per-node circuit breaker over virtual time.
@@ -304,7 +282,13 @@ mod tests {
 
     #[test]
     fn total_budget_bounds_every_schedule() {
-        let p = RetryPolicy::default();
+        let p = RetryPolicy {
+            base: Duration::from_millis(500),
+            factor: 2.0,
+            max_delay: Duration::from_secs(30),
+            max_retries: 5,
+            jitter: 0.1,
+        };
         let budget = p.total_budget().as_secs_f64();
         for seed in 0..32 {
             let mut rng = SimRng::derive(seed, "budget", 0);

@@ -10,8 +10,10 @@
 //! are the checkpoint plane's hashes — chunk keys, image fingerprints,
 //! manifest ids, and the snapshot fingerprints that checkpoint descriptor
 //! files persist — so a descriptor written by an earlier build keeps
-//! verifying. A golden changes only with an intended behaviour change; the
-//! failure message prints the replacement table.
+//! verifying. So are the fault paths no fault-free run reaches: degraded
+//! mode, breaker trips, env-call aborts, the fleet under faults, and the
+//! fig13 learner. A golden changes only with an intended behaviour change;
+//! the failure message prints the replacement table.
 
 use laminar::prelude::*;
 use laminar::runtime::delta::{chunk_key, fnv1a_bytes};
@@ -354,6 +356,152 @@ fn snapshot_fingerprints_match_goldens() {
         "snapshot fingerprints drifted from SNAPSHOT_GOLDENS or CADENCE_GOLDENS. \
          Checkpoint descriptors written by earlier builds carry these values; if \
          the change is intended, re-record these entries in \
+         tests/determinism.rs:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// FNV-1a of the report `Debug` followed by the trace JSONL of the three
+/// recovery-plane `run_chaos` scenarios of `laminar-core`'s tests
+/// `sustained_capacity_loss_enters_and_exits_degraded_mode`,
+/// `flapping_slow_node_trips_breaker_and_blocks_admission` and
+/// `permanently_stalled_env_aborts_trajectory_instead_of_wedging`; FNV-1a of `FleetRun::fingerprint()` for
+/// the standard 4-cell fleet under the overlapping fleet fault scenario;
+/// and FNV-1a of the `(secs, reward)` f64 bits of a short fig13 learning
+/// curve per staleness regime. No fault-free golden reaches these paths.
+const FAULT_GOLDENS: [(&str, u64); 6] = [
+    ("degraded", 0x75a2b2781ec843ed),
+    ("breaker", 0x784a4979299cb90b),
+    ("env-abort", 0xf802d881c295ece7),
+    ("fleet", 0xaaf9c9a46b3910ec),
+    ("grpo on-policy", 0x43c3c66afa1c0903),
+    ("grpo mixed-4", 0xda8afcea33803933),
+];
+
+/// The single-turn 7B `small_test` config the core recovery-plane tests
+/// run: 3 iterations, no warmup, disaggregated 4 + 4 GPUs.
+fn chaos_cfg(workload: WorkloadGenerator) -> SystemConfig {
+    let mut c = SystemConfig::small_test(workload);
+    c.train_gpus = 4;
+    c.rollout_gpus = 4;
+    c.iterations = 3;
+    c.warmup = 0;
+    c
+}
+
+/// Runs a chaos scenario, requires it clean and complete, and returns the
+/// run with the fingerprint of its report and trace.
+fn chaos_fp(
+    faults: Vec<FaultEvent>,
+    staleness_cap: Option<u64>,
+    cfg: &SystemConfig,
+) -> (ChaosRun, u64) {
+    let sys = LaminarSystem {
+        faults,
+        staleness_cap,
+        ..LaminarSystem::default()
+    };
+    let run = sys.run_chaos(cfg);
+    assert_eq!(run.violations(), Vec::<String>::new());
+    assert_eq!(
+        run.report.iteration_secs.len(),
+        3,
+        "every iteration completes"
+    );
+    let mut bytes = format!("{:?}", run.report);
+    bytes.push_str(&run.trace.to_jsonl());
+    let fp = fnv1a_bytes(bytes.as_bytes());
+    (run, fp)
+}
+
+fn curve_fp(regime: StalenessRegime) -> u64 {
+    let cfg = ConvergenceConfig {
+        iterations: 60,
+        eval_every: 20,
+        eval_episodes: 400,
+        ..ConvergenceConfig::standard(10.0, 3)
+    };
+    let curve = convergence_curve(&regime, &cfg);
+    assert_eq!(curve.len(), 3, "one point per 20 iterations");
+    fnv1a(
+        curve
+            .into_iter()
+            .flat_map(|(t, r)| [t.to_bits(), r.to_bits()]),
+    )
+}
+
+#[test]
+fn fault_paths_match_goldens() {
+    let math = || chaos_cfg(WorkloadGenerator::single_turn(3, Checkpoint::Math7B));
+    let mut got = Vec::new();
+
+    let crash = FaultEvent::machine_crash(Time::from_secs(10), vec![0, 1], Duration::from_secs(50));
+    let (run, fp) = chaos_fp(vec![crash], Some(4), &math());
+    assert!(
+        run.outcome.audit.degraded_entries >= 1,
+        "the run must degrade"
+    );
+    got.push(fp);
+
+    let flapper = 1;
+    let flap = |secs| FaultEvent {
+        at: Time::from_secs(secs),
+        kind: FaultKind::SlowNode {
+            replica: flapper,
+            factor: 3.0,
+            duration: Duration::from_secs(5),
+        },
+    };
+    let (run, fp) = chaos_fp(vec![flap(10), flap(18), flap(26)], None, &math());
+    assert!(
+        run.outcome.breaker_trips[flapper] >= 1,
+        "the breaker must trip"
+    );
+    assert!(
+        run.outcome.audit.breaker_blocked >= 1,
+        "an admission must be blocked"
+    );
+    got.push(fp);
+
+    let stall = |secs| FaultEvent {
+        at: Time::from_secs(secs),
+        kind: FaultKind::EnvStall {
+            replica: 0,
+            extra: Duration::from_secs(100_000),
+        },
+    };
+    let multi = chaos_cfg(WorkloadGenerator::multi_turn(9));
+    let (run, fp) = chaos_fp(vec![stall(5), stall(15), stall(25)], None, &multi);
+    assert!(run.outcome.env_aborts >= 1, "an env call must abort");
+    got.push(fp);
+
+    let mut fleet = FleetConfig::standard(4, 3, 5);
+    fleet.faults = fleet_overlapping_scenario(4);
+    let run = run_fleet(&fleet);
+    assert_eq!(run.violations(), Vec::<String>::new());
+    assert!(
+        run.report.quarantine_entries >= 1,
+        "a cell must be quarantined"
+    );
+    assert!(
+        run.report.redispatched >= 1,
+        "orphaned work must be re-dispatched"
+    );
+    got.push(fnv1a_bytes(run.fingerprint().as_bytes()));
+
+    got.push(curve_fp(StalenessRegime::OnPolicy));
+    got.push(curve_fp(StalenessRegime::Mixed { window: 4 }));
+
+    let drifted: Vec<String> = FAULT_GOLDENS
+        .iter()
+        .zip(got)
+        .filter(|((_, golden), got)| got != golden)
+        .map(|((name, _), got)| format!("    (\"{name}\", {got:#018x}),"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "fault-path runs drifted from FAULT_GOLDENS. If the behaviour change is \
+         intended, re-record these entries of FAULT_GOLDENS in \
          tests/determinism.rs:\n{}",
         drifted.join("\n")
     );
