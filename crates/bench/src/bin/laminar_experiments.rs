@@ -29,7 +29,10 @@
 //! lines. `--resume-from FILE` takes a file containing such a line (e.g.
 //! `results/recovery.txt`), deterministically replays the run to that
 //! checkpoint, verifies the snapshot fingerprint, and resumes it to
-//! completion. `--recovery-seed N` reseeds the sustained fault schedules.
+//! completion. A line of another checkpoint image format (its `format=`
+//! key; lines without one are format 1) is refused before replaying, and
+//! the process exits 1. `--recovery-seed N` reseeds the sustained fault
+//! schedules.
 //!
 //! `--fleet-cells N` widens the `fleet` experiment's acceptance scenario
 //! to N Laminar cells (min 4) and `--fleet-seed N` re-roots the seed set
@@ -151,7 +154,14 @@ fn main() {
     if let Some(path) = resume_from {
         // Deterministic checkpoint replay: rebuild the run described by the
         // descriptor, verify the snapshot fingerprint, resume to completion.
-        println!("{}", resume_from_descriptor(&path, &opts));
+        // A descriptor of another image format is refused before replaying.
+        match resume_from_descriptor(&path, &opts) {
+            Ok(report) => println!("{report}"),
+            Err(refusal) => {
+                eprintln!("{refusal}");
+                std::process::exit(1);
+            }
+        }
         return;
     }
     if !specs.is_empty() {

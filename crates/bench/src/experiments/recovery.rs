@@ -18,14 +18,16 @@
 //!    two cadences (override with `--checkpoint-every SECS`), and resumed
 //!    from every captured snapshot; report text and trace JSONL must be
 //!    byte-identical across all three. Laminar's snapshots are also
-//!    printed as `checkpoint ...` descriptor lines consumable by
-//!    `--resume-from FILE`.
+//!    printed as `checkpoint format=N ...` descriptor lines consumable by
+//!    `--resume-from FILE`, `N` being the checkpoint image format
+//!    ([`IMAGE_FORMAT`]) their fingerprints were computed under.
 
 use super::Opts;
 use crate::lab::{self, LabSpec, Summary};
 use laminar_baselines::{OneStepStaleness, PartialRollout, StreamGeneration, VerlSync};
 use laminar_cluster::ModelSpec;
 use laminar_core::{FaultEvent, FaultKind, LaminarSystem, SystemKind};
+use laminar_runtime::delta::IMAGE_FORMAT;
 use laminar_runtime::recovery::{check_resume_equivalence, DeltaCheckpoint, Recoverable};
 use laminar_runtime::{DeltaStore, NullTrace, RecordingTrace, SystemConfig};
 use laminar_sim::{Duration, SpanKind, Time};
@@ -312,7 +314,8 @@ pub fn recovery(opts: &Opts) -> String {
     for ck in &checkpoints {
         let _ = writeln!(
             out,
-            "checkpoint system=laminar seed={} every_ns={} index={} at_ns={} fingerprint={:016x}",
+            "checkpoint format={IMAGE_FORMAT} system=laminar seed={} every_ns={} index={} at_ns={} \
+             fingerprint={:016x}",
             opts.seed,
             cadences[0].as_nanos(),
             ck.index,
@@ -336,14 +339,28 @@ pub fn recovery(opts: &Opts) -> String {
 /// `recovery` experiment and saved in `results/recovery.txt`):
 /// deterministically re-runs the system to the checkpoint, verifies the
 /// snapshot fingerprint, resumes to completion, and compares the resumed
-/// report against the uninterrupted run's.
-pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> String {
+/// report against the uninterrupted run's. A descriptor of another image
+/// format than [`IMAGE_FORMAT`] — including one with no `format` key,
+/// which format 1 wrote — is refused before anything replays: its
+/// fingerprint was computed by another encoding and cannot verify here.
+pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> Result<String, String> {
     let text = std::fs::read_to_string(path).expect("read checkpoint descriptor file");
     let line = text
         .lines()
         .map(str::trim_start)
         .find(|l| l.starts_with("checkpoint "))
         .expect("no `checkpoint ...` descriptor line in file");
+    let format = line
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix("format="));
+    if format != Some(IMAGE_FORMAT.to_string().as_str()) {
+        return Err(format!(
+            "refusing checkpoint descriptor of image format {}: this build reads format \
+             {IMAGE_FORMAT} only, and a fingerprint computed under another format cannot \
+             verify. Rerun the `recovery` experiment to write format-{IMAGE_FORMAT} descriptors.",
+            format.unwrap_or("1 (no `format` key)"),
+        ));
+    }
     let mut system = String::new();
     let mut seed = opts.seed;
     let mut every = Duration::ZERO;
@@ -358,14 +375,15 @@ pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> String {
             "seed" => seed = v.parse().expect("seed"),
             "every_ns" => every = Duration::from_nanos(v.parse().expect("every_ns")),
             "index" => index = v.parse().expect("index"),
-            // Informational / legacy keys: the replay re-derives `at`, and
-            // the replay config no longer depends on `quick`.
-            "at_ns" | "quick" => {}
+            // `format` is checked above. Informational / legacy keys: the
+            // replay re-derives `at`, and its config no longer depends on
+            // `quick`.
+            "format" | "at_ns" | "quick" => {}
             "fingerprint" => fingerprint = u64::from_str_radix(v, 16).expect("fingerprint hex"),
             other => panic!("unknown descriptor key: {other}"),
         }
     }
-    match system.as_str() {
+    Ok(match system.as_str() {
         "laminar" => replay(
             &LaminarSystem::default(),
             &replay_config(seed, SystemKind::Laminar),
@@ -402,7 +420,7 @@ pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> String {
             fingerprint,
         ),
         other => panic!("unknown system in descriptor: {other}"),
-    }
+    })
 }
 
 /// Runs `sys` to completion with a delta checkpoint at every `every`,
@@ -462,6 +480,32 @@ fn replay<S: Recoverable>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
+    /// A temporary directory of this test process, removed on drop — also
+    /// when the test fails.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("laminar-{name}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("create temp dir");
+            TempDir(dir)
+        }
+
+        /// Writes `line` to `file` in the directory and returns its path.
+        fn write(&self, file: &str, line: &str) -> PathBuf {
+            let path = self.0.join(file);
+            std::fs::write(&path, line).expect("write descriptor");
+            path
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     #[test]
     fn recovery_report_is_green_and_descriptors_round_trip() {
@@ -475,13 +519,10 @@ mod tests {
 
         let line = s
             .lines()
-            .find(|l| l.starts_with("checkpoint system=laminar"))
+            .find(|l| l.starts_with("checkpoint format=2 system=laminar"))
             .expect("report emits descriptors");
-        let dir = std::env::temp_dir().join("laminar-recovery-test");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let path = dir.join("ckpt.txt");
-        std::fs::write(&path, line).expect("write descriptor");
-        let out = resume_from_descriptor(&path, &o);
+        let dir = TempDir::new("recovery-test");
+        let out = resume_from_descriptor(&dir.write("ckpt.txt", line), &o).expect("format 2");
         assert!(out.contains("verified: yes"), "{out}");
         assert!(
             out.contains("resumed report identical to uninterrupted run: yes"),
@@ -502,16 +543,15 @@ mod tests {
     /// fingerprint bit fails verification.
     #[test]
     fn descriptors_replay_for_every_system() {
-        let dir = std::env::temp_dir().join("laminar-replay-test");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = TempDir::new("replay-test");
         let resume_from = |system: &str, fingerprint: u64| {
-            let path = dir.join(format!("{system}-{fingerprint:016x}.txt"));
             let line = format!(
-                "checkpoint system={system} seed=7 every_ns={} index=0 fingerprint={fingerprint:016x}",
+                "checkpoint format=2 system={system} seed=7 every_ns={} index=0 \
+                 fingerprint={fingerprint:016x}",
                 Duration::from_secs(20).as_nanos()
             );
-            std::fs::write(&path, line).expect("write descriptor");
-            resume_from_descriptor(&path, &Opts::default())
+            let path = dir.write(&format!("{system}-{fingerprint:016x}.txt"), &line);
+            resume_from_descriptor(&path, &Opts::default()).expect("format 2")
         };
         let systems = [
             (
@@ -543,5 +583,32 @@ mod tests {
         let (system, fingerprint) = systems[0];
         let out = resume_from(system, fingerprint ^ 1);
         assert!(out.contains("verified: NO"), "{out}");
+    }
+
+    /// A descriptor of another image format is refused by name before it
+    /// replays: the line format 1 wrote (no `format` key), and a format-3
+    /// line naming a system no replay knows, which would panic if the
+    /// refusal came after parsing or replay.
+    #[test]
+    fn other_format_descriptors_are_refused_before_replay() {
+        let dir = TempDir::new("format-test");
+        let format_1 = "checkpoint system=laminar seed=7 every_ns=20000000000 index=0 \
+                        at_ns=20000000000 fingerprint=211bd52c12addb20";
+        let err = resume_from_descriptor(&dir.write("v1.txt", format_1), &Opts::default())
+            .expect_err("a format-1 descriptor must be refused");
+        for phrase in [
+            "image format 1 (no `format` key)",
+            "reads format 2 only",
+            "Rerun the `recovery` experiment",
+        ] {
+            assert!(err.contains(phrase), "`{err}` lacks `{phrase}`");
+        }
+        let format_3 = "checkpoint format=3 system=none index=9 shape=new";
+        let err = resume_from_descriptor(&dir.write("v3.txt", format_3), &Opts::default())
+            .expect_err("a format-3 descriptor must be refused");
+        assert!(
+            err.contains("image format 3: this build reads format 2"),
+            "{err}"
+        );
     }
 }

@@ -25,7 +25,7 @@ use super::{Ev, LaminarSystem, World};
 use laminar_data::{Eviction, ExperienceBuffer, PartialResponsePool, Sampler};
 use laminar_runtime::delta::{
     encode_engine_spans_plane, encode_engines_plane, encode_queue_plane, encode_report_plane,
-    fnv1a_bytes, StateImage, StatePlane, WordEnc,
+    str_words, StateImage, StatePlane, WordEnc,
 };
 use laminar_runtime::recovery::Recoverable;
 use laminar_runtime::{RunReport, SpanKind, SystemConfig, TraceSink};
@@ -223,11 +223,7 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
         .t(w.trainer_free_at)
         .b(w.degraded)
         .ot(w.capacity_low_since)
-        .t(w.degraded_entered)
-        // The retired sharded driver's mode flag, always off. It and the
-        // per-replica wake-queue words below stay as constants so images,
-        // fingerprints and checkpoint descriptors keep their bytes.
-        .b(false);
+        .t(w.degraded_entered);
     for word in w.rng.state_words() {
         e.u(word);
     }
@@ -237,11 +233,6 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
     }
     for &p in &w.pulling {
         e.b(p);
-    }
-    // One "wake queue empty" flag per replica, always true.
-    e.z(w.alive.len());
-    for _ in &w.alive {
-        e.b(true);
     }
     let mut words = e.take();
     for b in &w.breakers {
@@ -283,7 +274,7 @@ fn audit_plane(w: &World) -> StatePlane {
         a.version_history.len() as u64,
         a.violations.len() as u64,
     ];
-    head.extend(a.violations.iter().map(|v| fnv1a_bytes(v.as_bytes())));
+    head.extend(a.violations.iter().flat_map(|v| str_words(v)));
     plane.push_chunk(head);
     let admitted: Vec<u64> = a.admitted.iter().copied().collect();
     plane.extend_paged(&admitted);

@@ -472,10 +472,10 @@ impl ReplicaEngine {
     /// Appends the engine's scalar state — everything outside the
     /// per-trajectory chunks, the span stream, and the completion buffer —
     /// as a fixed-order word stream for the delta-checkpoint scalar chunk.
-    /// The derived event heaps contribute only their entry counts: their
-    /// contents are reconstructible from trajectory phases and lazily
-    /// invalidated, so counts match the granularity the recovery
-    /// fingerprint has always used.
+    /// The event heaps contribute nothing: their live entries are derived
+    /// from trajectory phases, and their stale entries are ones a rebuild
+    /// would drop. The two time-weighted accumulators and the KV series are
+    /// carried in full.
     pub fn checkpoint_scalar_words(&self, out: &mut Vec<u64>) {
         out.push(self.id as u64);
         out.push(self.weight_version);
@@ -493,11 +493,13 @@ impl ReplicaEngine {
         out.push(self.events_processed);
         out.push(self.perf_factor.to_bits());
         out.push(self.env_aborts);
-        out.push(self.phase_heap.len() as u64);
-        out.push(self.seg_heap.len() as u64);
-        out.push(self.busy.mean().to_bits());
-        out.push(self.kv_tw.mean().to_bits());
+        self.busy.state_words(out);
+        self.kv_tw.state_words(out);
         out.push(self.kv_series.len() as u64);
+        for &(t, v) in self.kv_series.points() {
+            out.push(t.as_nanos());
+            out.push(v.to_bits());
+        }
         out.push(self.waiting.len() as u64);
         out.push(self.active.len() as u64);
     }

@@ -64,13 +64,10 @@ impl RolloutManager {
     /// Appends the manager's complete mutable state as a fixed-order word
     /// stream for the delta-checkpoint scalar plane. Map entries are
     /// emitted in ascending replica order so the encoding never leaks
-    /// `HashMap` iteration order. The third word is always 0: it held a
-    /// failure counter that nothing increments, kept so checkpoint images
-    /// keep their layout.
+    /// `HashMap` iteration order.
     pub fn checkpoint_words(&self, out: &mut Vec<u64>) {
         out.push(self.repacks_planned);
         out.push(self.replicas_released);
-        out.push(0);
         let mut ids: Vec<usize> = self.health.keys().copied().collect();
         ids.sort_unstable();
         out.push(ids.len() as u64);

@@ -10,7 +10,7 @@
 //! boundaries (scalar blocks, append-only streams) are paginated into
 //! fixed [`PAGE_WORDS`] chunks, where appends dirty only the tail page.
 //!
-//! A [`DeltaStore`] persists chunks content-addressed by their FNV-1a key:
+//! A [`DeltaStore`] persists chunks content-addressed by their [`chunk_key`]:
 //! committing an image writes only chunks whose key is not already stored
 //! and records a [`Manifest`] — the ordered chunk-key lists per plane, a
 //! whole-state fingerprint, and a link to the parent manifest. The delta
@@ -27,11 +27,13 @@
 //! state-identity check before any event replays.
 //! [`DeltaStore::reconstruct`] reassembles the image itself.
 //!
-//! Every hash here is byte-serial FNV-1a, so a commit computes each chunk's
-//! key and the image fingerprint in one fused pass over the words, and a
-//! verify hashes each stored word once.
+//! Every hash here — chunk keys, image fingerprints, manifest ids — is one
+//! word-at-a-time fold: a 64×64→128-bit multiply per word with its two
+//! halves xor-folded (`fold_word` documents why). A commit computes each
+//! chunk's key and the image fingerprint in one fused pass over the words,
+//! and a verify hashes each stored word once. The image layout and these
+//! hashes together are format [`IMAGE_FORMAT`].
 
-use crate::recovery::fnv1a;
 use crate::report::RunReport;
 use laminar_rollout::ReplicaEngine;
 use laminar_sim::{IdMap, Scheduler, Time, TimeSeries, TraceSpan};
@@ -41,6 +43,14 @@ use std::collections::hash_map::Entry;
 /// small enough that a point mutation dirties little, large enough that the
 /// manifest (one key per page) stays a small fraction of the data.
 pub const PAGE_WORDS: usize = 32;
+
+/// The checkpoint image format: the words each plane carries and the fold
+/// that keys and fingerprints them. Checkpoint descriptors name it, so one
+/// written under another format is refused by name instead of failing its
+/// fingerprint check. Format 1 hashed with byte-serial FNV-1a and carried
+/// dead, derived and lossy words; format 2 folds a whole word per multiply,
+/// drops the dead and derived words and carries the lossy ones in full.
+pub const IMAGE_FORMAT: u32 = 2;
 
 /// Trace spans per chunk in span planes. Spans are append-only during a
 /// run, so a full batch keeps its chunk key and only the tail batch's chunk
@@ -141,11 +151,12 @@ impl StateImage {
         8 * self.planes.iter().map(|p| p.len_words()).sum::<u64>()
     }
 
-    /// The whole-state fingerprint: FNV-1a over every plane's name hash,
-    /// chunk structure, and words. Two states are delta-equivalent iff
-    /// their images fingerprint equal.
+    /// The whole-state fingerprint: the word fold over every plane's name,
+    /// chunk structure, and words. Equal images have equal fingerprints;
+    /// the converse holds only up to hash collisions, which is why
+    /// [`DeltaStore::verify`] compares words as well.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = FOLD_SEED;
         for plane in &self.planes {
             h = fold_plane_head(h, plane.name, plane.chunks.len());
             for chunk in &plane.chunks {
@@ -156,56 +167,75 @@ impl StateImage {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// Start state of every fold: the second 64 bits of π's fraction.
+const FOLD_SEED: u64 = 0x1319_8a2e_0370_7344;
 
-/// Folds one word into an FNV-1a state, one little-endian byte at a time.
+/// The fold's odd multiplier: the first 64 bits of π's fraction.
+const FOLD_MUL: u64 = 0x243f_6a88_85a3_08d3;
+
+/// Folds one whole word into a running hash: `m = (h ^ w) * FOLD_MUL` as a
+/// 64×64→128-bit product, then `h = lo(m) ^ hi(m)`.
+///
+/// One multiply sits on the dependency chain per word, where byte-serial
+/// FNV-1a put eight, so a fold over a ~550k-word image costs a fifth of the
+/// FNV-1a pass. The high half is what makes one multiply enough. A bare
+/// `(h ^ w).wrapping_mul(P)` carries a flip of a word's top bit only into
+/// the state's top bit, where a second such flip cancels it; the folded
+/// high half spreads every input bit over the whole state, so a flip in
+/// the last word changes both halves of the result. The step is not a
+/// bijection: as with any 64-bit hash, distinct inputs can collide. Keys
+/// and fingerprints only ever decide which chunks to store and compare;
+/// [`DeltaStore::verify`] compares words, so a collision is refused, never
+/// accepted.
 #[inline(always)]
-fn fold_word(mut h: u64, w: u64) -> u64 {
-    for b in w.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+fn fold_word(h: u64, w: u64) -> u64 {
+    let m = u128::from(h ^ w) * u128::from(FOLD_MUL);
+    m as u64 ^ (m >> 64) as u64
 }
 
-/// Folds a plane's header — name hash, then chunk count — into a running
-/// image fingerprint.
+/// Folds a word stream into a running hash, one [`fold_word`] per word.
+fn fold_words(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(h, fold_word)
+}
+
+/// A string as words: its byte length, then its UTF-8 bytes packed eight
+/// to a word, little-endian, the last word zero-padded. Lossless, unlike a
+/// hash, and the length prefix keeps consecutive strings apart.
+pub fn str_words(s: &str) -> impl Iterator<Item = u64> + '_ {
+    let packed = s.as_bytes().chunks(8).map(|bytes| {
+        let mut word = [0u8; 8];
+        word[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(word)
+    });
+    std::iter::once(s.len() as u64).chain(packed)
+}
+
+/// Folds a plane's header — name, then chunk count — into a running image
+/// fingerprint.
 fn fold_plane_head(h: u64, name: &str, chunks: usize) -> u64 {
-    fold_word(fold_word(h, fnv1a_bytes(name.as_bytes())), chunks as u64)
+    fold_word(fold_words(h, str_words(name)), chunks as u64)
 }
 
 /// Folds one chunk — length, then words — into a running image fingerprint.
 fn fold_chunk(h: u64, words: &[u64]) -> u64 {
-    let h = fold_word(h, words.len() as u64);
-    words.iter().fold(h, |h, &w| fold_word(h, w))
+    fold_words(fold_word(h, words.len() as u64), words.iter().copied())
 }
 
 /// [`fold_chunk`] and [`chunk_key`] in one pass over the words, returning
-/// `(fingerprint, key)`. The two FNV-1a chains are independent, so the CPU
-/// overlaps them.
+/// `(fingerprint, key)`. The two chains are independent, so the CPU
+/// overlaps their multiplies.
 fn fold_chunk_keyed(h: u64, words: &[u64]) -> (u64, u64) {
     let len = words.len() as u64;
-    let start = (fold_word(h, len), fold_word(FNV_OFFSET, len));
+    let start = (fold_word(h, len), fold_word(FOLD_SEED, len));
     words
         .iter()
         .fold(start, |(h, k), &w| (fold_word(h, w), fold_word(k, w)))
 }
 
-/// FNV-1a over raw bytes (plane names, string-valued state).
-pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Content-address of one chunk: FNV-1a over its length then words, so a
-/// prefix and its extension never collide trivially.
+/// Content-address of one chunk: the word fold over its length then words,
+/// so a prefix and its extension never collide trivially.
 pub fn chunk_key(words: &[u64]) -> u64 {
-    fnv1a(std::iter::once(words.len() as u64).chain(words.iter().copied()))
+    fold_chunk(FOLD_SEED, words)
 }
 
 /// One plane's entry in a manifest: the ordered chunk keys.
@@ -223,7 +253,7 @@ pub struct PlaneManifest {
 /// fingerprint, and the parent link forming the manifest chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Manifest id (FNV-1a over the manifest's own contents).
+    /// Manifest id (the word fold over the manifest's own contents).
     pub id: u64,
     /// 0-based commit index in this store.
     pub index: usize,
@@ -287,7 +317,7 @@ impl DeltaStore {
             whole_bytes: image.total_bytes(),
             ..CommitStats::default()
         };
-        let mut fingerprint = FNV_OFFSET;
+        let mut fingerprint = FOLD_SEED;
         let mut planes = Vec::with_capacity(image.planes().len());
         for plane in image.planes() {
             fingerprint = fold_plane_head(fingerprint, plane.name, plane.chunks.len());
@@ -311,18 +341,19 @@ impl DeltaStore {
                 keys,
             });
         }
-        let mut id_words = vec![
-            self.manifests.len() as u64,
-            at.as_nanos(),
-            parent.unwrap_or(0),
-            fingerprint,
-        ];
+        let mut id = fold_words(
+            FOLD_SEED,
+            [
+                self.manifests.len() as u64,
+                at.as_nanos(),
+                parent.unwrap_or(0),
+                fingerprint,
+            ],
+        );
         for p in &planes {
-            id_words.push(fnv1a_bytes(p.name.as_bytes()));
-            id_words.push(p.len_words);
-            id_words.extend(p.keys.iter().copied());
+            id = fold_words(id, str_words(p.name).chain([p.len_words]));
+            id = fold_words(id, p.keys.iter().copied());
         }
-        let id = fnv1a(id_words);
         let manifest = Manifest {
             id,
             index: self.manifests.len(),
@@ -382,7 +413,7 @@ impl DeltaStore {
     /// the stored chunks checks all three and allocates no image. A live
     /// mismatch names the first plane and chunk where the two part ways.
     pub fn verify(&self, manifest: &Manifest, live: &StateImage) -> Result<(), String> {
-        let mut fingerprint = FNV_OFFSET;
+        let mut fingerprint = FOLD_SEED;
         let mut diverged = None;
         for (p, plane) in manifest.planes.iter().enumerate() {
             let live_plane = live.planes().get(p);
@@ -615,8 +646,8 @@ pub fn encode_engine_spans_plane(driver: &[TraceSpan], engines: &[ReplicaEngine]
 /// only each touched section's tail page re-keys.
 pub fn encode_report_plane(name: &'static str, r: &RunReport) -> StatePlane {
     let mut plane = StatePlane::new(name);
-    let head = vec![
-        fnv1a_bytes(r.system.as_bytes()),
+    let mut head: Vec<u64> = str_words(&r.system).collect();
+    head.extend([
         r.throughput.to_bits(),
         r.generation_fraction.to_bits(),
         r.mean_kv_utilization.to_bits(),
@@ -632,7 +663,7 @@ pub fn encode_report_plane(name: &'static str, r: &RunReport) -> StatePlane {
         r.gen_series.len() as u64,
         r.train_series.len() as u64,
         r.staleness_by_finish.len() as u64,
-    ];
+    ]);
     plane.push_chunk(head);
     let mut sec: Vec<u64> = Vec::new();
     for vec in [
@@ -724,24 +755,29 @@ mod tests {
         assert!(store.verify(&m, &img).is_err());
     }
 
-    /// The fingerprint and chunk keys spelled out as one flat FNV-1a
-    /// stream, independent of the fold helpers `commit` shares.
+    /// The fingerprint and chunk keys spelled out as flat word streams,
+    /// each one fold from the seed, independent of the helpers `commit`
+    /// shares.
     fn reference_hashes(img: &StateImage) -> (u64, Vec<Vec<u64>>) {
+        fn framed(c: &[u64]) -> impl Iterator<Item = u64> + '_ {
+            std::iter::once(c.len() as u64).chain(c.iter().copied())
+        }
         let stream = img.planes().iter().flat_map(|p| {
-            [fnv1a_bytes(p.name.as_bytes()), p.chunks.len() as u64]
-                .into_iter()
-                .chain(
-                    p.chunks
-                        .iter()
-                        .flat_map(|c| std::iter::once(c.len() as u64).chain(c.iter().copied())),
-                )
+            str_words(p.name)
+                .chain([p.chunks.len() as u64])
+                .chain(p.chunks.iter().flat_map(|c| framed(c)))
         });
         let keys = img
             .planes()
             .iter()
-            .map(|p| p.chunks.iter().map(|c| chunk_key(c)).collect())
+            .map(|p| {
+                p.chunks
+                    .iter()
+                    .map(|c| framed(c).fold(FOLD_SEED, fold_word))
+                    .collect()
+            })
             .collect();
-        (fnv1a(stream), keys)
+        (stream.fold(FOLD_SEED, fold_word), keys)
     }
 
     #[test]
@@ -875,6 +911,77 @@ mod tests {
     fn chunk_key_separates_length_extensions() {
         assert_ne!(chunk_key(&[0]), chunk_key(&[0, 0]));
         assert_ne!(chunk_key(&[]), chunk_key(&[0]));
+    }
+
+    /// Seeded chunks of 1 to 33 words, spread over the whole word range.
+    fn seeded_chunks() -> Vec<Vec<u64>> {
+        let mut x = 0x5eed_u64;
+        let mut next = move || {
+            // splitmix64
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        [1, 2, 3, 5, 8, 13, 32, 33]
+            .into_iter()
+            .map(|len| (0..len).map(|_| next()).collect())
+            .collect()
+    }
+
+    /// Every single-bit flip of every word — the last word of the last
+    /// chunk included, which no later multiply mixes — changes the chunk
+    /// key and the image fingerprint in both 32-bit halves. A change that
+    /// reaches only the high bits is how a bare `(h ^ w) * P` fails: a top
+    /// bit flip stays in the top bit, where a second flip cancels it.
+    #[test]
+    fn every_bit_flip_changes_both_halves_of_key_and_fingerprint() {
+        let chunks = seeded_chunks();
+        let base = image(chunks.clone());
+        let (fingerprint, keys) = (base.fingerprint(), chunks.iter().map(|c| chunk_key(c)));
+        let spreads = |a: u64, b: u64| (a ^ b) as u32 != 0 && (a ^ b) >> 32 != 0;
+        for (c, key) in keys.enumerate() {
+            for i in 0..chunks[c].len() {
+                for bit in 0..64 {
+                    let mut flipped = chunks.clone();
+                    flipped[c][i] ^= 1 << bit;
+                    let at = format!("chunk {c} word {i} bit {bit}");
+                    assert!(spreads(key, chunk_key(&flipped[c])), "key: {at}");
+                    let fp = image(flipped).fingerprint();
+                    assert!(spreads(fingerprint, fp), "fingerprint: {at}");
+                }
+            }
+        }
+    }
+
+    /// Flipping the top bit of two different words of a chunk still
+    /// changes its key: the flips do not cancel.
+    #[test]
+    fn paired_top_bit_flips_do_not_cancel() {
+        for chunk in seeded_chunks() {
+            let key = chunk_key(&chunk);
+            for i in 0..chunk.len() {
+                for j in i + 1..chunk.len() {
+                    let mut flipped = chunk.clone();
+                    flipped[i] ^= 1 << 63;
+                    flipped[j] ^= 1 << 63;
+                    assert_ne!(chunk_key(&flipped), key, "words {i} and {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn str_words_pack_length_prefixed_utf8() {
+        assert_eq!(str_words("").collect::<Vec<_>>(), [0]);
+        assert_eq!(
+            str_words("laminar").collect::<Vec<_>>(),
+            [7, u64::from_le_bytes(*b"laminar\0")]
+        );
+        let words: Vec<u64> = str_words("partial-rollout").collect();
+        assert_eq!(words.len(), 3);
+        assert_eq!(words[1].to_le_bytes(), *b"partial-");
+        assert_eq!(words[2].to_le_bytes(), *b"rollout\0");
     }
 
     #[test]

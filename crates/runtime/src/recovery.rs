@@ -80,11 +80,16 @@ pub trait Recoverable: RlSystem {
 
     /// Encodes the snapshot as its canonical [`StateImage`] — every mutable
     /// plane, chunked at natural state granularity. This is the persisted
-    /// form delta checkpoints commit: two snapshots are equivalent iff their
-    /// images are identical. A committed manifest records the image's
-    /// fingerprint, which checkpoint descriptor files persist so
-    /// `--resume-from` can verify that a deterministic replay reconstructed
-    /// the same state before resuming.
+    /// form delta checkpoints commit. Equal snapshots encode to identical
+    /// images, and the tests prove this direction: each committed
+    /// snapshot's clone re-encodes to the stored image word for word. The
+    /// converse — that snapshots with identical images are equivalent — is
+    /// not proven: nothing decodes an image, and derived state such as the
+    /// engines' lazy event heaps is left out. A committed manifest records
+    /// the image's fingerprint, which checkpoint descriptor files persist
+    /// (with [`IMAGE_FORMAT`](crate::delta::IMAGE_FORMAT)) so `--resume-from`
+    /// can verify that a deterministic replay reconstructed the same state
+    /// before resuming.
     fn encode_state(snapshot: &Self::Snapshot) -> StateImage;
 
     /// Runs to completion, committing a delta checkpoint into `store` at
@@ -165,19 +170,6 @@ pub trait Recoverable: RlSystem {
         Self::verify_checkpoint(store, &checkpoint)?;
         Ok(self.resume(checkpoint.state, trace))
     }
-}
-
-/// FNV-1a over a word stream: the fingerprint fold every implementation
-/// uses (declared here so digests stay consistent across crates).
-pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Aggregate checkpoint-cost accounting across one checkpointed run.
@@ -294,7 +286,7 @@ impl CheckpointSoak {
 struct CheckedRun {
     base_report: RunReport,
     base_text: String,
-    base_jsonl: String,
+    base_trace: RecordingTrace,
     store: DeltaStore,
     checkpointed_identical: bool,
     first_divergence: Option<String>,
@@ -319,7 +311,7 @@ impl CheckedRun {
         let mut run = CheckedRun {
             base_text: format!("{base_report:?}"),
             base_report,
-            base_jsonl: base_trace.to_jsonl(),
+            base_trace,
             store,
             checkpointed_identical: false,
             first_divergence: None,
@@ -341,7 +333,9 @@ impl CheckedRun {
 
     /// Where a run's report or trace first differs from the uninterrupted
     /// run's (`report line N: ...` or `trace line N: ...`, uninterrupted
-    /// side first); `None` when both are byte-identical.
+    /// side first); `None` when both are byte-identical. Traces compare as
+    /// span slices: the JSONL writer is injective, so equal spans mean equal
+    /// bytes, and the JSONL is rendered only to name a differing line.
     fn difference(&self, report: &RunReport, trace: &RecordingTrace) -> Option<String> {
         if format!("{report:?}") != self.base_text {
             // The one-line `Debug` text would only ever name line 1; the
@@ -349,7 +343,11 @@ impl CheckedRun {
             let (base, run) = (format!("{:#?}", self.base_report), format!("{report:#?}"));
             return first_line_difference(&base, &run).map(|d| format!("report {d}"));
         }
-        first_line_difference(&self.base_jsonl, &trace.to_jsonl()).map(|d| format!("trace {d}"))
+        if trace.spans() == self.base_trace.spans() {
+            return None;
+        }
+        first_line_difference(&self.base_trace.to_jsonl(), &trace.to_jsonl())
+            .map(|d| format!("trace {d}"))
     }
 
     /// Records `what` unless an earlier divergence was already recorded.
@@ -467,7 +465,8 @@ mod tests {
     }
 
     /// A divergence verdict names the first differing line of the report
-    /// (one field per line) or of the trace JSONL.
+    /// (one field per line) or of the trace JSONL; equal span slices are
+    /// identical without rendering either side.
     #[test]
     fn divergence_names_the_first_differing_report_or_trace_line() {
         let report = RunReport {
@@ -479,12 +478,21 @@ mod tests {
         let run = CheckedRun {
             base_text: format!("{report:?}"),
             base_report: report.clone(),
-            base_jsonl: trace.to_jsonl(),
+            base_trace: trace.clone(),
             store: DeltaStore::new(),
             checkpointed_identical: true,
             first_divergence: None,
         };
         assert_eq!(run.difference(&report, &trace), None);
+        let mut rerecorded = RecordingTrace::new();
+        rerecorded.record(span(1));
+        assert_eq!(run.difference(&report, &rerecorded), None);
+
+        let mut moved = RecordingTrace::new();
+        moved.record(span(3));
+        let d = run.difference(&report, &moved).expect("span changed");
+        assert!(d.starts_with("trace line 1: `{"), "{d}");
+        assert!(d.contains("\"end_ns\":3000000000"), "{d}");
 
         let mut longer = trace.clone();
         longer.record(span(2));

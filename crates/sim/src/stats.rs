@@ -174,6 +174,18 @@ impl TimeWeighted {
         self.mean()
     }
 
+    /// Appends the accumulator's complete state as a fixed-order word
+    /// stream — the delta-checkpoint encoding: the last observation's time
+    /// and value, the weighted sum, the observed span, and whether any
+    /// observation has arrived.
+    pub fn state_words(&self, out: &mut Vec<u64>) {
+        out.push(self.last_t.as_nanos());
+        out.push(self.last_v.to_bits());
+        out.push(self.weighted_sum.to_bits());
+        out.push(self.total.as_nanos());
+        out.push(self.started as u64);
+    }
+
     /// Time-weighted mean over the span observed so far.
     pub fn mean(&self) -> f64 {
         let secs = self.total.as_secs_f64();

@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The smoke runs below write their results here; nothing is left in /tmp.
+smoke_out="$(mktemp -d)"
+trap 'rm -rf "$smoke_out"' EXIT
+
 if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --all -- --check
 else
@@ -30,12 +34,12 @@ echo "perfbench: compiles"
 # specs/smoke.baseline.jsonl; the simulation is deterministic, so this one
 # DOES fail lint on any gate breach.
 cargo run --release -p laminar-bench --bin laminar-experiments -- \
-    --spec specs/smoke.toml --out "$(mktemp -d)" >/dev/null
+    --spec specs/smoke.toml --out "$smoke_out/lab" >/dev/null
 echo "lab smoke: gates pass"
 
 # Chaos smoke: one seeded fault-schedule sweep with the invariant checker.
 # "all seeds green: yes" is asserted by the experiment's own tests; here we
 # just require the run to exit cleanly and stay green.
 cargo run --release -p laminar-bench --bin laminar-experiments -- \
-    --chaos-seed 1 --out "$(mktemp -d)" chaos | grep "all seeds green: yes" >/dev/null
+    --chaos-seed 1 --out "$smoke_out/chaos" chaos | grep "all seeds green: yes" >/dev/null
 echo "chaos smoke: green"

@@ -12,8 +12,10 @@
 #
 # A refactor that claims to change no behaviour runs this against its
 # parent commit:  scripts/same-bytes.sh <parent>
-# Exits 1 at the first difference, naming the file and its first
-# differing line. About 3 minutes on 2 cores, most of it the two builds.
+# A change that alters bytes on purpose runs it too, to show its exact
+# difference set: every differing file is listed with the start of its
+# diff, then the resume verdict, and the script exits 1 if anything
+# differed. About 3 minutes on 2 cores, most of it the two builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,41 +63,59 @@ run_side() {
 run_side base "$base_bin" "$work/base-src"
 run_side head "$head_bin" "$PWD"
 
-# same A B: exits 1 with the first differing line unless A and B match.
+# same A B: records a difference, naming both files and printing the
+# start of their diff, unless A and B match.
+differences=0
 same() {
     if ! cmp -s "$1" "$2"; then
         echo "same-bytes: DIFFERS: ${1#"$work/"} vs ${2#"$work/"}" >&2
-        diff "$1" "$2" | head -n 4 >&2 || true
-        exit 1
+        diff "$1" "$2" | head -n 60 >&2 || true
+        differences=$((differences + 1))
     fi
 }
 
 files=0
 while IFS= read -r rel; do
-    [ -f "$work/head/$rel" ] || { echo "same-bytes: head lacks $rel" >&2; exit 1; }
-    same "$work/base/$rel" "$work/head/$rel"
     files=$((files + 1))
+    if [ ! -f "$work/head/$rel" ]; then
+        echo "same-bytes: DIFFERS: head lacks $rel" >&2
+        differences=$((differences + 1))
+        continue
+    fi
+    same "$work/base/$rel" "$work/head/$rel"
 done < <(cd "$work/base" && find . -type f | sort)
-head_files=$(cd "$work/head" && find . -type f | wc -l)
-if [ "$head_files" -ne "$files" ]; then
-    echo "same-bytes: head wrote $head_files files, base $files" >&2
-    exit 1
-fi
+while IFS= read -r rel; do
+    if [ ! -f "$work/base/$rel" ]; then
+        echo "same-bytes: DIFFERS: base lacks $rel" >&2
+        differences=$((differences + 1))
+    fi
+done < <(cd "$work/head" && find . -type f | sort)
 
 for spec in checkpoint-soak fleet-chaos; do
     same "specs/$spec.baseline.jsonl" "$(ls "$work/head/specs/$spec"/*.rows.jsonl)"
 done
 
-resume="$("$head_bin" --resume-from "$work/base/all/recovery.txt" --out "$work/resume" \
-    2>>"$work/head.log")"
-for want in "verified: yes" "resumed report identical to uninterrupted run: yes"; do
-    if ! grep -qF "$want" <<<"$resume"; then
-        echo "same-bytes: --resume-from on base's recovery.txt lacks \"$want\":" >&2
-        echo "$resume" >&2
-        exit 1
-    fi
-done
+if resume="$("$head_bin" --resume-from "$work/base/all/recovery.txt" --out "$work/resume" \
+    2>&1)"; then
+    for want in "verified: yes" "resumed report identical to uninterrupted run: yes"; do
+        if ! grep -qF "$want" <<<"$resume"; then
+            echo "same-bytes: DIFFERS: --resume-from on base's recovery.txt lacks \"$want\":" >&2
+            echo "$resume" >&2
+            differences=$((differences + 1))
+            break
+        fi
+    done
+else
+    echo "same-bytes: DIFFERS: --resume-from on base's recovery.txt failed:" >&2
+    echo "$resume" >&2
+    differences=$((differences + 1))
+fi
 
+if [ "$differences" -ne 0 ]; then
+    echo "same-bytes: $differences differences (of $files base files, the two committed" \
+        "baselines and the resume)" >&2
+    exit 1
+fi
 echo "same-bytes: $files files identical ($(ls "$work/head/all" | wc -l) result files)"
 echo "same-bytes: trace $(wc -l <"$work/head/trace.jsonl") lines," \
     "sha256 $(sha256sum "$work/head/trace.jsonl" | cut -d' ' -f1)"

@@ -9,16 +9,34 @@
 //! also pinned to golden fingerprints recorded from an earlier build. So
 //! are the checkpoint plane's hashes — chunk keys, image fingerprints,
 //! manifest ids, and the snapshot fingerprints that checkpoint descriptor
-//! files persist — so a descriptor written by an earlier build keeps
-//! verifying. So are the fault paths no fault-free run reaches: degraded
-//! mode, breaker trips, env-call aborts, the fleet under faults, and the
-//! fig13 learner. A golden changes only with an intended behaviour change;
-//! the failure message prints the replacement table.
+//! files persist — so a descriptor written by an earlier build of the same
+//! checkpoint image format (`delta::IMAGE_FORMAT`) keeps verifying; a
+//! format change re-records them once. So are the fault paths no
+//! fault-free run reaches: degraded mode, breaker trips, env-call aborts,
+//! the fleet under faults, and the fig13 learner. A golden changes only
+//! with an intended behaviour change; the failure message prints the
+//! replacement table.
 
 use laminar::prelude::*;
-use laminar::runtime::delta::{chunk_key, fnv1a_bytes};
-use laminar::runtime::recovery::fnv1a;
+use laminar::runtime::delta::chunk_key;
 use laminar::runtime::{DeltaStore, Recoverable, StateImage, StatePlane};
+
+/// FNV-1a over raw bytes: the fingerprint of report text, trace JSONL and
+/// fleet fingerprints in the goldens below. The checkpoint plane hashes
+/// with its own word fold; this one stays byte-serial FNV-1a so these
+/// goldens keep the values earlier builds recorded.
+fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// FNV-1a over a word stream, each word as its eight little-endian bytes:
+/// the fingerprint of spec streams, cadence folds and learning curves.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
+    fnv1a_bytes(&bytes)
+}
 
 /// FNV-1a of the `encode_words` stream of two consecutive 48-prompt
 /// `batch()` calls on a fresh DAPO-Math-17k dataset, per
@@ -52,14 +70,14 @@ const REPORT_GOLDENS: [(&str, u64); 5] = [
 /// Chunk keys, image fingerprints, and the manifest id and fingerprint of
 /// two commits of [`synthetic_image`] (the second dedups all but one chunk).
 const CHECKPOINT_HASH_GOLDENS: [(&str, u64); 8] = [
-    ("chunk_key []", 0xa8c7f832281a39c5),
-    ("chunk_key [1, 2, 3]", 0xb981081392b03a26),
-    ("chunk_key page 0", 0xfdb8be8b6bcc5615),
-    ("image fingerprint salt 1", 0x05e59de9fcf32010),
-    ("commit 0 manifest id", 0x521c07fd079a5f37),
-    ("commit 0 manifest fingerprint", 0x05e59de9fcf32010),
-    ("commit 1 manifest id", 0x5070447ae9d00d59),
-    ("commit 1 manifest fingerprint", 0x0b1ebd9eb5554b33),
+    ("chunk_key []", 0xbc13060e2d1aac79),
+    ("chunk_key [1, 2, 3]", 0xe825cefb35adb65f),
+    ("chunk_key page 0", 0xef515d908b602401),
+    ("image fingerprint salt 1", 0xe259f385e4e2a439),
+    ("commit 0 manifest id", 0x8874e0c122b16848),
+    ("commit 0 manifest fingerprint", 0xe259f385e4e2a439),
+    ("commit 1 manifest id", 0x77e32d23715a9cf3),
+    ("commit 1 manifest fingerprint", 0xe214cba4cf1bdf2a),
 ];
 
 /// State-image fingerprints of the first cadence points of a 20 s
@@ -67,10 +85,10 @@ const CHECKPOINT_HASH_GOLDENS: [(&str, u64); 8] = [
 /// `(system, index)`, as the committed manifests record them. Checkpoint
 /// descriptor lines carry these values.
 const SNAPSHOT_GOLDENS: [(&str, usize, u64); 4] = [
-    ("laminar", 0, 0xf5b0d4a2febbb2af),
-    ("laminar", 1, 0x6af51d3108dadcd1),
-    ("partial-rollout", 0, 0xb3351cb466615a24),
-    ("partial-rollout", 1, 0x2a1030b91258bd58),
+    ("laminar", 0, 0x8f756567529b15d6),
+    ("laminar", 1, 0x0e6734374fed2ce0),
+    ("partial-rollout", 0, 0x2665d7d4cfa3d415),
+    ("partial-rollout", 1, 0x1e0d74f0c267d654),
 ];
 
 /// Checkpoint count and FNV-1a fold of every checkpoint's
@@ -80,16 +98,16 @@ const SNAPSHOT_GOLDENS: [(&str, usize, u64); 4] = [
 /// crosses several cadence points yields one snapshot per point; the fold
 /// pins where each pause lands as well as the state it holds.
 const CADENCE_GOLDENS: [(&str, u64, usize, u64); 10] = [
-    ("verl-sync", 20, 11, 0xfad59313b73d3dc3),
-    ("verl-sync", 33, 6, 0x03531c220a019ea1),
-    ("one-step", 20, 11, 0xdaf4158d53d5de9d),
-    ("one-step", 33, 7, 0xb71af67047ad2e6e),
-    ("stream-gen", 20, 11, 0x0968b8beae297fe7),
-    ("stream-gen", 33, 6, 0x99a0e1e27ec5fa90),
-    ("partial-rollout", 20, 2, 0xbc979e54ec7a9656),
-    ("partial-rollout", 33, 1, 0xf41e5d311dfc35be),
-    ("laminar", 20, 6, 0x262d076f60f77a2e),
-    ("laminar", 33, 4, 0x6ee43506e5b45c97),
+    ("verl-sync", 20, 11, 0x79d68deaf27cf45c),
+    ("verl-sync", 33, 6, 0x7ec11bcee2e3f841),
+    ("one-step", 20, 11, 0xd9b574ddd7b473a7),
+    ("one-step", 33, 7, 0x9fbc53c111d8faa4),
+    ("stream-gen", 20, 11, 0x98c09446621323ec),
+    ("stream-gen", 33, 6, 0x0b24499c6f68211d),
+    ("partial-rollout", 20, 2, 0xab218a6335de8dd4),
+    ("partial-rollout", 33, 1, 0xff5862c74db97da8),
+    ("laminar", 20, 6, 0x68869a1955b71153),
+    ("laminar", 33, 4, 0x2a5bdd65c512151d),
 ];
 
 /// Disaggregated placement (Laminar); `train_gpus = 0` below yields the
