@@ -28,7 +28,10 @@ use laminar_baselines::{OneStepStaleness, PartialRollout, StreamGeneration, Verl
 use laminar_cluster::ModelSpec;
 use laminar_core::{FaultEvent, FaultKind, LaminarSystem, SystemKind};
 use laminar_runtime::delta::IMAGE_FORMAT;
-use laminar_runtime::recovery::{check_resume_equivalence, DeltaCheckpoint, Recoverable};
+use laminar_runtime::recovery::{
+    check_resume_equivalence, CheckpointCheck, DeltaCheckpoint, Recoverable,
+};
+use laminar_runtime::trace::first_line_difference;
 use laminar_runtime::{DeltaStore, NullTrace, RecordingTrace, SystemConfig};
 use laminar_sim::{Duration, SpanKind, Time};
 use laminar_workload::{Checkpoint, WorkloadGenerator};
@@ -78,6 +81,29 @@ fn replay_config(seed: u64, kind: SystemKind) -> SystemConfig {
     c.iterations = 3;
     c.warmup = 0;
     c
+}
+
+/// The five systems of the checkpoint/restore section, in row order,
+/// under the names their rows and descriptor lines use.
+const SYSTEMS: [(&str, SystemKind); 5] = [
+    ("laminar", SystemKind::Laminar),
+    ("verl", SystemKind::Verl),
+    ("one-step", SystemKind::OneStep),
+    ("stream-gen", SystemKind::StreamGen),
+    ("partial-rollout", SystemKind::PartialRollout),
+];
+
+/// [`check_resume_equivalence`] on `kind`'s system at its replay
+/// configuration.
+fn check_equivalence(kind: SystemKind, seed: u64, every: Duration) -> CheckpointCheck {
+    let cfg = replay_config(seed, kind);
+    match kind {
+        SystemKind::Laminar => check_resume_equivalence(&LaminarSystem::default(), &cfg, every),
+        SystemKind::Verl => check_resume_equivalence(&VerlSync, &cfg, every),
+        SystemKind::OneStep => check_resume_equivalence(&OneStepStaleness, &cfg, every),
+        SystemKind::StreamGen => check_resume_equivalence(&StreamGeneration, &cfg, every),
+        SystemKind::PartialRollout => check_resume_equivalence(&PartialRollout, &cfg, every),
+    }
 }
 
 /// The sustained scenario: capacity stays below the degraded-mode
@@ -237,10 +263,10 @@ pub fn recovery(opts: &Opts) -> String {
     let mut all_identical = true;
     for cadence in &cadences {
         let _ = writeln!(out, "  cadence {:.0}s:", cadence.as_secs_f64());
-        let mut row = |name: &str, eq: laminar_runtime::recovery::ResumeEquivalence| {
+        for (name, kind) in SYSTEMS {
+            let eq = check_equivalence(kind, opts.seed, *cadence);
             all_identical &= eq.identical();
-            let c = &eq.cost;
-            let pts = c.points.max(1) as u64;
+            let pts = eq.snapshots.max(1) as u64;
             let _ = writeln!(
                 out,
                 "    {name:<16} {} snapshots, checkpointed identical: {}, resumes identical: {}/{}, \
@@ -251,57 +277,17 @@ pub fn recovery(opts: &Opts) -> String {
                 eq.snapshots,
                 eq.fingerprints_verified,
                 eq.snapshots,
-                c.delta_bytes / pts,
-                c.whole_bytes / pts,
-                c.steady_ratio(),
-                c.chunks_reused,
-                c.chunks_total,
+                eq.delta_bytes / pts,
+                eq.whole_bytes / pts,
+                eq.steady_ratio(),
+                eq.chunks_reused,
+                eq.chunks_total,
                 match &eq.first_divergence {
                     Some(d) => format!(" ({d})"),
                     None => String::new(),
                 },
             );
-        };
-        row(
-            "laminar",
-            check_resume_equivalence(
-                &LaminarSystem::default(),
-                &replay_config(opts.seed, SystemKind::Laminar),
-                *cadence,
-            ),
-        );
-        row(
-            "verl",
-            check_resume_equivalence(
-                &VerlSync,
-                &replay_config(opts.seed, SystemKind::Verl),
-                *cadence,
-            ),
-        );
-        row(
-            "one-step",
-            check_resume_equivalence(
-                &OneStepStaleness,
-                &replay_config(opts.seed, SystemKind::OneStep),
-                *cadence,
-            ),
-        );
-        row(
-            "stream-gen",
-            check_resume_equivalence(
-                &StreamGeneration,
-                &replay_config(opts.seed, SystemKind::StreamGen),
-                *cadence,
-            ),
-        );
-        row(
-            "partial-rollout",
-            check_resume_equivalence(
-                &PartialRollout,
-                &replay_config(opts.seed, SystemKind::PartialRollout),
-                *cadence,
-            ),
-        );
+        }
     }
 
     // Checkpoint descriptors for --resume-from: replayable because the
@@ -337,19 +323,24 @@ pub fn recovery(opts: &Opts) -> String {
 
 /// Replays a `checkpoint ...` descriptor line (as printed by the
 /// `recovery` experiment and saved in `results/recovery.txt`):
-/// deterministically re-runs the system to the checkpoint, verifies the
-/// snapshot fingerprint, resumes to completion, and compares the resumed
-/// report against the uninterrupted run's. A descriptor of another image
-/// format than [`IMAGE_FORMAT`] — including one with no `format` key,
-/// which format 1 wrote — is refused before anything replays: its
-/// fingerprint was computed by another encoding and cannot verify here.
+/// deterministically re-runs the system to the checkpoint, checks that the
+/// replayed checkpoint's fingerprint is the descriptor's, resumes it through
+/// [`Recoverable::resume_verified`], and compares the resumed report with
+/// the uninterrupted run's. Every failure is an `Err` naming its cause: an
+/// unreadable file or malformed line, an index past the run's checkpoints,
+/// a fingerprint other than the descriptor's, a failed verification, or a
+/// resumed report that differs. A descriptor of another image format than
+/// [`IMAGE_FORMAT`] — including one with no `format` key, which format 1
+/// wrote — is refused before anything replays: its fingerprint was
+/// computed by another encoding and cannot verify here.
 pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).expect("read checkpoint descriptor file");
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read descriptor file {}: {e}", path.display()))?;
     let line = text
         .lines()
         .map(str::trim_start)
         .find(|l| l.starts_with("checkpoint "))
-        .expect("no `checkpoint ...` descriptor line in file");
+        .ok_or_else(|| format!("no `checkpoint ...` descriptor line in {}", path.display()))?;
     let format = line
         .split_whitespace()
         .find_map(|tok| tok.strip_prefix("format="));
@@ -361,66 +352,44 @@ pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> Result<String, String
             format.unwrap_or("1 (no `format` key)"),
         ));
     }
-    let mut system = String::new();
+    let mut system = "";
     let mut seed = opts.seed;
-    let mut every = Duration::ZERO;
+    let mut every = 0;
     let mut index = usize::MAX;
     let mut fingerprint = 0u64;
     for tok in line.split_whitespace().skip(1) {
         let (k, v) = tok
             .split_once('=')
-            .expect("descriptor tokens are key=value");
+            .ok_or_else(|| format!("descriptor token `{tok}` is not key=value"))?;
+        let bad = |e: std::num::ParseIntError| format!("descriptor value `{tok}` is invalid: {e}");
         match k {
-            "system" => system = v.to_string(),
-            "seed" => seed = v.parse().expect("seed"),
-            "every_ns" => every = Duration::from_nanos(v.parse().expect("every_ns")),
-            "index" => index = v.parse().expect("index"),
+            "system" => system = v,
+            "seed" => seed = v.parse().map_err(bad)?,
+            "every_ns" => every = v.parse().map_err(bad)?,
+            "index" => index = v.parse().map_err(bad)?,
             // `format` is checked above. Informational / legacy keys: the
             // replay re-derives `at`, and its config no longer depends on
             // `quick`.
             "format" | "at_ns" | "quick" => {}
-            "fingerprint" => fingerprint = u64::from_str_radix(v, 16).expect("fingerprint hex"),
-            other => panic!("unknown descriptor key: {other}"),
+            "fingerprint" => fingerprint = u64::from_str_radix(v, 16).map_err(bad)?,
+            other => return Err(format!("unknown descriptor key `{other}`")),
         }
     }
-    Ok(match system.as_str() {
-        "laminar" => replay(
-            &LaminarSystem::default(),
-            &replay_config(seed, SystemKind::Laminar),
-            every,
-            index,
-            fingerprint,
-        ),
-        "verl" => replay(
-            &VerlSync,
-            &replay_config(seed, SystemKind::Verl),
-            every,
-            index,
-            fingerprint,
-        ),
-        "one-step" => replay(
-            &OneStepStaleness,
-            &replay_config(seed, SystemKind::OneStep),
-            every,
-            index,
-            fingerprint,
-        ),
-        "stream-gen" => replay(
-            &StreamGeneration,
-            &replay_config(seed, SystemKind::StreamGen),
-            every,
-            index,
-            fingerprint,
-        ),
-        "partial-rollout" => replay(
-            &PartialRollout,
-            &replay_config(seed, SystemKind::PartialRollout),
-            every,
-            index,
-            fingerprint,
-        ),
-        other => panic!("unknown system in descriptor: {other}"),
-    })
+    let (_, kind) = SYSTEMS
+        .into_iter()
+        .find(|(name, _)| *name == system)
+        .ok_or_else(|| format!("unknown system `{system}` in descriptor"))?;
+    if every == 0 {
+        return Err("descriptor needs a positive cadence `every_ns`".to_string());
+    }
+    let (cfg, every) = (replay_config(seed, kind), Duration::from_nanos(every));
+    match kind {
+        SystemKind::Laminar => replay(&LaminarSystem::default(), &cfg, every, index, fingerprint),
+        SystemKind::Verl => replay(&VerlSync, &cfg, every, index, fingerprint),
+        SystemKind::OneStep => replay(&OneStepStaleness, &cfg, every, index, fingerprint),
+        SystemKind::StreamGen => replay(&StreamGeneration, &cfg, every, index, fingerprint),
+        SystemKind::PartialRollout => replay(&PartialRollout, &cfg, every, index, fingerprint),
+    }
 }
 
 /// Runs `sys` to completion with a delta checkpoint at every `every`,
@@ -444,37 +413,52 @@ fn committed_fingerprint<S>(store: &DeltaStore, checkpoint: &DeltaCheckpoint<S>)
         .fingerprint
 }
 
+/// Replays `sys` to checkpoint `index` of a run at cadence `every` and
+/// resumes it, refusing unless the checkpoint exists, its fingerprint is
+/// `want`, it verifies, and the resumed report is the uninterrupted run's.
+/// The run is untraced, as the descriptor's was: a traced image carries
+/// its spans, so it fingerprints differently.
 fn replay<S: Recoverable>(
     sys: &S,
     cfg: &SystemConfig,
     every: Duration,
     index: usize,
     want: u64,
-) -> String {
+) -> Result<String, String> {
     let (store, checkpoints) = commit_checkpoints(sys, cfg, every);
     let total = checkpoints.len();
     let ck = checkpoints
         .into_iter()
         .find(|c| c.index == index)
-        .unwrap_or_else(|| panic!("descriptor index {index} out of range ({total} snapshots)"));
+        .ok_or_else(|| format!("descriptor index {index} out of range ({total} snapshots)"))?;
+    let what = format!("{} checkpoint {index}", sys.name());
     let got = committed_fingerprint(&store, &ck);
-    let verified = got == want;
+    if got != want {
+        return Err(format!(
+            "refusing to resume {what}: the replay committed fingerprint {got:016x}, \
+             the descriptor names {want:016x}"
+        ));
+    }
     let at = ck.at;
-    let resumed = sys.resume(ck.state, &mut NullTrace);
+    let resumed = sys
+        .resume_verified(&store, ck, &mut NullTrace)
+        .map_err(|e| format!("refusing to resume {what}: {e}"))?;
     let base = sys.run_traced(cfg, &mut NullTrace);
-    let identical = format!("{resumed:?}") == format!("{base:?}");
-    format!(
+    if let Some(d) = first_line_difference(&format!("{base:#?}"), &format!("{resumed:#?}")) {
+        return Err(format!(
+            "resumed {what} differs from the uninterrupted run at report {d}"
+        ));
+    }
+    Ok(format!(
         "resume {} from checkpoint {index} (t = {:.1}s, cadence {:.1}s)\n\
-         fingerprint: got {got:016x}, want {want:016x} — verified: {}\n\
+         fingerprint: got {got:016x}, want {want:016x} — verified: yes\n\
          resumed throughput: {:.0} tok/s\n\
-         resumed report identical to uninterrupted run: {}\n",
+         resumed report identical to uninterrupted run: yes\n",
         sys.name(),
         at.as_secs_f64(),
         every.as_secs_f64(),
-        if verified { "yes" } else { "NO" },
         resumed.throughput,
-        if identical { "yes" } else { "NO" },
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -551,7 +535,7 @@ mod tests {
                 Duration::from_secs(20).as_nanos()
             );
             let path = dir.write(&format!("{system}-{fingerprint:016x}.txt"), &line);
-            resume_from_descriptor(&path, &Opts::default()).expect("format 2")
+            resume_from_descriptor(&path, &Opts::default())
         };
         let systems = [
             (
@@ -573,7 +557,7 @@ mod tests {
             ),
         ];
         for (system, fingerprint) in systems {
-            let out = resume_from(system, fingerprint);
+            let out = resume_from(system, fingerprint).unwrap_or_else(|e| panic!("{system}: {e}"));
             assert!(out.contains("verified: yes"), "{system}: {out}");
             assert!(
                 out.contains("resumed report identical to uninterrupted run: yes"),
@@ -581,14 +565,48 @@ mod tests {
             );
         }
         let (system, fingerprint) = systems[0];
-        let out = resume_from(system, fingerprint ^ 1);
-        assert!(out.contains("verified: NO"), "{out}");
+        let err = resume_from(system, fingerprint ^ 1)
+            .expect_err("a descriptor with a changed fingerprint must be refused");
+        for named in [fingerprint, fingerprint ^ 1] {
+            assert!(err.contains(&format!("{named:016x}")), "{err}");
+        }
+    }
+
+    /// A descriptor the replay cannot use is refused with an `Err` naming
+    /// the cause, never a panic: a missing file, a file without a
+    /// descriptor line, a token without `=`, a value that does not parse,
+    /// an unknown key or system, no cadence, and an index past the run's
+    /// checkpoints.
+    #[test]
+    fn unusable_descriptors_are_refused_by_name() {
+        let dir = TempDir::new("unusable-test");
+        let refusal = |path: &Path| resume_from_descriptor(path, &Opts::default()).unwrap_err();
+        let err = refusal(&dir.0.join("absent.txt"));
+        assert!(err.contains("cannot read descriptor file"), "{err}");
+        let err = refusal(&dir.write("report.txt", "no descriptor here\n"));
+        assert!(err.contains("no `checkpoint ...` descriptor line"), "{err}");
+        for (tokens, cause) in [
+            ("seed", "token `seed` is not key=value"),
+            ("seed=x7", "value `seed=x7` is invalid"),
+            ("fingerprint=xyz", "value `fingerprint=xyz` is invalid"),
+            ("colour=red", "unknown descriptor key `colour`"),
+            ("system=areal", "unknown system `areal`"),
+            ("system=laminar index=0", "positive cadence `every_ns`"),
+            (
+                "system=laminar every_ns=20000000000 index=99",
+                "index 99 out of range",
+            ),
+        ] {
+            let line = format!("checkpoint format=2 {tokens}");
+            let err = refusal(&dir.write("descriptor.txt", &line));
+            assert!(err.contains(cause), "`{line}`: `{err}` lacks `{cause}`");
+        }
     }
 
     /// A descriptor of another image format is refused by name before it
     /// replays: the line format 1 wrote (no `format` key), and a format-3
-    /// line naming a system no replay knows, which would panic if the
-    /// refusal came after parsing or replay.
+    /// line naming a system no replay knows, which would be refused as an
+    /// unknown system if the format check came after parsing.
     #[test]
     fn other_format_descriptors_are_refused_before_replay() {
         let dir = TempDir::new("format-test");

@@ -239,16 +239,15 @@ fn run_trial(spec: &LabSpec, trial: &Trial, tracing: bool) -> (TrialRow, Option<
                 &cfg,
                 laminar_sim::Duration::from_secs_f64(v.checkpoint_every_secs),
             );
-            let c = &soak.cost;
-            let pts = c.points.max(1) as f64;
-            push("ckpt_points", c.points as f64);
+            let pts = soak.snapshots.max(1) as f64;
+            push("ckpt_points", soak.snapshots as f64);
             push("ckpt_identical", if soak.identical() { 1.0 } else { 0.0 });
-            push("ckpt_delta_bytes_per_point", c.delta_bytes as f64 / pts);
-            push("ckpt_whole_bytes_per_point", c.whole_bytes as f64 / pts);
-            push("ckpt_steady_ratio", c.steady_ratio());
+            push("ckpt_delta_bytes_per_point", soak.delta_bytes as f64 / pts);
+            push("ckpt_whole_bytes_per_point", soak.whole_bytes as f64 / pts);
+            push("ckpt_steady_ratio", soak.steady_ratio());
             push(
                 "ckpt_chunk_reuse_frac",
-                c.chunks_reused as f64 / (c.chunks_total as f64).max(1.0),
+                soak.chunks_reused as f64 / (soak.chunks_total as f64).max(1.0),
             );
         }
         (note, tracing.then_some(run.trace))

@@ -282,9 +282,10 @@ pub struct VariantSpec {
     pub warmup: usize,
     /// Delta-checkpoint cadence in virtual seconds; `0` (the default)
     /// disables checkpoint validation. When positive, every trial
-    /// additionally runs `check_resume_equivalence` at this cadence and
-    /// reports `ckpt_*` metrics (equivalence verdict, delta-vs-whole
-    /// bytes, steady-state ratio). Laminar-only, like the chaos knobs.
+    /// additionally runs `check_checkpoint_soak` at this cadence (every
+    /// checkpoint verified, the final one resumed) and reports `ckpt_*`
+    /// metrics (soak verdict, delta-vs-whole bytes, steady-state ratio).
+    /// Laminar-only, like the chaos knobs.
     pub checkpoint_every_secs: f64,
     /// Faults per generated chaos schedule; `0` disables fault injection.
     /// Chaos knobs require `system = "laminar"` (the invariant-checked

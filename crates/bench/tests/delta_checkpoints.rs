@@ -109,19 +109,21 @@ fn tight_cadence_soak_resumes_off_full_manifest_chain() {
     assert!(
         soak.identical(),
         "soak diverged: {} ({}/{} fingerprints verified, checkpointed identical: {}, \
-         last resume identical: {})",
+         {}/{} resumes identical)",
         soak.first_divergence.as_deref().unwrap_or("unknown"),
         soak.fingerprints_verified,
         soak.snapshots,
         soak.checkpointed_identical,
-        soak.last_resume_identical,
+        soak.resumes_identical,
+        soak.resumes,
     );
+    assert_eq!(soak.resumes, 1, "a soak resumes only its final checkpoint");
     // Deduplication is the point of the exercise: at a 2 s cadence the
     // overwhelming majority of chunks must be reused from earlier commits.
     assert!(
-        soak.cost.chunks_reused as f64 >= 0.8 * soak.cost.chunks_total as f64,
+        soak.chunks_reused as f64 >= 0.8 * soak.chunks_total as f64,
         "chunk reuse collapsed: {}/{}",
-        soak.cost.chunks_reused,
-        soak.cost.chunks_total
+        soak.chunks_reused,
+        soak.chunks_total
     );
 }

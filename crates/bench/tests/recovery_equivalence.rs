@@ -93,29 +93,18 @@ fn laminar_resume_under_faults_is_byte_identical() {
 #[test]
 fn checks_fail_closed_when_no_checkpoint_is_committed() {
     let cfg = disagg();
-    let every = Duration::from_secs(100_000);
-    let eq = check_resume_equivalence(&LaminarSystem::default(), &cfg, every);
-    let soak = check_checkpoint_soak(&LaminarSystem::default(), &cfg, every);
-    for (name, snapshots, identical, why) in [
-        (
-            "resume equivalence",
-            eq.snapshots,
-            eq.identical(),
-            eq.first_divergence,
-        ),
-        (
-            "soak",
-            soak.snapshots,
-            soak.identical(),
-            soak.first_divergence,
-        ),
+    let (sys, every) = (LaminarSystem::default(), Duration::from_secs(100_000));
+    for check in [
+        check_resume_equivalence(&sys, &cfg, every),
+        check_checkpoint_soak(&sys, &cfg, every),
     ] {
-        assert_eq!(snapshots, 0, "{name}: the cadence must outlast the run");
-        assert!(!identical, "{name}: a run with no checkpoint must not pass");
-        let why = why.unwrap_or_default();
+        let counts = (check.snapshots, check.resumes);
+        assert_eq!(counts, (0, 0), "the cadence must outlast the run");
+        assert!(!check.identical(), "a run with no checkpoint must not pass");
+        let why = check.first_divergence.unwrap_or_default();
         assert!(
             why.starts_with("run ended before the first cadence point"),
-            "{name}: reason must say no checkpoint was committed, got {why:?}"
+            "reason must say no checkpoint was committed, got {why:?}"
         );
     }
 }

@@ -226,11 +226,9 @@ pub fn overlapping_scenario(replicas: usize) -> Vec<FaultEvent> {
 pub struct ChaosAudit {
     /// Every trajectory id ever admitted (handed to a replica).
     pub admitted: BTreeSet<u64>,
-    /// Completion count per trajectory id.
-    pub completed: BTreeMap<u64, u64>,
-    /// Every completion in arrival order. Carries the same information as
-    /// `completed` (which is its multiset view) but is append-only, so the
-    /// checkpoint encoder can page it without mid-stream shifts.
+    /// Every completion in arrival order, a trajectory completed twice
+    /// appearing twice. Append-only, so the checkpoint encoder can page it
+    /// without mid-stream shifts.
     pub completion_log: Vec<u64>,
     /// Weight versions set on each replica, in order.
     pub version_history: Vec<Vec<u64>>,
@@ -259,8 +257,16 @@ impl ChaosAudit {
 
     /// Records a completion.
     pub fn complete(&mut self, id: u64) {
-        *self.completed.entry(id).or_insert(0) += 1;
         self.completion_log.push(id);
+    }
+
+    /// Completion count per trajectory id, counted from the log.
+    fn completion_counts(&self) -> BTreeMap<u64, u64> {
+        let mut counts = BTreeMap::new();
+        for &id in &self.completion_log {
+            *counts.entry(id).or_insert(0) += 1;
+        }
+        counts
     }
 
     /// Checks the breaker-gating invariant at the moment work is admitted
@@ -375,7 +381,8 @@ impl ChaosOutcome {
     /// Every violated invariant, empty when the run upheld all guarantees.
     pub fn violations(&self) -> Vec<String> {
         let mut v = self.audit.violations.clone();
-        for (id, n) in &self.audit.completed {
+        let completed = self.audit.completion_counts();
+        for (id, n) in &completed {
             if *n != 1 {
                 v.push(format!("trajectory {id} completed {n} times"));
             }
@@ -404,7 +411,7 @@ impl ChaosOutcome {
         let partials: BTreeSet<u64> = self.partial_ids.iter().copied().collect();
         let pooled: BTreeSet<u64> = self.pool_ids.iter().copied().collect();
         for &id in &self.audit.admitted {
-            let done = self.audit.completed.contains_key(&id);
+            let done = completed.contains_key(&id);
             let held = partials.contains(&id) || pooled.contains(&id) || seen.contains_key(&id);
             if !done && !held {
                 v.push(format!(
@@ -475,7 +482,7 @@ impl ChaosOutcome {
 
     /// Count of trajectories completed (exactly-once violations aside).
     pub fn completed(&self) -> usize {
-        self.audit.completed.len()
+        self.audit.completion_counts().len()
     }
 }
 

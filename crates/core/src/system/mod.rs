@@ -315,7 +315,7 @@ impl World {
             .collect();
         // Completions drained from engines but not yet processed by a
         // `ReplicaWake` when the run ended still count as held work.
-        let completed: BTreeSet<u64> = self.audit.completed.keys().copied().collect();
+        let completed: BTreeSet<u64> = self.audit.completion_log.iter().copied().collect();
         for (r, e) in self.engines.iter_mut().enumerate() {
             for c in e.take_completions() {
                 if !completed.contains(&c.spec.id) {

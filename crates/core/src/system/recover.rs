@@ -256,10 +256,10 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
 /// The chaos audit's lost-work bookkeeping (BTree containers iterate in
 /// key order, so the streams are canonical). Sectioned so growth in one
 /// region never shifts another: a scalar head chunk frames the sections,
-/// the admitted set and completed map — whose keys are ascending ids, so
-/// growth appends — are each their own paged stream, and each replica's
-/// version history gets its own chunk (it only changes when that replica
-/// syncs weights).
+/// the admitted set — whose keys are ascending ids, so growth appends —
+/// and the arrival-ordered completion log are each their own paged
+/// stream, and each replica's version history gets its own chunk (it only
+/// changes when that replica syncs weights).
 fn audit_plane(w: &World) -> StatePlane {
     let a = &w.audit;
     let mut plane = StatePlane::new("audit");
@@ -278,9 +278,8 @@ fn audit_plane(w: &World) -> StatePlane {
     plane.push_chunk(head);
     let admitted: Vec<u64> = a.admitted.iter().copied().collect();
     plane.extend_paged(&admitted);
-    // The completion log is the append-only view of `completed` (which is
-    // its per-id multiset), so paging it covers the map without the
-    // mid-stream shifts out-of-id-order completions would cause.
+    // Completions arrive out of id order, so the log is paged in arrival
+    // order: an id-ordered view would shift mid-stream.
     plane.extend_paged(&a.completion_log);
     for (r, h) in a.version_history.iter().enumerate() {
         let mut words = vec![r as u64, h.len() as u64];

@@ -380,7 +380,7 @@ impl ReplicaEngine {
     /// Hands accumulated trace spans to `drain` and clears the buffer while
     /// keeping its capacity — the allocation-free counterpart of
     /// [`ReplicaEngine::take_trace_spans`] for callers that drain
-    /// repeatedly (e.g. a sink's `record_slice`).
+    /// repeatedly.
     pub fn drain_trace_spans(&mut self, drain: &mut dyn FnMut(&[TraceSpan])) {
         if !self.trace_spans.is_empty() {
             drain(&self.trace_spans);

@@ -18,7 +18,7 @@
 //! * [`policy`] — the unified retry/backoff + circuit-breaker policies every
 //!   recovery path shares;
 //! * [`recovery`] — deterministic checkpoint/restore: the [`Recoverable`]
-//!   trait and its byte-identity equivalence checker.
+//!   trait and its byte-identity checkpoint checker.
 
 pub mod batch;
 pub mod config;
@@ -33,8 +33,7 @@ pub use config::SystemConfig;
 pub use delta::{CommitStats, DeltaStore, Manifest, StateImage, StatePlane};
 pub use policy::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use recovery::{
-    check_checkpoint_soak, check_resume_equivalence, CheckpointCost, CheckpointSoak,
-    DeltaCheckpoint, Recoverable, ResumeEquivalence,
+    check_checkpoint_soak, check_resume_equivalence, CheckpointCheck, DeltaCheckpoint, Recoverable,
 };
 pub use report::{consumed_at, ConsumedTraj, RlSystem, RunReport};
 pub use trace::{NullTrace, RecordingTrace, SpanKind, TraceSink, TraceSpan};

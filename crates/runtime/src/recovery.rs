@@ -1,5 +1,5 @@
 //! Deterministic checkpoint/restore: the [`Recoverable`] trait and its
-//! equivalence checker.
+//! checkpoint checker.
 //!
 //! A recoverable system can run with snapshots taken at a configurable
 //! virtual-time cadence, and any snapshot can be resumed to completion.
@@ -172,11 +172,26 @@ pub trait Recoverable: RlSystem {
     }
 }
 
-/// Aggregate checkpoint-cost accounting across one checkpointed run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointCost {
-    /// Cadence points committed.
-    pub points: usize,
+/// Outcome of one checkpoint check ([`check_resume_equivalence`] or
+/// [`check_checkpoint_soak`]): how many checkpoints verified, how many
+/// resumed and reproduced the uninterrupted run, and the delta-checkpoint
+/// cost of the checkpointed run.
+#[derive(Debug, Clone, Default)]
+pub struct CheckpointCheck {
+    /// The checkpoint cadence exercised.
+    pub cadence: Duration,
+    /// Checkpoints the delta-checkpointed run committed.
+    pub snapshots: usize,
+    /// The checkpointed run itself matched the uninterrupted run.
+    pub checkpointed_identical: bool,
+    /// How many checkpoints passed manifest-chain + fingerprint
+    /// verification.
+    pub fingerprints_verified: usize,
+    /// How many checkpoints were resumed to completion; a checkpoint that
+    /// fails verification is never resumed.
+    pub resumes: usize,
+    /// How many resumes reproduced the uninterrupted run byte for byte.
+    pub resumes_identical: usize,
     /// Bytes actually persisted across all commits (new chunks + manifests).
     pub delta_bytes: u64,
     /// Bytes whole-state snapshots of the same images would have persisted.
@@ -190,18 +205,20 @@ pub struct CheckpointCost {
     pub steady_delta_bytes: u64,
     /// The final commit's whole-state bytes.
     pub steady_whole_bytes: u64,
+    /// Human-readable description of the first failure, if any.
+    pub first_divergence: Option<String>,
 }
 
-impl CheckpointCost {
-    /// Folds one commit into the aggregate.
-    pub fn absorb(&mut self, stats: &CommitStats) {
-        self.points += 1;
-        self.delta_bytes += stats.delta_bytes;
-        self.whole_bytes += stats.whole_bytes;
-        self.chunks_total += stats.chunks_total;
-        self.chunks_reused += stats.chunks_reused;
-        self.steady_delta_bytes = stats.delta_bytes;
-        self.steady_whole_bytes = stats.whole_bytes;
+impl CheckpointCheck {
+    /// True when the checkpointed run matched the uninterrupted run, every
+    /// checkpoint verified, and every resume reproduced the uninterrupted
+    /// run byte for byte. A run that resumed nothing — one that committed
+    /// no checkpoint included — proves nothing and fails.
+    pub fn identical(&self) -> bool {
+        self.checkpointed_identical
+            && self.fingerprints_verified == self.snapshots
+            && self.resumes > 0
+            && self.resumes_identical == self.resumes
     }
 
     /// Whole-state bytes over delta bytes at the final cadence point — how
@@ -212,148 +229,120 @@ impl CheckpointCost {
         }
         self.steady_whole_bytes as f64 / self.steady_delta_bytes as f64
     }
-}
 
-/// Outcome of one checkpoint/restore equivalence check.
-#[derive(Debug, Clone)]
-pub struct ResumeEquivalence {
-    /// The checkpoint cadence exercised.
-    pub cadence: Duration,
-    /// Snapshots the checkpointed run captured.
-    pub snapshots: usize,
-    /// The checkpointed run itself matched the uninterrupted run.
-    pub checkpointed_identical: bool,
-    /// How many resumed snapshots reproduced the uninterrupted run.
-    pub resumes_identical: usize,
-    /// How many checkpoints passed the full manifest-chain + fingerprint
-    /// verification before resuming.
-    pub fingerprints_verified: usize,
-    /// Delta-checkpoint cost accounting for the checkpointed run.
-    pub cost: CheckpointCost,
-    /// Human-readable description of the first divergence, if any.
-    pub first_divergence: Option<String>,
-}
-
-impl ResumeEquivalence {
-    /// True when the checkpointed run and every resumed snapshot matched
-    /// the uninterrupted run byte for byte, with every checkpoint passing
-    /// fingerprint verification. A run that committed no checkpoint proves
-    /// nothing and fails.
-    pub fn identical(&self) -> bool {
-        self.snapshots > 0
-            && self.checkpointed_identical
-            && self.resumes_identical == self.snapshots
-            && self.fingerprints_verified == self.snapshots
+    /// Records `what` unless an earlier divergence was already recorded.
+    fn diverged(&mut self, what: String) {
+        self.first_divergence.get_or_insert(what);
     }
 }
 
-/// Outcome of one checkpoint soak (see [`check_checkpoint_soak`]).
-#[derive(Debug, Clone)]
-pub struct CheckpointSoak {
-    /// The checkpoint cadence exercised.
-    pub cadence: Duration,
-    /// Checkpoints the delta-checkpointed run committed.
-    pub snapshots: usize,
-    /// The checkpointed run itself matched the uninterrupted run.
-    pub checkpointed_identical: bool,
-    /// How many checkpoints passed manifest-chain + fingerprint
-    /// verification.
-    pub fingerprints_verified: usize,
-    /// Whether the resume from the final checkpoint reproduced the
-    /// uninterrupted run byte for byte.
-    pub last_resume_identical: bool,
-    /// Delta-checkpoint cost accounting for the checkpointed run.
-    pub cost: CheckpointCost,
-    /// Human-readable description of the first failure, if any.
-    pub first_divergence: Option<String>,
+/// The uninterrupted run's bytes, which every other run of a check must
+/// reproduce.
+struct Uninterrupted {
+    report: RunReport,
+    text: String,
+    trace: RecordingTrace,
 }
 
-impl CheckpointSoak {
-    /// True when the checkpointed run matched the uninterrupted run, every
-    /// manifest verified, and the final-checkpoint resume was identical.
-    /// A run that committed no checkpoint proves nothing and fails.
-    pub fn identical(&self) -> bool {
-        self.snapshots > 0
-            && self.checkpointed_identical
-            && self.fingerprints_verified == self.snapshots
-            && self.last_resume_identical
-    }
-}
-
-/// The shared first half of both checkers: the uninterrupted run's bytes,
-/// the delta-checkpointed run's store, and the first divergence found so
-/// far.
-struct CheckedRun {
-    base_report: RunReport,
-    base_text: String,
-    base_trace: RecordingTrace,
-    store: DeltaStore,
-    checkpointed_identical: bool,
-    first_divergence: Option<String>,
-}
-
-impl CheckedRun {
-    /// Runs `sys` uninterrupted and delta-checkpointed at `every`, compares
-    /// the two byte for byte, and returns the committed checkpoints. A run
-    /// that ends before the first cadence point commits nothing, which is
-    /// recorded as the divergence.
-    fn new<S: Recoverable>(
-        sys: &S,
-        cfg: &SystemConfig,
-        every: Duration,
-    ) -> (Self, Vec<DeltaCheckpoint<S::Snapshot>>) {
-        let mut base_trace = RecordingTrace::new();
-        let base_report = sys.run_traced(cfg, &mut base_trace);
-        let mut store = DeltaStore::new();
-        let mut ck_trace = RecordingTrace::new();
-        let (ck_report, checkpoints) =
-            sys.run_delta_checkpointed(cfg, every, &mut ck_trace, &mut store);
-        let mut run = CheckedRun {
-            base_text: format!("{base_report:?}"),
-            base_report,
-            base_trace,
-            store,
-            checkpointed_identical: false,
-            first_divergence: None,
-        };
-        let difference = run.difference(&ck_report, &ck_trace);
-        run.checkpointed_identical = difference.is_none();
-        if let Some(at) = difference {
-            run.diverged(format!(
-                "checkpointed run diverged from uninterrupted run at {at}"
-            ));
-        } else if checkpoints.is_empty() {
-            run.diverged(format!(
-                "run ended before the first cadence point (t = {:.1}s); no checkpoint committed",
-                every.as_secs_f64()
-            ));
-        }
-        (run, checkpoints)
-    }
-
+impl Uninterrupted {
     /// Where a run's report or trace first differs from the uninterrupted
     /// run's (`report line N: ...` or `trace line N: ...`, uninterrupted
     /// side first); `None` when both are byte-identical. Traces compare as
     /// span slices: the JSONL writer is injective, so equal spans mean equal
     /// bytes, and the JSONL is rendered only to name a differing line.
     fn difference(&self, report: &RunReport, trace: &RecordingTrace) -> Option<String> {
-        if format!("{report:?}") != self.base_text {
+        if format!("{report:?}") != self.text {
             // The one-line `Debug` text would only ever name line 1; the
             // pretty form puts each field and element on its own line.
-            let (base, run) = (format!("{:#?}", self.base_report), format!("{report:#?}"));
+            let (base, run) = (format!("{:#?}", self.report), format!("{report:#?}"));
             return first_line_difference(&base, &run).map(|d| format!("report {d}"));
         }
-        if trace.spans() == self.base_trace.spans() {
+        if trace.spans() == self.trace.spans() {
             return None;
         }
-        first_line_difference(&self.base_trace.to_jsonl(), &trace.to_jsonl())
+        first_line_difference(&self.trace.to_jsonl(), &trace.to_jsonl())
             .map(|d| format!("trace {d}"))
     }
+}
 
-    /// Records `what` unless an earlier divergence was already recorded.
-    fn diverged(&mut self, what: String) {
-        self.first_divergence.get_or_insert(what);
+/// The one checker loop: runs `sys` uninterrupted and delta-checkpointed
+/// at `every` and compares the two byte for byte, then verifies every
+/// committed checkpoint exactly once. A checkpoint `resume(index, total)`
+/// selects goes through [`Recoverable::resume_verified`] and its resumed
+/// run is compared with the uninterrupted one; every other checkpoint goes
+/// through [`Recoverable::verify_checkpoint`] alone. A run that ends
+/// before the first cadence point commits nothing, which is recorded as
+/// the divergence.
+fn check_checkpoints<S: Recoverable>(
+    sys: &S,
+    cfg: &SystemConfig,
+    every: Duration,
+    resume: impl Fn(usize, usize) -> bool,
+) -> CheckpointCheck {
+    let mut trace = RecordingTrace::new();
+    let report = sys.run_traced(cfg, &mut trace);
+    let mut store = DeltaStore::new();
+    let mut ck_trace = RecordingTrace::new();
+    let (ck_report, checkpoints) =
+        sys.run_delta_checkpointed(cfg, every, &mut ck_trace, &mut store);
+    // Rendered only now, so the text is not held through the checkpointed
+    // run, whose clones are the check's peak heap.
+    let base = Uninterrupted {
+        text: format!("{report:?}"),
+        report,
+        trace,
+    };
+    let total = checkpoints.len();
+    let mut check = CheckpointCheck {
+        cadence: every,
+        snapshots: total,
+        ..CheckpointCheck::default()
+    };
+    let difference = base.difference(&ck_report, &ck_trace);
+    drop((ck_report, ck_trace));
+    check.checkpointed_identical = difference.is_none();
+    if let Some(at) = difference {
+        check.diverged(format!(
+            "checkpointed run diverged from uninterrupted run at {at}"
+        ));
+    } else if total == 0 {
+        check.diverged(format!(
+            "run ended before the first cadence point (t = {:.1}s); no checkpoint committed",
+            every.as_secs_f64()
+        ));
     }
+    for ckpt in checkpoints {
+        let (at, index, stats) = (ckpt.at.as_secs_f64(), ckpt.index, ckpt.stats);
+        check.delta_bytes += stats.delta_bytes;
+        check.whole_bytes += stats.whole_bytes;
+        check.chunks_total += stats.chunks_total;
+        check.chunks_reused += stats.chunks_reused;
+        check.steady_delta_bytes = stats.delta_bytes;
+        check.steady_whole_bytes = stats.whole_bytes;
+        let failed = |err| format!("checkpoint {index} (t = {at:.1}s) failed verification: {err}");
+        if !resume(index, total) {
+            match S::verify_checkpoint(&store, &ckpt) {
+                Ok(()) => check.fingerprints_verified += 1,
+                Err(err) => check.diverged(failed(err)),
+            }
+            continue;
+        }
+        let mut trace = RecordingTrace::new();
+        match sys.resume_verified(&store, ckpt, &mut trace) {
+            Err(err) => check.diverged(failed(err)),
+            Ok(report) => {
+                check.fingerprints_verified += 1;
+                check.resumes += 1;
+                match base.difference(&report, &trace) {
+                    None => check.resumes_identical += 1,
+                    Some(d) => check.diverged(format!(
+                        "resume from checkpoint {index} (t = {at:.1}s) diverged at {d}"
+                    )),
+                }
+            }
+        }
+    }
+    check
 }
 
 /// The O(run)-cost sibling of [`check_resume_equivalence`] for tight
@@ -367,46 +356,8 @@ pub fn check_checkpoint_soak<S: Recoverable>(
     sys: &S,
     cfg: &SystemConfig,
     every: Duration,
-) -> CheckpointSoak {
-    let (mut run, checkpoints) = CheckedRun::new(sys, cfg, every);
-    let total = checkpoints.len();
-    let mut fingerprints_verified = 0;
-    let mut cost = CheckpointCost::default();
-    let mut last_resume_identical = false;
-    let last_index = total.saturating_sub(1);
-    for ckpt in checkpoints {
-        cost.absorb(&ckpt.stats);
-        let (at, index) = (ckpt.at, ckpt.index);
-        if let Err(err) = S::verify_checkpoint(&run.store, &ckpt) {
-            run.diverged(format!(
-                "checkpoint {index} (t = {:.1}s) failed verification: {err}",
-                at.as_secs_f64()
-            ));
-            continue;
-        }
-        fingerprints_verified += 1;
-        if index == last_index {
-            let mut trace = RecordingTrace::new();
-            let report = sys.resume(ckpt.state, &mut trace);
-            let difference = run.difference(&report, &trace);
-            last_resume_identical = difference.is_none();
-            if let Some(d) = difference {
-                run.diverged(format!(
-                    "resume from final checkpoint {index} (t = {:.1}s) diverged at {d}",
-                    at.as_secs_f64()
-                ));
-            }
-        }
-    }
-    CheckpointSoak {
-        cadence: every,
-        snapshots: total,
-        checkpointed_identical: run.checkpointed_identical,
-        fingerprints_verified,
-        last_resume_identical,
-        cost,
-        first_divergence: run.first_divergence,
-    }
+) -> CheckpointCheck {
+    check_checkpoints(sys, cfg, every, |index, total| index + 1 == total)
 }
 
 /// Runs `sys` three ways — uninterrupted, delta-checkpointed at `every`,
@@ -417,48 +368,18 @@ pub fn check_resume_equivalence<S: Recoverable>(
     sys: &S,
     cfg: &SystemConfig,
     every: Duration,
-) -> ResumeEquivalence {
-    let (mut run, checkpoints) = CheckedRun::new(sys, cfg, every);
-    let total = checkpoints.len();
-    let mut resumes_identical = 0;
-    let mut fingerprints_verified = 0;
-    let mut cost = CheckpointCost::default();
-    for ckpt in checkpoints {
-        cost.absorb(&ckpt.stats);
-        let (at, index) = (ckpt.at, ckpt.index);
-        let mut trace = RecordingTrace::new();
-        match sys.resume_verified(&run.store, ckpt, &mut trace) {
-            Ok(report) => {
-                fingerprints_verified += 1;
-                match run.difference(&report, &trace) {
-                    None => resumes_identical += 1,
-                    Some(d) => run.diverged(format!(
-                        "resume from checkpoint {index} (t = {:.1}s) diverged at {d}",
-                        at.as_secs_f64()
-                    )),
-                }
-            }
-            Err(err) => run.diverged(format!(
-                "checkpoint {index} (t = {:.1}s) failed verification: {err}",
-                at.as_secs_f64()
-            )),
-        }
-    }
-    ResumeEquivalence {
-        cadence: every,
-        snapshots: total,
-        checkpointed_identical: run.checkpointed_identical,
-        resumes_identical,
-        fingerprints_verified,
-        cost,
-        first_divergence: run.first_divergence,
-    }
+) -> CheckpointCheck {
+    check_checkpoints(sys, cfg, every, |_, _| true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::StatePlane;
     use crate::trace::{SpanKind, TraceSpan};
+    use laminar_workload::{Checkpoint, WorkloadGenerator};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn span(secs: u64) -> TraceSpan {
         TraceSpan::new(SpanKind::Stall, Time::ZERO, Time::from_secs(secs), None, 0)
@@ -475,13 +396,10 @@ mod tests {
         };
         let mut trace = RecordingTrace::new();
         trace.record(span(1));
-        let run = CheckedRun {
-            base_text: format!("{report:?}"),
-            base_report: report.clone(),
-            base_trace: trace.clone(),
-            store: DeltaStore::new(),
-            checkpointed_identical: true,
-            first_divergence: None,
+        let run = Uninterrupted {
+            text: format!("{report:?}"),
+            report: report.clone(),
+            trace: trace.clone(),
         };
         assert_eq!(run.difference(&report, &trace), None);
         let mut rerecorded = RecordingTrace::new();
@@ -509,5 +427,71 @@ mod tests {
             d.ends_with(": `    throughput: 0.0,` vs `    throughput: 2.5,`"),
             "{d}"
         );
+    }
+
+    /// A toy run of ten virtual seconds whose encoder bumps a counter all
+    /// clones of the run share, so no snapshot ever re-encodes to the
+    /// image its commit stored.
+    struct Drifting(Rc<Cell<u64>>);
+
+    impl RlSystem for Drifting {
+        fn name(&self) -> &'static str {
+            "drifting"
+        }
+
+        fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
+            self.resume(self.start(cfg, trace.enabled()), trace)
+        }
+    }
+
+    impl Recoverable for Drifting {
+        type Snapshot = (Time, Rc<Cell<u64>>);
+
+        fn start(&self, _: &SystemConfig, _: bool) -> Self::Snapshot {
+            (Time::ZERO, Rc::clone(&self.0))
+        }
+
+        fn advance(run: &mut Self::Snapshot, until: Time) -> bool {
+            run.0 = until.min(Time::from_secs(10));
+            run.0 == Time::from_secs(10)
+        }
+
+        fn finish(_: Self::Snapshot, _: &mut dyn TraceSink) -> RunReport {
+            RunReport::default()
+        }
+
+        fn encode_state(run: &Self::Snapshot) -> StateImage {
+            run.1.set(run.1.get() + 1);
+            let mut plane = StatePlane::new("drift");
+            plane.push_chunk(vec![run.1.get()]);
+            let mut image = StateImage::new();
+            image.push_plane(plane);
+            image
+        }
+    }
+
+    /// A checkpoint whose live state does not re-encode to its committed
+    /// image fails verification and is never resumed, through either entry
+    /// point: the check fails closed and names the failed verification.
+    #[test]
+    fn checks_fail_closed_when_verification_fails() {
+        let cfg = SystemConfig::small_test(WorkloadGenerator::single_turn(1, Checkpoint::Math7B));
+        let (sys, every) = (Drifting(Rc::default()), Duration::from_secs(1));
+        for check in [
+            check_resume_equivalence(&sys, &cfg, every),
+            check_checkpoint_soak(&sys, &cfg, every),
+        ] {
+            let counts = (check.snapshots, check.fingerprints_verified, check.resumes);
+            assert_eq!(counts, (9, 0, 0), "{check:?}");
+            assert!(
+                check.checkpointed_identical && !check.identical(),
+                "{check:?}"
+            );
+            let why = check.first_divergence.unwrap_or_default();
+            assert!(
+                why.starts_with("checkpoint 0 (t = 1.0s) failed verification: "),
+                "{why}"
+            );
+        }
     }
 }

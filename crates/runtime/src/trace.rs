@@ -28,15 +28,6 @@ pub trait TraceSink {
             self.record(s);
         }
     }
-
-    /// Records a batch of spans by reference, letting the emitter keep (and
-    /// reuse) its buffer: the allocation-free counterpart of
-    /// [`TraceSink::record_all`].
-    fn record_slice(&mut self, spans: &[TraceSpan]) {
-        for s in spans {
-            self.record(*s);
-        }
-    }
 }
 
 /// The no-op sink: spans are dropped and emitters are told not to bother.
@@ -139,10 +130,6 @@ impl TraceSink for RecordingTrace {
         } else {
             self.spans.append(&mut spans);
         }
-    }
-
-    fn record_slice(&mut self, spans: &[TraceSpan]) {
-        self.spans.extend_from_slice(spans);
     }
 }
 

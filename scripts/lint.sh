@@ -43,3 +43,27 @@ echo "lab smoke: gates pass"
 cargo run --release -p laminar-bench --bin laminar-experiments -- \
     --chaos-seed 1 --out "$smoke_out/chaos" chaos | grep "all seeds green: yes" >/dev/null
 echo "chaos smoke: green"
+
+# Recovery smoke: `--resume-from` must verify a descriptor the `recovery`
+# experiment wrote and exit 0, and must refuse the same line with its
+# fingerprint's last hex digit changed and exit 1. No test reaches the
+# binary's exit code.
+cargo run --release -p laminar-bench --bin laminar-experiments -- \
+    --out "$smoke_out/recovery" recovery >/dev/null
+descriptors="$smoke_out/recovery/recovery.txt"
+cargo run --release -q -p laminar-bench --bin laminar-experiments -- \
+    --resume-from "$descriptors" | grep -F "verified: yes" >/dev/null
+line="$(grep -m1 '^checkpoint ' "$descriptors")"
+case "${line: -1}" in
+    0) digit=1 ;;
+    *) digit=0 ;;
+esac
+echo "${line%?}$digit" >"$smoke_out/tampered.txt"
+status=0
+cargo run --release -q -p laminar-bench --bin laminar-experiments -- \
+    --resume-from "$smoke_out/tampered.txt" >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "recovery smoke: a descriptor with a changed fingerprint exited $status, not 1" >&2
+    exit 1
+fi
+echo "recovery smoke: verified, and a changed fingerprint is refused"
