@@ -6,10 +6,15 @@
 //! once untraced and once with span tracing serialized to JSONL through
 //! one reusable buffer. It also generates one 512×16 global batch of specs,
 //! single-turn and multi-turn, whose only allocations may be the result
-//! vector and one segment list per spec. Allocation counts are
-//! deterministic, so a budget breach is a real code change (a per-event
-//! allocation crept into the engine or the trace pipeline, or a per-spec
-//! one into the workload generator), never machine noise.
+//! vector and one segment list per spec. Last, it encodes a mid-run
+//! Laminar snapshot as a checkpoint image and commits it to a warm delta
+//! store: an image holds each plane as one word buffer, and a commit
+//! stores its new chunks as one segment, so both cost allocations per
+//! plane (and per replica, whose engine writes four record runs), not per
+//! chunk. Allocation counts are deterministic, so a budget breach is a
+//! real code change (a per-event allocation crept into the engine or the
+//! trace pipeline, a per-spec one into the workload generator, or a
+//! per-chunk one into the checkpoint plane), never machine noise.
 //!
 //! The file holds one `#[test]` on purpose: the counters are process-wide,
 //! and a second test running on another thread would leak its allocations
@@ -17,7 +22,9 @@
 
 use laminar_bench::alloc_count::{self, CountingAlloc};
 use laminar_cluster::{DecodeModel, GpuSpec, ModelSpec};
+use laminar_core::LaminarSystem;
 use laminar_rollout::{EngineConfig, ReplicaEngine};
+use laminar_runtime::{DeltaStore, Recoverable, SystemConfig};
 use laminar_sim::Time;
 use laminar_workload::{Checkpoint, Dataset, TrajectorySpec, WorkloadGenerator};
 
@@ -28,6 +35,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// untraced and traced. The budget is each plus 20%.
 const UNTRACED_ALLOCS_PER_EVENT: f64 = 0.539;
 const TRACED_ALLOCS_PER_EVENT: f64 = 0.581;
+
+/// Allocations an image encode may make per plane or replica, and a
+/// commit beyond one key list per plane.
+const ENCODE_ALLOCS_PER_PLANE: u64 = 8;
+const COMMIT_ALLOCS_BEYOND_PLANES: u64 = 8;
 
 /// Runs of the batch per leg; the second reuses the warmed JSONL buffer.
 const REPEATS: usize = 2;
@@ -83,6 +95,46 @@ fn batch_allocs(workload: &WorkloadGenerator) -> (u64, u64) {
     (specs.len() as u64, stats.allocs)
 }
 
+/// Allocation counts of the checkpoint plane on one mid-run snapshot.
+struct CheckpointAllocs {
+    planes: u64,
+    replicas: u64,
+    chunks: u64,
+    encode: u64,
+    commit: u64,
+}
+
+/// Encodes the 60 s pause point of a traced seed-11 Laminar run (8
+/// replicas, four iterations of 64 prompts) and commits it to a store
+/// that already holds the 30 s point's image, counting the allocations of
+/// each call.
+fn checkpoint_allocs() -> CheckpointAllocs {
+    let mut cfg = SystemConfig::small_test(WorkloadGenerator::single_turn(11, Checkpoint::Math7B));
+    cfg.iterations = 4;
+    cfg.prompts_per_batch = 64;
+    let mut run = LaminarSystem::default().start(&cfg, true);
+    let mut store = DeltaStore::new();
+    let (warm, at) = (Time::from_secs(30), Time::from_secs(60));
+    assert!(
+        !LaminarSystem::advance(&mut run, warm),
+        "the run ended before 30 s"
+    );
+    store.commit(warm, &LaminarSystem::encode_state(&run));
+    assert!(
+        !LaminarSystem::advance(&mut run, at),
+        "the run ended before 60 s"
+    );
+    let (image, encode) = alloc_count::measure(|| LaminarSystem::encode_state(&run));
+    let (_, commit) = alloc_count::measure(|| store.commit(at, &image));
+    CheckpointAllocs {
+        planes: image.planes().len() as u64,
+        replicas: cfg.replicas() as u64,
+        chunks: image.planes().iter().map(|p| p.chunk_count() as u64).sum(),
+        encode: encode.allocs,
+        commit: commit.allocs,
+    }
+}
+
 #[test]
 fn engine_hot_path_stays_within_allocation_budget() {
     let specs = micro_batch();
@@ -91,6 +143,7 @@ fn engine_hot_path_stays_within_allocation_budget() {
     let traced = allocs_per_event(&specs, true);
     let single_turn = batch_allocs(&WorkloadGenerator::single_turn(11, Checkpoint::Math7B));
     let multi_turn = batch_allocs(&WorkloadGenerator::multi_turn(11));
+    let ckpt = checkpoint_allocs();
     alloc_count::disable();
     assert!(
         alloc_count::is_active(),
@@ -115,4 +168,27 @@ fn engine_hot_path_stays_within_allocation_budget() {
             specs + 1
         );
     }
+    let per_plane = ckpt.planes + ckpt.replicas;
+    assert!(
+        ckpt.encode <= ENCODE_ALLOCS_PER_PLANE * per_plane,
+        "encoding a Laminar snapshot: {} allocations, over the budget of {} \
+         ({ENCODE_ALLOCS_PER_PLANE} per plane or replica, {} planes, {} replicas)",
+        ckpt.encode,
+        ENCODE_ALLOCS_PER_PLANE * per_plane,
+        ckpt.planes,
+        ckpt.replicas
+    );
+    assert!(
+        ckpt.chunks >= 4 * ENCODE_ALLOCS_PER_PLANE * per_plane,
+        "the snapshot has only {} chunks: too few for the encode budget to \
+         tell per-plane from per-chunk allocation",
+        ckpt.chunks
+    );
+    assert!(
+        ckpt.commit <= ckpt.planes + COMMIT_ALLOCS_BEYOND_PLANES,
+        "committing a Laminar image: {} allocations, over the budget of {} \
+         (one key list per plane plus {COMMIT_ALLOCS_BEYOND_PLANES})",
+        ckpt.commit,
+        ckpt.planes + COMMIT_ALLOCS_BEYOND_PLANES
+    );
 }

@@ -275,17 +275,16 @@ fn audit_plane(w: &World) -> StatePlane {
         a.violations.len() as u64,
     ];
     head.extend(a.violations.iter().flat_map(|v| str_words(v)));
-    plane.push_chunk(head);
+    plane.push_chunk(&head);
     let admitted: Vec<u64> = a.admitted.iter().copied().collect();
     plane.extend_paged(&admitted);
     // Completions arrive out of id order, so the log is paged in arrival
     // order: an id-ordered view would shift mid-stream.
     plane.extend_paged(&a.completion_log);
-    for (r, h) in a.version_history.iter().enumerate() {
-        let mut words = vec![r as u64, h.len() as u64];
+    plane.extend_records(a.version_history.iter().enumerate(), |(r, h), words| {
+        words.extend([r as u64, h.len() as u64]);
         words.extend(h.iter().copied());
-        plane.push_chunk(words);
-    }
+    });
     plane
 }
 
@@ -328,7 +327,7 @@ fn pool_plane(w: &World) -> StatePlane {
 /// Pool counters plus one chunk per in-flight partial response, id-sorted.
 fn partials_plane(p: &PartialResponsePool) -> StatePlane {
     let mut plane = StatePlane::new("partials");
-    plane.push_chunk(vec![p.total_updates(), p.recovered(), p.len() as u64]);
+    plane.push_chunk(&[p.total_updates(), p.recovered(), p.len() as u64]);
     plane.extend_records(p.ids(), |id, words| {
         p.get(id).expect("listed id present").encode_words(words)
     });
@@ -356,7 +355,7 @@ fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
         .u(stats.sampled)
         .u(stats.evicted);
     let mut plane = StatePlane::new("buffer");
-    plane.push_chunk(head.take());
+    plane.push_chunk(head.words());
     plane.extend_records(b.iter(), |exp, words| exp.encode_words(words));
     plane
 }

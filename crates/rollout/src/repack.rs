@@ -60,74 +60,71 @@ impl RepackPlan {
 /// in-flight trajectories (and at least one; empty replicas need no
 /// release). Sources are tried smallest-footprint first; each picks the
 /// valid destination that ends up most densely packed.
+///
+/// Replica ids must be unique within `replicas`, as they are in the
+/// rollout manager's groups (one load per replica). The plan tracks each
+/// candidate by its position in `replicas`, so it costs O(|S|²) for |S|
+/// candidates.
 pub fn plan_repack(replicas: &[ReplicaLoad], c_max: f64, b: usize) -> RepackPlan {
-    // Line 3: candidate set S.
-    let mut s: Vec<&ReplicaLoad> = replicas
+    // Line 3: candidate set S, each with its position in `replicas`.
+    let mut s: Vec<(usize, &ReplicaLoad)> = replicas
         .iter()
-        .filter(|r| r.n_reqs > 0 && r.kv_used < c_max.min(r.kv_prev) && r.n_reqs < b)
+        .enumerate()
+        .filter(|(_, r)| r.n_reqs > 0 && r.kv_used < c_max.min(r.kv_prev) && r.n_reqs < b)
         .collect();
     // Line 4: smallest KVCache footprint first. `total_cmp` (the same
     // policy the stats percentiles use) keeps the sort a total order even
     // on NaN input — NaN sorts after every finite footprint and can never
     // fit a destination, so a poisoned sample degrades to "ignored" instead
     // of panicking mid-plan.
-    s.sort_by(|a, b| {
+    s.sort_by(|(_, a), (_, b)| {
         a.kv_used
             .total_cmp(&b.kv_used)
             .then(a.replica.cmp(&b.replica))
     });
 
     let mut plan = RepackPlan::default();
-    let mut emptied: Vec<usize> = Vec::new();
-    // Replicas already designated as destinations stay destinations: they
-    // hold consolidated load the plan's CanFit accounting depends on, so
+    // Per position in `replicas`: released by the plan, or designated as a
+    // destination. Designated replicas stay destinations: they hold
+    // consolidated load the plan's CanFit accounting depends on, so
     // releasing them later would both undercount and undo the packing.
-    let mut designated: Vec<usize> = Vec::new();
+    let mut emptied = vec![false; replicas.len()];
+    let mut designated = vec![false; replicas.len()];
     // Extra load already assigned to each destination by the current plan.
-    let mut assigned_kv = vec![0.0f64; replicas.len().max(1)];
-    let mut assigned_reqs = vec![0usize; replicas.len().max(1)];
-    let index_of = |replica: usize| -> usize {
-        replicas
-            .iter()
-            .position(|r| r.replica == replica)
-            .expect("replica in group")
-    };
+    let mut assigned_kv = vec![0.0f64; replicas.len()];
+    let mut assigned_reqs = vec![0usize; replicas.len()];
 
-    for (si, src) in s.iter().enumerate() {
-        if emptied.contains(&src.replica) || designated.contains(&src.replica) {
+    for (si, &(src_at, src)) in s.iter().enumerate() {
+        if emptied[src_at] || designated[src_at] {
             continue;
         }
         // Line 9: valid destinations — candidates not emptied, not the
         // source, with room for the source's load (CanFit).
         let mut best: Option<(usize, f64)> = None;
-        for (di, dst) in s.iter().enumerate() {
-            if di == si || emptied.contains(&dst.replica) {
+        for (di, &(dst_at, dst)) in s.iter().enumerate() {
+            if di == si || emptied[dst_at] {
                 continue;
             }
             // CanFit uses current usage (`C_used`), exactly as Algorithm 1:
             // a destination's trajectories are draining, so their headroom
             // materializes faster than the moved tail grows.
-            let d_idx = index_of(dst.replica);
-            let kv_load = dst.kv_used + assigned_kv[d_idx];
-            let req_load = dst.n_reqs + assigned_reqs[d_idx];
+            let kv_load = dst.kv_used + assigned_kv[dst_at];
+            let req_load = dst.n_reqs + assigned_reqs[dst_at];
             let fits = kv_load + src.kv_used <= c_max && req_load + src.n_reqs <= b;
             if !fits {
                 continue;
             }
             // Line 11: argmax of the destination's packed density.
             if best.is_none_or(|(_, best_kv)| kv_load > best_kv) {
-                best = Some((dst.replica, kv_load));
+                best = Some((dst_at, kv_load));
             }
         }
-        if let Some((dst, _)) = best {
-            let d_idx = index_of(dst);
-            assigned_kv[d_idx] += src.kv_used;
-            assigned_reqs[d_idx] += src.n_reqs;
-            plan.moves.push((src.replica, dst));
-            emptied.push(src.replica);
-            if !designated.contains(&dst) {
-                designated.push(dst);
-            }
+        if let Some((dst_at, _)) = best {
+            assigned_kv[dst_at] += src.kv_used;
+            assigned_reqs[dst_at] += src.n_reqs;
+            plan.moves.push((src.replica, replicas[dst_at].replica));
+            emptied[src_at] = true;
+            designated[dst_at] = true;
         }
     }
     plan

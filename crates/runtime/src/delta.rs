@@ -3,16 +3,18 @@
 //!
 //! A [`StateImage`] is the canonical persisted form of one run's full
 //! mid-run state: named *planes* (slab, buffers, scheduler queue, driver
-//! scalars, report, spans, …), each a list of word *chunks*. Chunk
-//! boundaries follow the state's natural granularity — one chunk per
-//! resident trajectory, per buffered experience, per pending event — so a
-//! mutation dirties only the chunks it touched. Planes without natural
-//! boundaries (scalar blocks, append-only streams) are paginated into
-//! fixed [`PAGE_WORDS`] chunks, where appends dirty only the tail page.
+//! scalars, report, spans, …), each a list of word *chunks* held in one
+//! word buffer. Chunk boundaries follow the state's natural granularity —
+//! one chunk per resident trajectory, per buffered experience, per pending
+//! event — so a mutation dirties only the chunks it touched. Planes
+//! without natural boundaries (scalar blocks, append-only streams) are
+//! paginated into fixed [`PAGE_WORDS`] chunks, where appends dirty only
+//! the tail page.
 //!
 //! A [`DeltaStore`] persists chunks content-addressed by their [`chunk_key`]:
-//! committing an image writes only chunks whose key is not already stored
-//! and records a [`Manifest`] — the ordered chunk-key lists per plane, a
+//! committing an image writes only chunks whose key is not already stored,
+//! as one word segment per commit, and records a [`Manifest`] — the
+//! ordered chunk-key lists per plane, a
 //! whole-state fingerprint, and a link to the parent manifest. The delta
 //! cost of a cadence point is therefore the bytes of its *new* chunks plus
 //! the manifest, not the whole state; [`CommitStats`] accounts both so the
@@ -34,7 +36,7 @@
 //! and a verify hashes each stored word once. The image layout and these
 //! hashes together are format [`IMAGE_FORMAT`].
 
-use crate::report::RunReport;
+use crate::report::{ConsumedTraj, RunReport};
 use laminar_rollout::ReplicaEngine;
 use laminar_sim::{IdMap, Scheduler, Time, TimeSeries, TraceSpan};
 use std::collections::hash_map::Entry;
@@ -57,13 +59,19 @@ pub const IMAGE_FORMAT: u32 = 2;
 /// is new at each commit.
 pub const SPAN_BATCH: usize = 8;
 
-/// One named plane of a state image: an ordered list of word chunks.
+/// One named plane of a state image: an ordered list of word chunks, held
+/// as one word buffer plus each chunk's end offset in it, so a plane costs
+/// a few allocations however many chunks it holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatePlane {
     /// Stable plane name (part of the fingerprint domain).
     pub name: &'static str,
-    /// Ordered chunks; concatenated they form the plane's word stream.
-    pub chunks: Vec<Vec<u64>>,
+    /// Every chunk's words, concatenated in chunk order: the plane's word
+    /// stream.
+    words: Vec<u64>,
+    /// Each chunk's end offset in `words`, ascending; each chunk starts
+    /// where the one before it ends, the first at 0.
+    ends: Vec<u32>,
 }
 
 impl StatePlane {
@@ -71,53 +79,91 @@ impl StatePlane {
     pub fn new(name: &'static str) -> Self {
         StatePlane {
             name,
-            chunks: Vec::new(),
+            words: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
+    /// Reserves room for `words` more words in `chunks` more chunks.
+    fn reserve(&mut self, words: usize, chunks: usize) {
+        self.words.reserve(words);
+        self.ends.reserve(chunks);
+    }
+
+    /// Ends the open chunk: the words appended since the previous chunk
+    /// ended.
+    fn close_chunk(&mut self) {
+        let end = u32::try_from(self.words.len()).expect("a plane holds under 2^32 words");
+        self.ends.push(end);
+    }
+
     /// Appends one natural-granularity chunk.
-    pub fn push_chunk(&mut self, words: Vec<u64>) {
-        self.chunks.push(words);
+    pub fn push_chunk(&mut self, words: &[u64]) {
+        self.words.extend_from_slice(words);
+        self.close_chunk();
     }
 
     /// Appends one chunk per record, in iteration order, each holding the
-    /// words `encode` writes for that record and stored at its exact
-    /// length. `encode` writes into one buffer reused across records, so
-    /// a chunk costs one allocation instead of a growing `Vec`'s several.
+    /// words `encode` writes for that record. `encode` appends straight to
+    /// the plane's word buffer and must do nothing else to it. The buffer
+    /// grows once for the whole sequence, by the first record's length
+    /// times the records the iterator says are left, so a plane of records
+    /// costs a few allocations, not one per record.
     pub fn extend_records<R>(
         &mut self,
         records: impl IntoIterator<Item = R>,
         mut encode: impl FnMut(R, &mut Vec<u64>),
     ) {
-        let mut scratch = Vec::new();
+        let mut records = records.into_iter();
+        let Some(first) = records.next() else {
+            return;
+        };
+        let start = self.words.len();
+        encode(first, &mut self.words);
+        self.close_chunk();
+        let (left, _) = records.size_hint();
+        self.reserve(left * (self.words.len() - start), left);
         for record in records {
-            scratch.clear();
-            encode(record, &mut scratch);
-            self.chunks.push(scratch.as_slice().to_vec());
+            encode(record, &mut self.words);
+            self.close_chunk();
         }
     }
 
     /// Splits a flat word stream into [`PAGE_WORDS`]-sized page chunks.
     pub fn extend_paged(&mut self, words: &[u64]) {
+        self.reserve(words.len(), words.len().div_ceil(PAGE_WORDS));
         for page in words.chunks(PAGE_WORDS) {
-            self.chunks.push(page.to_vec());
+            self.push_chunk(page);
         }
     }
 
     /// Appends a span stream as [`SPAN_BATCH`]-span chunks.
     pub fn extend_spans(&mut self, spans: &[TraceSpan]) {
+        self.reserve(6 * spans.len(), spans.len().div_ceil(SPAN_BATCH));
         for batch in spans.chunks(SPAN_BATCH) {
-            let mut words = Vec::with_capacity(6 * batch.len());
             for s in batch {
-                encode_span(s, &mut words);
+                encode_span(s, &mut self.words);
             }
-            self.chunks.push(words);
+            self.close_chunk();
         }
+    }
+
+    /// Number of chunks.
+    pub fn chunk_count(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The chunks in order; concatenated they form the plane's word stream.
+    pub fn chunks(&self) -> impl ExactSizeIterator<Item = &[u64]> + '_ {
+        (0..self.ends.len()).map(|i| {
+            let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+            &self.words[start..self.ends[i] as usize]
+        })
     }
 
     /// Total words across all chunks.
     pub fn len_words(&self) -> u64 {
-        self.chunks.iter().map(|c| c.len() as u64).sum()
+        self.words.len() as u64
     }
 }
 
@@ -136,7 +182,11 @@ impl StateImage {
 
     /// Appends a plane. Plane order is part of the canonical form: the
     /// same state must always encode planes in the same order.
-    pub fn push_plane(&mut self, plane: StatePlane) {
+    pub fn push_plane(&mut self, mut plane: StatePlane) {
+        // A plane of records grows by estimates; the image keeps its words
+        // at their exact size.
+        plane.words.shrink_to_fit();
+        plane.ends.shrink_to_fit();
         self.planes.push(plane);
     }
 
@@ -158,8 +208,8 @@ impl StateImage {
     pub fn fingerprint(&self) -> u64 {
         let mut h = FOLD_SEED;
         for plane in &self.planes {
-            h = fold_plane_head(h, plane.name, plane.chunks.len());
-            for chunk in &plane.chunks {
+            h = fold_plane_head(h, plane.name, plane.chunk_count());
+            for chunk in plane.chunks() {
                 h = fold_chunk(h, chunk);
             }
         }
@@ -293,10 +343,22 @@ pub struct CommitStats {
     pub whole_bytes: u64,
 }
 
-/// Content-addressed chunk store plus the manifest chain.
+/// Where a stored chunk's words sit: `len` words from `start` in segment
+/// `segment`.
+#[derive(Debug, Clone, Copy)]
+struct ChunkLoc {
+    segment: u32,
+    start: u32,
+    len: u32,
+}
+
+/// Content-addressed chunk store plus the manifest chain. Each commit
+/// stores the chunks it writes first as one exactly sized word segment,
+/// and an index maps every stored key to its words in a segment.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaStore {
-    chunks: IdMap<Vec<u64>>,
+    index: IdMap<ChunkLoc>,
+    segments: Vec<Vec<u64>>,
     manifests: Vec<Manifest>,
 }
 
@@ -310,29 +372,45 @@ impl DeltaStore {
     /// stored, appends a manifest linked to the previous commit, and
     /// returns the manifest id with the commit's cost accounting. One pass
     /// over the image's words computes every [`chunk_key`] and the
-    /// [`StateImage::fingerprint`] together.
+    /// [`StateImage::fingerprint`] together and indexes each new key at its
+    /// place in this commit's segment; a second pass copies the new chunks
+    /// into the segment, allocated once at its exact size. A chunk repeated
+    /// within the image is stored once, at its first occurrence, and its
+    /// repeats count as reused.
     pub fn commit(&mut self, at: Time, image: &StateImage) -> (u64, CommitStats) {
         let parent = self.manifests.last().map(|m| m.id);
         let mut stats = CommitStats {
             whole_bytes: image.total_bytes(),
             ..CommitStats::default()
         };
+        let segment = u32::try_from(self.segments.len()).expect("a store holds under 2^32 commits");
+        let mut segment_len = 0usize;
+        let chunks = image.planes().iter().map(StatePlane::chunk_count).sum();
+        // Per image chunk, in order: whether this commit stores it.
+        let mut fresh = Vec::with_capacity(chunks);
         let mut fingerprint = FOLD_SEED;
         let mut planes = Vec::with_capacity(image.planes().len());
         for plane in image.planes() {
-            fingerprint = fold_plane_head(fingerprint, plane.name, plane.chunks.len());
-            let mut keys = Vec::with_capacity(plane.chunks.len());
-            for chunk in &plane.chunks {
+            fingerprint = fold_plane_head(fingerprint, plane.name, plane.chunk_count());
+            let mut keys = Vec::with_capacity(plane.chunk_count());
+            for chunk in plane.chunks() {
                 let key;
                 (fingerprint, key) = fold_chunk_keyed(fingerprint, chunk);
-                stats.chunks_total += 1;
-                if let Entry::Vacant(e) = self.chunks.entry(key) {
+                let stored = if let Entry::Vacant(e) = self.index.entry(key) {
+                    e.insert(ChunkLoc {
+                        segment,
+                        start: u32::try_from(segment_len)
+                            .expect("a commit stores under 2^32 words"),
+                        len: u32::try_from(chunk.len()).expect("a chunk holds under 2^32 words"),
+                    });
+                    segment_len += chunk.len();
                     stats.chunks_new += 1;
-                    stats.delta_bytes += 8 * chunk.len() as u64;
-                    e.insert(chunk.clone());
+                    true
                 } else {
                     stats.chunks_reused += 1;
-                }
+                    false
+                };
+                fresh.push(stored);
                 keys.push(key);
             }
             planes.push(PlaneManifest {
@@ -341,6 +419,14 @@ impl DeltaStore {
                 keys,
             });
         }
+        let mut words = Vec::with_capacity(segment_len);
+        let all = image.planes().iter().flat_map(StatePlane::chunks);
+        for (chunk, _) in all.zip(&fresh).filter(|&(_, &stored)| stored) {
+            words.extend_from_slice(chunk);
+        }
+        self.segments.push(words);
+        stats.chunks_total = chunks;
+        stats.delta_bytes = 8 * segment_len as u64;
         let mut id = fold_words(
             FOLD_SEED,
             [
@@ -379,12 +465,14 @@ impl DeltaStore {
         plane: &PlaneManifest,
         key: u64,
     ) -> Result<&[u64], String> {
-        self.chunks.get(&key).map(Vec::as_slice).ok_or_else(|| {
+        let loc = self.index.get(&key).ok_or_else(|| {
             format!(
                 "manifest {:016x}: plane `{}` references missing chunk {key:016x}",
                 manifest.id, plane.name
             )
-        })
+        })?;
+        let start = loc.start as usize;
+        Ok(&self.segments[loc.segment as usize][start..start + loc.len as usize])
     }
 
     /// Reassembles the full state image a manifest describes. Fails if any
@@ -392,15 +480,11 @@ impl DeltaStore {
     pub fn reconstruct(&self, manifest: &Manifest) -> Result<StateImage, String> {
         let mut image = StateImage::new();
         for plane in &manifest.planes {
-            let chunks = plane
-                .keys
-                .iter()
-                .map(|&key| self.chunk(manifest, plane, key).map(<[u64]>::to_vec))
-                .collect::<Result<_, _>>()?;
-            image.push_plane(StatePlane {
-                name: plane.name,
-                chunks,
-            });
+            let mut rebuilt = StatePlane::new(plane.name);
+            for &key in &plane.keys {
+                rebuilt.push_chunk(self.chunk(manifest, plane, key)?);
+            }
+            image.push_plane(rebuilt);
         }
         Ok(image)
     }
@@ -427,22 +511,28 @@ impl DeltaStore {
                         "plane {p}: live `{}`, stored `{}`",
                         lp.name, plane.name
                     )),
-                    Some(lp) if lp.chunks.len() != plane.keys.len() => Some(format!(
+                    Some(lp) if lp.chunk_count() != plane.keys.len() => Some(format!(
                         "plane `{}`: {} live chunks, {} stored",
                         plane.name,
-                        lp.chunks.len(),
+                        lp.chunk_count(),
                         plane.keys.len()
                     )),
                     Some(_) => None,
                 };
             }
+            // Compared chunk by chunk only while nothing has diverged, which
+            // means this plane's shape matched above.
+            let mut live_chunks = live_plane
+                .filter(|_| diverged.is_none())
+                .map(StatePlane::chunks);
             fingerprint = fold_plane_head(fingerprint, plane.name, plane.keys.len());
             for (c, &key) in plane.keys.iter().enumerate() {
                 let chunk = self.chunk(manifest, plane, key)?;
                 fingerprint = fold_chunk(fingerprint, chunk);
-                // No divergence yet means this plane's shape matched above.
-                if diverged.is_none() && live_plane.is_some_and(|lp| lp.chunks[c] != chunk) {
-                    diverged = Some(format!("plane `{}` chunk {c}", plane.name));
+                if let (None, Some(live)) = (&diverged, &mut live_chunks) {
+                    if live.next() != Some(chunk) {
+                        diverged = Some(format!("plane `{}` chunk {c}", plane.name));
+                    }
                 }
             }
         }
@@ -631,9 +721,16 @@ pub fn encode_engines_plane(engines: &[ReplicaEngine]) -> StatePlane {
 /// final drain), so only the tail batch of each source changes per cadence
 /// and the store deduplicates the frozen full batches.
 pub fn encode_engine_spans_plane(driver: &[TraceSpan], engines: &[ReplicaEngine]) -> StatePlane {
-    let mut plane = encode_span_plane("spans", driver);
-    for eng in engines {
-        plane.extend_spans(eng.trace_spans());
+    let sources = || std::iter::once(driver).chain(engines.iter().map(ReplicaEngine::trace_spans));
+    let mut plane = StatePlane::new("spans");
+    // The largest plane: sized once, so it never holds a doubled buffer.
+    let lens = sources().map(<[TraceSpan]>::len);
+    plane.reserve(
+        6 * lens.clone().sum::<usize>(),
+        lens.map(|n| n.div_ceil(SPAN_BATCH)).sum(),
+    );
+    for spans in sources() {
+        plane.extend_spans(spans);
     }
     plane
 }
@@ -644,45 +741,66 @@ pub fn encode_engine_spans_plane(driver: &[TraceSpan], engines: &[ReplicaEngine]
 /// vectors are append-only during a run, and separate paging means an
 /// append to one vector never shifts another's pages — per cadence point
 /// only each touched section's tail page re-keys.
+///
+/// Every field is carried losslessly (floats as IEEE bits, the system name
+/// as UTF-8, each section framed by its length), so two reports with equal
+/// planes have equal `Debug` text. The pattern below names every field: a
+/// new one fails to compile here until it is encoded.
 pub fn encode_report_plane(name: &'static str, r: &RunReport) -> StatePlane {
-    let mut plane = StatePlane::new(name);
-    let mut head: Vec<u64> = str_words(&r.system).collect();
+    let RunReport {
+        system,
+        iteration_secs,
+        iteration_tokens,
+        throughput,
+        generation_fraction,
+        consumed,
+        mean_kv_utilization,
+        rollout_waits,
+        latencies,
+        gen_series,
+        train_series,
+        repack_events,
+        repack_released,
+        repack_overhead_secs,
+        staleness_by_finish,
+    } = r;
+    let mut head: Vec<u64> = str_words(system).collect();
     head.extend([
-        r.throughput.to_bits(),
-        r.generation_fraction.to_bits(),
-        r.mean_kv_utilization.to_bits(),
-        r.repack_events,
-        r.repack_released,
-        r.repack_overhead_secs.to_bits(),
+        throughput.to_bits(),
+        generation_fraction.to_bits(),
+        mean_kv_utilization.to_bits(),
+        *repack_events,
+        *repack_released,
+        repack_overhead_secs.to_bits(),
         // Section lengths frame the paged streams that follow.
-        r.iteration_secs.len() as u64,
-        r.iteration_tokens.len() as u64,
-        r.consumed.len() as u64,
-        r.rollout_waits.len() as u64,
-        r.latencies.len() as u64,
-        r.gen_series.len() as u64,
-        r.train_series.len() as u64,
-        r.staleness_by_finish.len() as u64,
+        iteration_secs.len() as u64,
+        iteration_tokens.len() as u64,
+        consumed.len() as u64,
+        rollout_waits.len() as u64,
+        latencies.len() as u64,
+        gen_series.len() as u64,
+        train_series.len() as u64,
+        staleness_by_finish.len() as u64,
     ]);
-    plane.push_chunk(head);
+    let mut plane = StatePlane::new(name);
+    plane.push_chunk(&head);
     let mut sec: Vec<u64> = Vec::new();
-    for vec in [
-        &r.iteration_secs,
-        &r.iteration_tokens,
-        &r.rollout_waits,
-        &r.latencies,
-    ] {
+    for vec in [iteration_secs, iteration_tokens, rollout_waits, latencies] {
         sec.clear();
         sec.extend(vec.iter().map(|x| x.to_bits()));
         plane.extend_paged(&sec);
     }
     sec.clear();
-    for c in &r.consumed {
-        sec.push(c.staleness);
-        sec.push(c.mixed_version as u64);
+    for &ConsumedTraj {
+        staleness,
+        mixed_version,
+    } in consumed
+    {
+        sec.push(staleness);
+        sec.push(mixed_version as u64);
     }
     plane.extend_paged(&sec);
-    for series in [&r.gen_series, &r.train_series] {
+    for series in [gen_series, train_series] {
         sec.clear();
         for &(t, v) in series.points() {
             sec.push(t.as_nanos());
@@ -691,7 +809,7 @@ pub fn encode_report_plane(name: &'static str, r: &RunReport) -> StatePlane {
         plane.extend_paged(&sec);
     }
     sec.clear();
-    for &(frac, s) in &r.staleness_by_finish {
+    for &(frac, s) in staleness_by_finish {
         sec.push(frac.to_bits());
         sec.push(s);
     }
@@ -707,10 +825,31 @@ mod tests {
         let mut img = StateImage::new();
         let mut plane = StatePlane::new("test");
         for c in chunks {
-            plane.push_chunk(c);
+            plane.push_chunk(&c);
         }
         img.push_plane(plane);
         img
+    }
+
+    /// Chunk `c` of `plane`, for changing its words in place.
+    fn chunk_mut(plane: &mut StatePlane, c: usize) -> &mut [u64] {
+        let start = c.checked_sub(1).map_or(0, |prev| plane.ends[prev] as usize);
+        &mut plane.words[start..plane.ends[c] as usize]
+    }
+
+    /// Drops the last chunk of `plane`.
+    fn pop_chunk(plane: &mut StatePlane) {
+        plane.ends.pop();
+        plane
+            .words
+            .truncate(plane.ends.last().map_or(0, |&end| end as usize));
+    }
+
+    /// The stored words of chunk `key`, for corrupting them in place.
+    fn stored_mut(store: &mut DeltaStore, key: u64) -> &mut [u64] {
+        let loc = store.index[&key];
+        let start = loc.start as usize;
+        &mut store.segments[loc.segment as usize][start..start + loc.len as usize]
     }
 
     #[test]
@@ -764,15 +903,14 @@ mod tests {
         }
         let stream = img.planes().iter().flat_map(|p| {
             str_words(p.name)
-                .chain([p.chunks.len() as u64])
-                .chain(p.chunks.iter().flat_map(|c| framed(c)))
+                .chain([p.chunk_count() as u64])
+                .chain(p.chunks().flat_map(framed))
         });
         let keys = img
             .planes()
             .iter()
             .map(|p| {
-                p.chunks
-                    .iter()
+                p.chunks()
                     .map(|c| framed(c).fold(FOLD_SEED, fold_word))
                     .collect()
             })
@@ -792,8 +930,8 @@ mod tests {
         img.push_plane(paged);
         img.push_plane(StatePlane::new("empty"));
         let mut natural = StatePlane::new("natural");
-        natural.push_chunk(Vec::new());
-        natural.push_chunk(vec![u64::MAX, 0, 1 << 63]);
+        natural.push_chunk(&[]);
+        natural.push_chunk(&[u64::MAX, 0, 1 << 63]);
         img.push_plane(natural);
         let (fingerprint, keys) = reference_hashes(&img);
         assert_eq!(img.fingerprint(), fingerprint);
@@ -819,7 +957,7 @@ mod tests {
         ] {
             let mut plane = StatePlane::new(name);
             for c in chunks {
-                plane.push_chunk(c);
+                plane.push_chunk(&c);
             }
             img.push_plane(plane);
         }
@@ -831,7 +969,7 @@ mod tests {
         let cases: [(&str, Fault, &[&str]); 7] = [
             (
                 "flipped stored bit",
-                |store, m, _| store.chunks.get_mut(&m.planes[1].keys[1]).unwrap()[1] ^= 1 << 40,
+                |store, m, _| stored_mut(store, m.planes[1].keys[1])[1] ^= 1 << 40,
                 &[
                     "stored chunks fingerprint",
                     "live state first differs at plane `b` chunk 1",
@@ -844,12 +982,14 @@ mod tests {
             ),
             (
                 "missing stored chunk",
-                |store, m, _| drop(store.chunks.remove(&m.planes[0].keys[1])),
+                |store, m, _| {
+                    store.index.remove(&m.planes[0].keys[1]);
+                },
                 &["plane `a` references missing chunk"],
             ),
             (
                 "changed live word",
-                |_, _, live| live.planes[1].chunks[1][1] += 1,
+                |_, _, live| chunk_mut(&mut live.planes[1], 1)[1] += 1,
                 &["live state diverges", "at plane `b` chunk 1"],
             ),
             (
@@ -862,7 +1002,7 @@ mod tests {
             ),
             (
                 "live chunk missing",
-                |_, _, live| drop(live.planes[0].chunks.pop()),
+                |_, _, live| pop_chunk(&mut live.planes[0]),
                 &["live state diverges", "plane `a`: 1 live chunks, 2 stored"],
             ),
             (
@@ -1020,14 +1160,162 @@ mod tests {
             })
             .collect();
         let p = encode_span_plane("spans", &spans);
-        assert_eq!(p.chunks.len(), 3); // 8 + 8 + 4
+        assert_eq!(p.chunk_count(), 3); // 8 + 8 + 4
         assert_eq!(p.len_words(), 6 * 20);
         // Appending spans keeps the full batches' chunk keys.
         let mut more = spans.clone();
         more.push(spans[0]);
         let p2 = encode_span_plane("spans", &more);
-        assert_eq!(p.chunks[0], p2.chunks[0]);
-        assert_eq!(p.chunks[1], p2.chunks[1]);
-        assert_ne!(p.chunks[2], p2.chunks[2]);
+        let (a, b): (Vec<&[u64]>, Vec<&[u64]>) = (p.chunks().collect(), p2.chunks().collect());
+        assert_eq!(a[..2], b[..2]);
+        assert_ne!(a[2], b[2]);
+    }
+
+    /// A chunk repeated within one image is stored once, at its first
+    /// occurrence, and its repeats count as reused; so does an empty chunk,
+    /// which takes no segment words.
+    #[test]
+    fn repeated_and_empty_chunks_are_stored_once() {
+        let mut img = image(vec![
+            vec![1, 2],
+            vec![],
+            vec![3],
+            vec![1, 2],
+            vec![],
+            vec![1, 2],
+        ]);
+        img.push_plane(StatePlane::new("empty"));
+        let mut store = DeltaStore::new();
+        let (id, stats) = store.commit(Time::from_secs(1), &img);
+        let m = store.manifest(id).expect("manifest").clone();
+        let counts = (stats.chunks_total, stats.chunks_new, stats.chunks_reused);
+        assert_eq!(counts, (6, 3, 3), "{stats:?}");
+        assert_eq!(stats.delta_bytes, 8 * 3 + m.encoded_bytes());
+        assert_eq!(store.segments, [vec![1, 2, 3]]);
+        assert_eq!(m.planes[0].keys[0], m.planes[0].keys[3]);
+        assert_eq!(m.planes[1].keys, []);
+        store.verify(&m, &img).expect("verify");
+        assert_eq!(store.reconstruct(&m).expect("reconstruct"), img);
+        // Nothing new: the second commit's segment is empty.
+        let (_, again) = store.commit(Time::from_secs(2), &img);
+        assert_eq!((again.chunks_new, again.chunks_reused), (0, 6));
+        assert_eq!(again.delta_bytes, m.encoded_bytes());
+        assert_eq!(store.segments[1], []);
+    }
+
+    /// A commit that reuses older chunks and stores new ones references
+    /// two segments; it reconstructs and verifies as one image, and so does
+    /// the older commit.
+    #[test]
+    fn commits_spanning_older_and_newer_segments_reconstruct() {
+        let mut store = DeltaStore::new();
+        let old = image(vec![vec![1, 2, 3], vec![4], vec![5, 6]]);
+        let new = image(vec![vec![4], vec![7, 8], vec![1, 2, 3], vec![9]]);
+        let (old_id, _) = store.commit(Time::from_secs(1), &old);
+        let (new_id, stats) = store.commit(Time::from_secs(2), &new);
+        assert_eq!((stats.chunks_new, stats.chunks_reused), (2, 2));
+        assert_eq!(store.segments, [vec![1, 2, 3, 4, 5, 6], vec![7, 8, 9]]);
+        for (id, img) in [(new_id, &new), (old_id, &old)] {
+            let m = store.manifest(id).expect("manifest");
+            store.verify(m, img).expect("verify");
+            let back = store.reconstruct(m).expect("reconstruct");
+            assert_eq!(&back, img);
+            assert_eq!(back.fingerprint(), m.fingerprint);
+        }
+    }
+
+    /// A report whose vectors and series hold two distinct elements each.
+    fn sample_report() -> RunReport {
+        let series = |points: [(u64, f64); 2]| {
+            let mut s = TimeSeries::new();
+            for (t, v) in points {
+                s.push(Time::from_secs(t), v);
+            }
+            s
+        };
+        RunReport {
+            system: "laminar".into(),
+            iteration_secs: vec![1.0, 2.0],
+            iteration_tokens: vec![3.0, 4.0],
+            throughput: 5.0,
+            generation_fraction: 0.5,
+            consumed: vec![
+                ConsumedTraj {
+                    staleness: 0,
+                    mixed_version: false,
+                },
+                ConsumedTraj {
+                    staleness: 1,
+                    mixed_version: false,
+                },
+            ],
+            mean_kv_utilization: 0.25,
+            rollout_waits: vec![0.5, 0.75],
+            latencies: vec![6.0, 7.0],
+            gen_series: series([(1, 8.0), (2, 9.0)]),
+            train_series: series([(1, 10.0), (2, 11.0)]),
+            repack_events: 2,
+            repack_released: 3,
+            repack_overhead_secs: 0.125,
+            staleness_by_finish: vec![(0.5, 1), (0.75, 2)],
+        }
+    }
+
+    /// One change to one report field.
+    type Edit = fn(&mut RunReport);
+
+    /// Changing any one report field — the name, each scalar, one element
+    /// of each vector, one point of each series — changes the report
+    /// plane, so comparing planes compares every field.
+    #[test]
+    fn every_report_field_changes_the_report_plane() {
+        let edits: [(&str, Edit); 18] = [
+            ("system", |r| r.system.push('!')),
+            ("throughput", |r| r.throughput += 1.0),
+            ("generation_fraction", |r| r.generation_fraction += 1.0),
+            ("mean_kv_utilization", |r| r.mean_kv_utilization += 1.0),
+            ("repack_events", |r| r.repack_events += 1),
+            ("repack_released", |r| r.repack_released += 1),
+            ("repack_overhead_secs", |r| r.repack_overhead_secs += 1.0),
+            ("iteration_secs", |r| r.iteration_secs[1] += 1.0),
+            ("iteration_tokens", |r| r.iteration_tokens[1] += 1.0),
+            ("consumed staleness", |r| r.consumed[1].staleness += 1),
+            ("consumed mixed_version", |r| {
+                r.consumed[1].mixed_version = true
+            }),
+            ("rollout_waits", |r| r.rollout_waits[1] += 1.0),
+            ("latencies", |r| r.latencies[1] += 1.0),
+            ("gen_series value", |r| {
+                let mut s = TimeSeries::new();
+                s.push(Time::from_secs(1), 8.0);
+                s.push(Time::from_secs(2), 9.5);
+                r.gen_series = s;
+            }),
+            ("train_series time", |r| {
+                let mut s = TimeSeries::new();
+                s.push(Time::from_secs(1), 10.0);
+                s.push(Time::from_secs(3), 11.0);
+                r.train_series = s;
+            }),
+            ("staleness_by_finish frac", |r| {
+                r.staleness_by_finish[1].0 += 1.0
+            }),
+            ("staleness_by_finish staleness", |r| {
+                r.staleness_by_finish[1].1 += 1
+            }),
+            ("a vector element moved to another vector", |r| {
+                r.iteration_secs.pop();
+                r.iteration_tokens.insert(0, 2.0);
+            }),
+        ];
+        let base = sample_report();
+        let plane = encode_report_plane("report", &base);
+        assert_eq!(encode_report_plane("report", &base.clone()), plane);
+        for (field, edit) in edits {
+            let mut changed = base.clone();
+            edit(&mut changed);
+            assert_ne!(format!("{changed:?}"), format!("{base:?}"), "{field}");
+            assert_ne!(encode_report_plane("report", &changed), plane, "{field}");
+        }
     }
 }

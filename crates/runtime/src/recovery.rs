@@ -19,7 +19,7 @@
 //! round trip.
 
 use crate::config::SystemConfig;
-use crate::delta::{CommitStats, DeltaStore, StateImage};
+use crate::delta::{encode_report_plane, CommitStats, DeltaStore, StateImage, StatePlane};
 use crate::report::{RlSystem, RunReport};
 use crate::trace::{first_line_difference, RecordingTrace, TraceSink};
 use laminar_sim::{Duration, Time};
@@ -240,18 +240,31 @@ impl CheckpointCheck {
 /// reproduce.
 struct Uninterrupted {
     report: RunReport,
-    text: String,
+    /// The report's [`encode_report_plane`] words.
+    plane: StatePlane,
     trace: RecordingTrace,
 }
 
 impl Uninterrupted {
+    /// Keeps the uninterrupted run's report, with its report plane, and its
+    /// trace.
+    fn new(report: RunReport, trace: RecordingTrace) -> Self {
+        Uninterrupted {
+            plane: encode_report_plane("report", &report),
+            report,
+            trace,
+        }
+    }
+
     /// Where a run's report or trace first differs from the uninterrupted
     /// run's (`report line N: ...` or `trace line N: ...`, uninterrupted
-    /// side first); `None` when both are byte-identical. Traces compare as
-    /// span slices: the JSONL writer is injective, so equal spans mean equal
-    /// bytes, and the JSONL is rendered only to name a differing line.
+    /// side first); `None` when both are byte-identical. Reports compare as
+    /// their report planes, which carry every field losslessly, so equal
+    /// planes mean equal `Debug` text; traces compare as span slices, since
+    /// the JSONL writer is injective, so equal spans mean equal bytes. The
+    /// text of either is rendered only to name a differing line.
     fn difference(&self, report: &RunReport, trace: &RecordingTrace) -> Option<String> {
-        if format!("{report:?}") != self.text {
+        if encode_report_plane("report", report) != self.plane {
             // The one-line `Debug` text would only ever name line 1; the
             // pretty form puts each field and element on its own line.
             let (base, run) = (format!("{:#?}", self.report), format!("{report:#?}"));
@@ -285,13 +298,9 @@ fn check_checkpoints<S: Recoverable>(
     let mut ck_trace = RecordingTrace::new();
     let (ck_report, checkpoints) =
         sys.run_delta_checkpointed(cfg, every, &mut ck_trace, &mut store);
-    // Rendered only now, so the text is not held through the checkpointed
-    // run, whose clones are the check's peak heap.
-    let base = Uninterrupted {
-        text: format!("{report:?}"),
-        report,
-        trace,
-    };
+    // Encoded only now, so the report plane is not held through the
+    // checkpointed run, whose clones are the check's peak heap.
+    let base = Uninterrupted::new(report, trace);
     let total = checkpoints.len();
     let mut check = CheckpointCheck {
         cadence: every,
@@ -375,7 +384,6 @@ pub fn check_resume_equivalence<S: Recoverable>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::StatePlane;
     use crate::trace::{SpanKind, TraceSpan};
     use laminar_workload::{Checkpoint, WorkloadGenerator};
     use std::cell::Cell;
@@ -396,11 +404,7 @@ mod tests {
         };
         let mut trace = RecordingTrace::new();
         trace.record(span(1));
-        let run = Uninterrupted {
-            text: format!("{report:?}"),
-            report: report.clone(),
-            trace: trace.clone(),
-        };
+        let run = Uninterrupted::new(report.clone(), trace.clone());
         assert_eq!(run.difference(&report, &trace), None);
         let mut rerecorded = RecordingTrace::new();
         rerecorded.record(span(1));
@@ -463,7 +467,7 @@ mod tests {
         fn encode_state(run: &Self::Snapshot) -> StateImage {
             run.1.set(run.1.get() + 1);
             let mut plane = StatePlane::new("drift");
-            plane.push_chunk(vec![run.1.get()]);
+            plane.push_chunk(&[run.1.get()]);
             let mut image = StateImage::new();
             image.push_plane(plane);
             image

@@ -13,11 +13,13 @@
 //! checkpoint image format (`delta::IMAGE_FORMAT`) keeps verifying; a
 //! format change re-records them once. So are the fault paths no
 //! fault-free run reaches: degraded mode, breaker trips, env-call aborts,
-//! the fleet under faults, and the fig13 learner. A golden changes only
+//! the fleet under faults, and the fig13 learner; and so are the moves
+//! the repack planner makes for seeded load snapshots. A golden changes only
 //! with an intended behaviour change; the failure message prints the
 //! replacement table.
 
 use laminar::prelude::*;
+use laminar::rollout::ReplicaLoad;
 use laminar::runtime::delta::chunk_key;
 use laminar::runtime::{DeltaStore, Recoverable, StateImage, StatePlane};
 
@@ -254,9 +256,9 @@ fn synthetic_image(salt: u64) -> StateImage {
     let mut paged = StatePlane::new("paged");
     paged.extend_paged(&stream);
     let mut natural = StatePlane::new("natural");
-    natural.push_chunk(vec![1, 2, 3]);
-    natural.push_chunk(vec![salt, u64::MAX]);
-    natural.push_chunk(Vec::new());
+    natural.push_chunk(&[1, 2, 3]);
+    natural.push_chunk(&[salt, u64::MAX]);
+    natural.push_chunk(&[]);
     let mut image = StateImage::new();
     image.push_plane(paged);
     image.push_plane(natural);
@@ -279,7 +281,7 @@ fn checkpoint_hashes_match_goldens() {
     let got = [
         chunk_key(&[]),
         chunk_key(&[1, 2, 3]),
-        chunk_key(&first.planes()[0].chunks[0]),
+        chunk_key(first.planes()[0].chunks().next().expect("page 0")),
         first.fingerprint(),
         id0,
         manifest(id0).fingerprint,
@@ -522,5 +524,78 @@ fn fault_paths_match_goldens() {
          intended, re-record these entries of FAULT_GOLDENS in \
          tests/determinism.rs:\n{}",
         drifted.join("\n")
+    );
+}
+
+/// Per replica count, FNV-1a of `(moves, source, destination, ...)` of
+/// the plans `plan_repack` makes for [`repack_snapshot`]s of seeds 1–4.
+const REPACK_GOLDENS: [(usize, u64); 3] = [
+    (8, 0x0302e74d9ecba3b4),
+    (32, 0xbb24e39b07305c7b),
+    (128, 0x48a42958a47c1b2a),
+];
+
+/// A seeded ramp-down load snapshot of `n` replicas with shuffled,
+/// non-contiguous ids. Footprints come from twelve levels, so `kv_used`
+/// ties are common, and about one replica in six is ramping up, so not a
+/// candidate.
+fn repack_snapshot(n: usize, seed: u64) -> Vec<ReplicaLoad> {
+    let mut x = seed;
+    let mut next = move || {
+        // splitmix64
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut ids: Vec<usize> = (0..n).map(|i| 3 * i + 7).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    ids.into_iter()
+        .map(|replica| {
+            let kv_used = (1 + next() % 12) as f64 * 1500.0;
+            let ramping_up = next() % 6 == 0;
+            ReplicaLoad {
+                replica,
+                kv_used,
+                kv_reserved: kv_used,
+                kv_prev: if ramping_up { kv_used } else { kv_used + 500.0 },
+                n_reqs: (1 + next() % 16) as usize,
+                weight_version: 0,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn repack_plans_match_goldens() {
+    let mut drifted = Vec::new();
+    for (n, golden) in REPACK_GOLDENS {
+        let mut words = Vec::new();
+        for seed in 1..=4 {
+            let loads = repack_snapshot(n, seed);
+            let mut levels: Vec<u64> = loads.iter().map(|l| l.kv_used.to_bits()).collect();
+            levels.sort_unstable();
+            levels.dedup();
+            assert!(
+                levels.len() < n,
+                "{n} replicas, seed {seed}: no kv_used tie"
+            );
+            let plan = plan_repack(&loads, 40_000.0, 48);
+            assert!(!plan.is_empty(), "{n} replicas, seed {seed}: nothing moved");
+            words.push(plan.moves.len() as u64);
+            words.extend(plan.moves.iter().flat_map(|&(s, d)| [s as u64, d as u64]));
+        }
+        let got = fnv1a(words);
+        if got != golden {
+            drifted.push(format!("({n}, {got:#018x}),"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "repack plans drifted from REPACK_GOLDENS. If the planning change is \
+         intended, re-record REPACK_GOLDENS in tests/determinism.rs: {}",
+        drifted.join(" ")
     );
 }
