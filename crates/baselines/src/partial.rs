@@ -58,6 +58,10 @@ struct World {
     record_trace: bool,
     trace_spans: Vec<TraceSpan>,
     trainer_started: Time,
+    /// Completion records swapped out of an engine by `drain`; kept for
+    /// its capacity, empty between events, so it is not part of the state
+    /// image.
+    delivered: Vec<CompletedTraj>,
 }
 
 impl World {
@@ -82,14 +86,14 @@ impl World {
     }
 
     fn drain(&mut self, r: usize, sched: &mut Scheduler<Ev>) {
-        let done = self.engines[r].take_completions();
-        if !done.is_empty() {
-            for c in &done {
+        self.engines[r].swap_completions(&mut self.delivered);
+        if !self.delivered.is_empty() {
+            for c in self.delivered.drain(..) {
                 self.report
                     .latencies
                     .push(c.finished_at.since(c.started_at).as_secs_f64());
+                self.buffer.push_back(c);
             }
-            self.buffer.extend(done);
             sched.immediately(Ev::TrainerCheck);
         }
     }
@@ -286,6 +290,7 @@ fn build_partial(cfg: &SystemConfig, record_trace: bool) -> Simulation<World> {
         record_trace,
         trace_spans: Vec::new(),
         trainer_started: Time::ZERO,
+        delivered: Vec::new(),
     };
     let mut sim = Simulation::new(world);
     for r in 0..replicas {

@@ -413,11 +413,56 @@ fn committed_fingerprint<S>(store: &DeltaStore, checkpoint: &DeltaCheckpoint<S>)
         .fingerprint
 }
 
-/// Replays `sys` to checkpoint `index` of a run at cadence `every` and
-/// resumes it, refusing unless the checkpoint exists, its fingerprint is
-/// `want`, it verifies, and the resumed report is the uninterrupted run's.
-/// The run is untraced, as the descriptor's was: a traced image carries
-/// its spans, so it fingerprints differently.
+/// Replays `sys` straight to cadence point `index` of a run at cadence
+/// `every` and commits its state there to a store of its own: one
+/// [`Recoverable::advance`] to `(index + 1) × every`, the deadline at which
+/// the cadence loop of [`Recoverable::run_delta_checkpointed`] takes that
+/// point, so the replay holds one run state however many points the run
+/// crosses. Refuses an instant past the end of virtual time and a run that
+/// finishes before the point. The run is untraced, as the descriptor's
+/// was: a traced image carries its spans, so it fingerprints differently.
+fn replay_point<S: Recoverable>(
+    sys: &S,
+    cfg: &SystemConfig,
+    every: Duration,
+    index: usize,
+) -> Result<(DeltaStore, DeltaCheckpoint<S::Snapshot>), String> {
+    let at = u64::try_from(index)
+        .ok()
+        .and_then(|i| i.checked_add(1))
+        .and_then(|points| points.checked_mul(every.as_nanos()))
+        .map(Time::from_nanos)
+        .ok_or_else(|| {
+            format!(
+                "descriptor index {index} at cadence every_ns={} lies past the end of \
+                 virtual time",
+                every.as_nanos()
+            )
+        })?;
+    let mut state = sys.start(cfg, false);
+    if S::advance(&mut state, at) {
+        return Err(format!(
+            "descriptor index {index} out of range: the {} run finishes before t = {:.1}s",
+            sys.name(),
+            at.as_secs_f64()
+        ));
+    }
+    let mut store = DeltaStore::new();
+    let (manifest_id, stats) = store.commit(at, &S::encode_state(&state));
+    let checkpoint = DeltaCheckpoint {
+        at,
+        index,
+        manifest_id,
+        stats,
+        state,
+    };
+    Ok((store, checkpoint))
+}
+
+/// Replays `sys` to checkpoint `index` of a run at cadence `every`
+/// ([`replay_point`]) and resumes it, refusing unless the checkpoint
+/// exists, its fingerprint is `want`, it verifies, and the resumed report
+/// is the uninterrupted run's.
 fn replay<S: Recoverable>(
     sys: &S,
     cfg: &SystemConfig,
@@ -425,12 +470,7 @@ fn replay<S: Recoverable>(
     index: usize,
     want: u64,
 ) -> Result<String, String> {
-    let (store, checkpoints) = commit_checkpoints(sys, cfg, every);
-    let total = checkpoints.len();
-    let ck = checkpoints
-        .into_iter()
-        .find(|c| c.index == index)
-        .ok_or_else(|| format!("descriptor index {index} out of range ({total} snapshots)"))?;
+    let (store, ck) = replay_point(sys, cfg, every, index)?;
     let what = format!("{} checkpoint {index}", sys.name());
     let got = committed_fingerprint(&store, &ck);
     if got != want {
@@ -572,11 +612,56 @@ mod tests {
         }
     }
 
+    /// The replay reaches a cadence point in one advance: for every system,
+    /// the last point a 20 s cadence commits replays to the instant and
+    /// fingerprint the cadence loop committed there, and the point after
+    /// it is refused because the run finishes first.
+    #[test]
+    fn replay_reaches_the_last_cadence_point_of_every_system() {
+        fn check<S: Recoverable>(sys: &S, kind: SystemKind) {
+            let (cfg, every) = (replay_config(7, kind), Duration::from_secs(20));
+            let (store, checkpoints) = commit_checkpoints(sys, &cfg, every);
+            let last = checkpoints.last().expect("run crosses a cadence point");
+            let (replayed_store, replayed) = replay_point(sys, &cfg, every, last.index)
+                .unwrap_or_else(|e| panic!("{}: {e}", sys.name()));
+            assert_eq!(
+                (replayed.index, replayed.at),
+                (last.index, last.at),
+                "{}",
+                sys.name()
+            );
+            assert_eq!(
+                committed_fingerprint(&replayed_store, &replayed),
+                committed_fingerprint(&store, last),
+                "{} checkpoint {}",
+                sys.name(),
+                last.index
+            );
+            let past = last.index + 1;
+            let err = match replay_point(sys, &cfg, every, past) {
+                Ok(_) => panic!("{}: cadence point {past} replayed", sys.name()),
+                Err(e) => e,
+            };
+            assert!(
+                err.contains(&format!("index {past} out of range")),
+                "{}: {err}",
+                sys.name()
+            );
+        }
+        check(&LaminarSystem::default(), SystemKind::Laminar);
+        check(&VerlSync, SystemKind::Verl);
+        check(&OneStepStaleness, SystemKind::OneStep);
+        check(&StreamGeneration, SystemKind::StreamGen);
+        check(&PartialRollout, SystemKind::PartialRollout);
+    }
+
     /// A descriptor the replay cannot use is refused with an `Err` naming
     /// the cause, never a panic: a missing file, a file without a
     /// descriptor line, a token without `=`, a value that does not parse,
-    /// an unknown key or system, no cadence, and an index past the run's
-    /// checkpoints.
+    /// an unknown key or system, no cadence, an index past the run's
+    /// checkpoints, a cadence point past the end of virtual time, and a
+    /// changed fingerprint at a 1 ns cadence, which replays one state to
+    /// its first nanosecond instead of one per nanosecond of the run.
     #[test]
     fn unusable_descriptors_are_refused_by_name() {
         let dir = TempDir::new("unusable-test");
@@ -595,6 +680,14 @@ mod tests {
             (
                 "system=laminar every_ns=20000000000 index=99",
                 "index 99 out of range",
+            ),
+            (
+                "system=laminar every_ns=10000000000000000000 index=1",
+                "index 1 at cadence every_ns=10000000000000000000 lies past the end",
+            ),
+            (
+                "system=laminar every_ns=1 index=0 fingerprint=0",
+                "the descriptor names 0000000000000000",
             ),
         ] {
             let line = format!("checkpoint format=2 {tokens}");

@@ -220,12 +220,58 @@ pub fn overlapping_scenario(replicas: usize) -> Vec<FaultEvent> {
     ]
 }
 
+/// The trajectory ids admitted during a run, ascending and unique.
+///
+/// Fresh admissions arrive in id order (the prompt pool hands specs out as
+/// the dataset numbered them), so an insert appends. A re-admission — a
+/// spec returned to the pool by a machine kill — finds its id by binary
+/// search and changes nothing, and an id that arrives out of order is
+/// inserted in place, so the list stays ascending either way.
+#[derive(Debug, Clone, Default)]
+pub struct AdmissionLog {
+    ids: Vec<u64>,
+}
+
+impl AdmissionLog {
+    /// Records an admission of `id`; a repeat is a no-op.
+    pub fn insert(&mut self, id: u64) {
+        match self.ids.last() {
+            Some(&last) if id <= last => {
+                if let Err(at) = self.ids.binary_search(&id) {
+                    self.ids.insert(at, id);
+                }
+            }
+            _ => self.ids.push(id),
+        }
+    }
+
+    /// Whether `id` was ever admitted.
+    pub fn contains(&self, id: u64) -> bool {
+        self.ids.binary_search(&id).is_ok()
+    }
+
+    /// Count of distinct admitted ids.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True before the first admission.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The admitted ids, ascending.
+    pub fn as_slice(&self) -> &[u64] {
+        &self.ids
+    }
+}
+
 /// Bookkeeping the driver fills in while a run executes; the raw material
 /// of the invariant checker.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosAudit {
     /// Every trajectory id ever admitted (handed to a replica).
-    pub admitted: BTreeSet<u64>,
+    pub admitted: AdmissionLog,
     /// Every completion in arrival order, a trajectory completed twice
     /// appearing twice. Append-only, so the checkpoint encoder can page it
     /// without mid-stream shifts.
@@ -386,7 +432,7 @@ impl ChaosOutcome {
             if *n != 1 {
                 v.push(format!("trajectory {id} completed {n} times"));
             }
-            if !self.audit.admitted.contains(id) {
+            if !self.audit.admitted.contains(*id) {
                 v.push(format!("trajectory {id} completed without being admitted"));
             }
         }
@@ -410,7 +456,7 @@ impl ChaosOutcome {
         }
         let partials: BTreeSet<u64> = self.partial_ids.iter().copied().collect();
         let pooled: BTreeSet<u64> = self.pool_ids.iter().copied().collect();
-        for &id in &self.audit.admitted {
+        for &id in self.audit.admitted.as_slice() {
             let done = completed.contains_key(&id);
             let held = partials.contains(&id) || pooled.contains(&id) || seen.contains_key(&id);
             if !done && !held {
@@ -956,6 +1002,23 @@ mod tests {
         assert!(audit.violations[0].contains("dies in the same fault event"));
         assert!(audit.violations[1].contains("KVCache"));
         assert!(audit.violations[2].contains("roofline"));
+    }
+
+    #[test]
+    fn admission_log_stays_ascending_and_unique() {
+        let mut log = AdmissionLog::default();
+        assert!(log.is_empty());
+        for id in [4, 5, 9, 5, 2, 9, 7, 2, 10] {
+            log.insert(id);
+        }
+        assert_eq!(log.as_slice(), [2, 4, 5, 7, 9, 10]);
+        assert_eq!(log.len(), 6);
+        for id in [2, 4, 5, 7, 9, 10] {
+            assert!(log.contains(id), "{id}");
+        }
+        for id in [0, 3, 8, 11] {
+            assert!(!log.contains(id), "{id}");
+        }
     }
 
     #[test]

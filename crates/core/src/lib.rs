@@ -28,8 +28,8 @@ pub mod system;
 
 pub use chaos::{
     fleet_overlapping_scenario, generate_fleet_schedule, generate_schedule, overlapping_scenario,
-    ChaosAudit, ChaosConfig, ChaosOutcome, FaultEvent, FaultKind, FleetAudit, FleetChaosConfig,
-    FleetFaultEvent, FleetFaultKind, FleetOutcome, GoodputDip,
+    AdmissionLog, ChaosAudit, ChaosConfig, ChaosOutcome, FaultEvent, FaultKind, FleetAudit,
+    FleetChaosConfig, FleetFaultEvent, FleetFaultKind, FleetOutcome, GoodputDip,
 };
 pub use convergence::{convergence_curve, ConvergenceConfig, StalenessRegime};
 pub use hyper::{HyperParams, SystemKind};

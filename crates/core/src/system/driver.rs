@@ -62,8 +62,8 @@ impl World {
     /// Delivers replica `r`'s buffered completions into the buffer and the
     /// bookkeeping planes, then nudges the trainer.
     pub(super) fn drain(&mut self, r: usize, now: Time, sched: &mut Scheduler<Ev>) {
-        let done = self.engines[r].take_completions();
-        if done.is_empty() {
+        self.engines[r].swap_completions(&mut self.delivered);
+        if self.delivered.is_empty() {
             return;
         }
         // A half-open probe batch delivering completions proves the replica
@@ -73,7 +73,7 @@ impl World {
         if self.breakers[r].state(now) == BreakerState::HalfOpen {
             self.breakers[r].record_success();
         }
-        for c in &done {
+        for c in self.delivered.drain(..) {
             self.audit.complete(c.spec.id);
             self.partials.complete(c.spec.id);
             self.report
@@ -231,7 +231,7 @@ impl World {
     }
 }
 
-pub(super) fn to_experience(c: &CompletedTraj) -> Experience {
+pub(super) fn to_experience(c: CompletedTraj) -> Experience {
     Experience {
         trajectory_id: c.spec.id,
         prompt_id: c.spec.prompt_id,

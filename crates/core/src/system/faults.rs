@@ -84,7 +84,7 @@ impl World {
         let mut extra_kv = vec![0.0_f64; self.engines.len()];
         let mut extra_reqs = vec![0_usize; self.engines.len()];
         for p in lost {
-            let version = *p.policy_versions.last().expect("non-empty");
+            let version = p.policy_versions.last();
             let need = p.spec.final_context() as f64;
             let target = (0..self.engines.len()).find(|&h| {
                 self.alive[h]
@@ -113,8 +113,7 @@ impl World {
                     let mut st = laminar_rollout::TrajState::new(p.spec, version, p.started_at);
                     st.total_decoded = p.generated_tokens as f64;
                     st.segment = p.segment_index;
-                    st.policy_versions =
-                        laminar_rollout::PolicyVersions::from_vec(p.policy_versions);
+                    st.policy_versions = p.policy_versions;
                     self.engines[h].inject(vec![st], now);
                 }
                 None => {

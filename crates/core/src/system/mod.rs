@@ -27,7 +27,7 @@ use crate::chaos::{ChaosAudit, ChaosOutcome, FaultEvent};
 use laminar_data::{Eviction, ExperienceBuffer, PartialResponsePool, Sampler};
 use laminar_relay::RelaySyncModel;
 use laminar_rollout::manager::{RolloutManager, REPACK_INTERVAL};
-use laminar_rollout::{EngineConfig, ReplicaEngine};
+use laminar_rollout::{CompletedTraj, EngineConfig, ReplicaEngine};
 use laminar_runtime::recovery::Recoverable;
 use laminar_runtime::{
     BreakerConfig, CircuitBreaker, RecordingTrace, RetryPolicy, RlSystem, RunReport, SystemConfig,
@@ -249,6 +249,10 @@ struct World {
     /// When the current degraded episode began (start of the `Recovered`
     /// span emitted on exit).
     degraded_entered: Time,
+    /// Completion records swapped out of an engine by [`World::drain`];
+    /// kept for its capacity, empty between events, so it is not part of
+    /// the state image.
+    delivered: Vec<CompletedTraj>,
 }
 
 impl World {
@@ -464,6 +468,7 @@ impl LaminarSystem {
             degraded: false,
             capacity_low_since: None,
             degraded_entered: Time::ZERO,
+            delivered: Vec::new(),
         };
         world.engines = (0..replicas)
             .map(|i| ReplicaEngine::new(i, cfg.decode_model(), world.engine_cfg()))

@@ -253,13 +253,12 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
     plane
 }
 
-/// The chaos audit's lost-work bookkeeping (BTree containers iterate in
-/// key order, so the streams are canonical). Sectioned so growth in one
+/// The chaos audit's lost-work bookkeeping. Sectioned so growth in one
 /// region never shifts another: a scalar head chunk frames the sections,
-/// the admitted set — whose keys are ascending ids, so growth appends —
-/// and the arrival-ordered completion log are each their own paged
-/// stream, and each replica's version history gets its own chunk (it only
-/// changes when that replica syncs weights).
+/// the admission log — ascending ids, so growth appends — and the
+/// arrival-ordered completion log are each their own paged stream, and
+/// each replica's version history gets its own chunk (it only changes
+/// when that replica syncs weights).
 fn audit_plane(w: &World) -> StatePlane {
     let a = &w.audit;
     let mut plane = StatePlane::new("audit");
@@ -276,8 +275,7 @@ fn audit_plane(w: &World) -> StatePlane {
     ];
     head.extend(a.violations.iter().flat_map(|v| str_words(v)));
     plane.push_chunk(&head);
-    let admitted: Vec<u64> = a.admitted.iter().copied().collect();
-    plane.extend_paged(&admitted);
+    plane.extend_paged(a.admitted.as_slice());
     // Completions arrive out of id order, so the log is paged in arrival
     // order: an id-ordered view would shift mid-stream.
     plane.extend_paged(&a.completion_log);

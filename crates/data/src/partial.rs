@@ -8,7 +8,7 @@
 //! scratch — critical when a single agentic trajectory can take hours.
 
 use laminar_sim::{IdMap, Time};
-use laminar_workload::TrajectorySpec;
+use laminar_workload::{PolicyVersions, TrajectorySpec};
 
 /// Streamed state of one in-progress trajectory.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +19,8 @@ pub struct PartialResponse {
     pub generated_tokens: u64,
     /// Index of the segment currently executing.
     pub segment_index: usize,
-    /// Weight versions used so far (never empty once generation started).
-    pub policy_versions: Vec<u64>,
+    /// Weight versions used so far, oldest first (never empty).
+    pub policy_versions: PolicyVersions,
     /// When generation began.
     pub started_at: Time,
     /// Last progress update.
@@ -43,7 +43,7 @@ impl PartialResponse {
         out.push(self.generated_tokens);
         out.push(self.segment_index as u64);
         out.push(self.policy_versions.len() as u64);
-        out.extend(self.policy_versions.iter().copied());
+        out.extend(self.policy_versions.iter());
         out.push(self.started_at.as_nanos());
         out.push(self.updated_at.as_nanos());
         out.push(self.rollout as u64);
@@ -74,7 +74,7 @@ impl PartialResponsePool {
                 spec,
                 generated_tokens: 0,
                 segment_index: 0,
-                policy_versions: vec![version],
+                policy_versions: PolicyVersions::single(version),
                 started_at: now,
                 updated_at: now,
                 rollout,

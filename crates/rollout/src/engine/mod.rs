@@ -32,11 +32,11 @@ mod stepper;
 #[cfg(test)]
 mod tests;
 
-use crate::traj::{Phase, PolicyVersions, TrajState};
+use crate::traj::{Phase, TrajState};
 use laminar_cluster::DecodeModel;
 use laminar_sim::trace::{SpanKind, TraceSpan};
 use laminar_sim::{Time, TimeSeries, TimeWeighted};
-use laminar_workload::TrajectorySpec;
+use laminar_workload::{PolicyVersions, TrajectorySpec};
 use slab::TrajSlab;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -369,6 +369,24 @@ impl ReplicaEngine {
     /// Drains accumulated completion records.
     pub fn take_completions(&mut self) -> Vec<CompletedTraj> {
         std::mem::take(&mut self.completions)
+    }
+
+    /// Swaps the accumulated completion records into `buf` and hands the
+    /// engine `buf`'s storage in exchange — the allocation-free
+    /// counterpart of [`ReplicaEngine::take_completions`]: a caller that
+    /// drains `buf` and swaps it back in on the next delivery keeps both
+    /// buffers' capacity, so completing a trajectory allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `buf` is not empty: its records would go back into the
+    /// engine and be delivered twice.
+    pub fn swap_completions(&mut self, buf: &mut Vec<CompletedTraj>) {
+        assert!(
+            buf.is_empty(),
+            "swap_completions needs an empty buffer, got {} undelivered completions",
+            buf.len()
+        );
+        std::mem::swap(&mut self.completions, buf);
     }
 
     /// Drains accumulated trace spans (empty unless

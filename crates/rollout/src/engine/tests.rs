@@ -16,7 +16,7 @@ fn spec(id: u64, prompt: u64, tokens: u64) -> TrajectorySpec {
         prompt_id: id,
         group_index: 0,
         prompt_tokens: prompt,
-        segments: vec![Segment::Decode { tokens }],
+        segments: vec![Segment::Decode { tokens }].into(),
     }
 }
 
@@ -32,7 +32,8 @@ fn spec_env(id: u64, prompt: u64, t1: u64, env_secs: u64, t2: u64) -> Trajectory
                 latency: Duration::from_secs(env_secs),
             },
             Segment::Decode { tokens: t2 },
-        ],
+        ]
+        .into(),
     }
 }
 
@@ -62,6 +63,39 @@ fn single_trajectory_completion_time_brackets() {
     let hi = dm.prefill_secs(1000) + 2000.0 * dm.step_secs(1, 3000.0);
     assert!(t >= lo * 0.99 && t <= hi * 1.01, "t={t} lo={lo} hi={hi}");
     assert_eq!(done[0].policy_versions, vec![0]);
+}
+
+#[test]
+fn swapped_completion_buffers_keep_their_capacity() {
+    let mut e = ReplicaEngine::new(0, decode_model(), EngineConfig::default());
+    let mut buf = Vec::with_capacity(8);
+    let spare = buf.as_ptr();
+    e.submit(spec(1, 500, 1000), Time::ZERO);
+    run_to_idle(&mut e);
+    e.swap_completions(&mut buf);
+    assert_eq!(buf.iter().map(|c| c.spec.id).collect::<Vec<_>>(), [1]);
+    assert!(e.completions().is_empty());
+    buf.clear();
+    e.submit(spec(2, 500, 1000), Time::ZERO);
+    run_to_idle(&mut e);
+    e.swap_completions(&mut buf);
+    assert_eq!(
+        buf.as_ptr(),
+        spare,
+        "the engine completed into the buffer it was handed"
+    );
+    assert_eq!(buf.iter().map(|c| c.spec.id).collect::<Vec<_>>(), [2]);
+}
+
+#[test]
+#[should_panic(expected = "needs an empty buffer")]
+fn swapping_in_undelivered_completions_panics() {
+    let mut e = ReplicaEngine::new(0, decode_model(), EngineConfig::default());
+    e.submit(spec(1, 500, 1000), Time::ZERO);
+    run_to_idle(&mut e);
+    let mut buf = Vec::new();
+    e.swap_completions(&mut buf);
+    e.swap_completions(&mut buf);
 }
 
 #[test]

@@ -20,6 +20,7 @@ pub mod traj;
 
 pub use engine::reference::NaiveReplicaEngine;
 pub use engine::{CompletedTraj, EngineConfig, ReplicaEngine};
+pub use laminar_workload::PolicyVersions;
 pub use manager::{ReplicaHealth, RolloutManager};
 pub use repack::{plan_repack, RepackPlan, ReplicaLoad};
-pub use traj::{Phase, PolicyVersions, TrajState};
+pub use traj::{Phase, TrajState};

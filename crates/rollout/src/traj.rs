@@ -1,7 +1,7 @@
 //! Per-trajectory execution state inside a replica.
 
 use laminar_sim::{Duration, Time};
-use laminar_workload::{Segment, TrajectorySpec};
+use laminar_workload::{PolicyVersions, Segment, TrajectorySpec};
 
 /// Execution phase of an in-flight trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,115 +19,6 @@ pub enum Phase {
         /// When the environment call returns.
         until: Time,
     },
-}
-
-/// Weight versions a trajectory generated under, oldest first, never empty.
-///
-/// Most trajectories finish under the version they started with, so the
-/// representation keeps the first version inline and only allocates the
-/// `extras` spill vector once a *different* version is actually pushed —
-/// creating or version-resetting a trajectory costs zero heap allocations.
-/// Consecutive duplicates are collapsed on push (and on [`from_vec`]), so
-/// `extras` is non-empty exactly when the trajectory is mixed-version.
-///
-/// [`from_vec`]: PolicyVersions::from_vec
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicyVersions {
-    first: u64,
-    extras: Vec<u64>,
-}
-
-impl PolicyVersions {
-    /// The common case: a trajectory serving a single version. Allocates
-    /// nothing (`Vec::new` is heap-free until first push).
-    pub fn single(version: u64) -> Self {
-        PolicyVersions {
-            first: version,
-            extras: Vec::new(),
-        }
-    }
-
-    /// Rebuilds from an explicit oldest-first list (e.g. a partial-response
-    /// record), collapsing consecutive duplicates to canonical form.
-    ///
-    /// # Panics
-    /// Panics if `versions` is empty — the list is never empty by invariant.
-    pub fn from_vec(versions: Vec<u64>) -> Self {
-        let mut it = versions.into_iter();
-        let first = it.next().expect("policy versions are never empty");
-        let mut pv = PolicyVersions {
-            first,
-            extras: Vec::new(),
-        };
-        for v in it {
-            pv.push(v);
-        }
-        pv
-    }
-
-    /// The version generation started under (behaviour version).
-    pub fn first(&self) -> u64 {
-        self.first
-    }
-
-    /// The version currently in effect.
-    pub fn last(&self) -> u64 {
-        *self.extras.last().unwrap_or(&self.first)
-    }
-
-    /// Number of distinct recorded version stretches.
-    pub fn len(&self) -> usize {
-        1 + self.extras.len()
-    }
-
-    /// Never true: the list always holds at least the starting version.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Whether more than one version contributed tokens.
-    pub fn is_mixed(&self) -> bool {
-        !self.extras.is_empty()
-    }
-
-    /// Records that generation continues under `version` (collapsed if equal
-    /// to the last recorded one).
-    pub fn push(&mut self, version: u64) {
-        if self.last() != version {
-            self.extras.push(version);
-        }
-    }
-
-    /// Forgets history and restarts the list at `version` (used when a
-    /// waiting, zero-progress trajectory is retagged to a new weight
-    /// version). Keeps any spill capacity for reuse.
-    pub fn reset(&mut self, version: u64) {
-        self.first = version;
-        self.extras.clear();
-    }
-
-    /// Oldest-first iteration over the recorded versions.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::once(self.first).chain(self.extras.iter().copied())
-    }
-
-    /// The versions as an owned oldest-first vector (boundary conversions
-    /// into `laminar_data` records).
-    pub fn to_vec(&self) -> Vec<u64> {
-        self.iter().collect()
-    }
-}
-
-impl PartialEq<Vec<u64>> for PolicyVersions {
-    fn eq(&self, other: &Vec<u64>) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter().copied())
-    }
-}
-
-impl PartialEq<[u64]> for PolicyVersions {
-    fn eq(&self, other: &[u64]) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter().copied())
-    }
 }
 
 /// State of one in-flight trajectory.
@@ -296,38 +187,6 @@ mod tests {
         s.push_version(4);
         s.push_version(4);
         assert_eq!(s.policy_versions, vec![3, 4]);
-    }
-
-    #[test]
-    fn policy_versions_inline_single_case() {
-        let mut pv = PolicyVersions::single(5);
-        assert_eq!(pv.first(), 5);
-        assert_eq!(pv.last(), 5);
-        assert_eq!(pv.len(), 1);
-        assert!(!pv.is_mixed());
-        assert_eq!(pv.to_vec(), vec![5]);
-        pv.push(5);
-        assert_eq!(pv.len(), 1, "consecutive duplicate collapses");
-        pv.push(7);
-        assert!(pv.is_mixed());
-        assert_eq!(pv.last(), 7);
-        assert_eq!(pv, vec![5, 7]);
-        pv.reset(9);
-        assert!(!pv.is_mixed());
-        assert_eq!(pv, vec![9]);
-    }
-
-    #[test]
-    fn policy_versions_from_vec_canonicalizes() {
-        let pv = PolicyVersions::from_vec(vec![2, 2, 3, 3, 3, 4]);
-        assert_eq!(pv.to_vec(), vec![2, 3, 4]);
-        assert_eq!(pv, PolicyVersions::from_vec(vec![2, 3, 4]));
-    }
-
-    #[test]
-    #[should_panic(expected = "never empty")]
-    fn policy_versions_reject_empty() {
-        let _ = PolicyVersions::from_vec(Vec::new());
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn random_spec(rng: &mut SimRng, id: u64) -> TrajectorySpec {
         prompt_id: id,
         group_index: 0,
         prompt_tokens: rng.range_u64(64, 1024),
-        segments,
+        segments: segments.into(),
     }
 }
 

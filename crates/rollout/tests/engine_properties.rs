@@ -34,7 +34,7 @@ fn random_spec(rng: &mut SimRng, id: u64) -> TrajectorySpec {
         prompt_id: id,
         group_index: 0,
         prompt_tokens: rng.range_u64(64, 1024),
-        segments,
+        segments: segments.into(),
     }
 }
 
@@ -91,7 +91,8 @@ fn interrupts_preserve_work() {
                 prompt_tokens: 256,
                 segments: vec![Segment::Decode {
                     tokens: 1500 + i * 137,
-                }],
+                }]
+                .into(),
             };
             e.submit(spec, Time::ZERO);
         }
@@ -136,7 +137,8 @@ fn move_at_any_time_conserves() {
                         latency: Duration::from_secs(3 + i),
                     },
                     Segment::Decode { tokens: 700 },
-                ],
+                ]
+                .into(),
             };
             expected += spec.total_tokens();
             src.submit(spec, Time::ZERO);

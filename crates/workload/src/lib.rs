@@ -14,7 +14,8 @@
 //! * [`spec`] — [`spec::TrajectorySpec`]: the system-independent description
 //!   of one trajectory (prompt tokens + alternating decode/environment
 //!   segments) consumed by every rollout engine, so all systems replay
-//!   *identical* workloads;
+//!   *identical* workloads, and [`spec::PolicyVersions`], the weight
+//!   versions a trajectory generated under;
 //! * [`dataset`] — prompt datasets with GRPO group expansion (512 prompts ×
 //!   16 responses = the paper's 8192-trajectory global batch).
 
@@ -28,4 +29,6 @@ pub use dataset::{Dataset, GroupedBatch};
 pub use dist::Dist;
 pub use env::SandboxModel;
 pub use lengths::{Checkpoint, LengthModel};
-pub use spec::{Segment, TrajectorySpec, WorkloadGenerator, WorkloadKind};
+pub use spec::{
+    PolicyVersions, Segment, Segments, TrajectorySpec, WorkloadGenerator, WorkloadKind,
+};

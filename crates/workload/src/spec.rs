@@ -40,7 +40,67 @@ pub struct TrajectorySpec {
     /// Prompt length, tokens.
     pub prompt_tokens: u64,
     /// Execution phases, in order. Always starts and ends with a decode.
-    pub segments: Vec<Segment>,
+    pub segments: Segments,
+}
+
+/// A trajectory's execution phases, held without a heap allocation when
+/// there is only one.
+///
+/// Every single-turn trajectory is one decode segment, so the list keeps a
+/// lone segment inline and puts longer lists in one boxed slice: cloning
+/// or generating a single-turn spec allocates nothing, and a multi-turn
+/// spec keeps the one allocation its `Vec` made. It derefs to
+/// `[Segment]`, compares as that slice, and prints as a `Vec` of its
+/// segments does, so a spec's `Debug` text does not depend on the form.
+#[derive(Clone)]
+pub struct Segments(SegmentsRepr);
+
+#[derive(Clone)]
+enum SegmentsRepr {
+    One(Segment),
+    Many(Box<[Segment]>),
+}
+
+impl From<Segment> for Segments {
+    fn from(segment: Segment) -> Self {
+        Segments(SegmentsRepr::One(segment))
+    }
+}
+
+impl From<Vec<Segment>> for Segments {
+    /// Keeps a one-segment list inline; any other length moves into one
+    /// boxed slice (without reallocating when the `Vec` is exactly full).
+    fn from(segments: Vec<Segment>) -> Self {
+        match *segments {
+            [one] => one.into(),
+            _ => Segments(SegmentsRepr::Many(segments.into_boxed_slice())),
+        }
+    }
+}
+
+impl std::ops::Deref for Segments {
+    type Target = [Segment];
+
+    fn deref(&self) -> &[Segment] {
+        match &self.0 {
+            SegmentsRepr::One(segment) => std::slice::from_ref(segment),
+            SegmentsRepr::Many(segments) => segments,
+        }
+    }
+}
+
+impl PartialEq for Segments {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Segments {}
+
+impl std::fmt::Debug for Segments {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl TrajectorySpec {
@@ -92,7 +152,7 @@ impl TrajectorySpec {
         out.push(self.group_index as u64);
         out.push(self.prompt_tokens);
         out.push(self.segments.len() as u64);
-        for seg in &self.segments {
+        for seg in self.segments.iter() {
             match seg {
                 Segment::Decode { tokens } => {
                     out.push(0);
@@ -104,6 +164,97 @@ impl TrajectorySpec {
                 }
             }
         }
+    }
+}
+
+/// Weight versions a trajectory generated under, oldest first, never empty.
+///
+/// Most trajectories finish under the version they started with, so the
+/// representation keeps the first version inline and only allocates the
+/// `extras` spill vector once a *different* version is actually pushed —
+/// creating or version-resetting a trajectory costs zero heap allocations.
+/// Consecutive duplicates are collapsed on push, so `extras` is non-empty
+/// exactly when the trajectory is mixed-version. The rollout engines'
+/// in-flight states and completion records and the partial response
+/// pool's records all carry this one type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PolicyVersions {
+    first: u64,
+    extras: Vec<u64>,
+}
+
+impl PolicyVersions {
+    /// The common case: a trajectory serving a single version. Allocates
+    /// nothing (`Vec::new` is heap-free until first push).
+    pub fn single(version: u64) -> Self {
+        PolicyVersions {
+            first: version,
+            extras: Vec::new(),
+        }
+    }
+
+    /// The version generation started under (behaviour version).
+    pub fn first(&self) -> u64 {
+        self.first
+    }
+
+    /// The version currently in effect.
+    pub fn last(&self) -> u64 {
+        *self.extras.last().unwrap_or(&self.first)
+    }
+
+    /// Number of distinct recorded version stretches.
+    pub fn len(&self) -> usize {
+        1 + self.extras.len()
+    }
+
+    /// Never true: the list always holds at least the starting version.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Whether more than one version contributed tokens.
+    pub fn is_mixed(&self) -> bool {
+        !self.extras.is_empty()
+    }
+
+    /// Records that generation continues under `version` (collapsed if equal
+    /// to the last recorded one).
+    pub fn push(&mut self, version: u64) {
+        if self.last() != version {
+            self.extras.push(version);
+        }
+    }
+
+    /// Forgets history and restarts the list at `version` (used when a
+    /// waiting, zero-progress trajectory is retagged to a new weight
+    /// version). Keeps any spill capacity for reuse.
+    pub fn reset(&mut self, version: u64) {
+        self.first = version;
+        self.extras.clear();
+    }
+
+    /// Oldest-first iteration over the recorded versions.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.first).chain(self.extras.iter().copied())
+    }
+
+    /// The versions as an owned oldest-first vector (the boundary
+    /// conversion into experience records).
+    pub fn to_vec(&self) -> Vec<u64> {
+        self.iter().collect()
+    }
+}
+
+impl PartialEq<Vec<u64>> for PolicyVersions {
+    fn eq(&self, other: &Vec<u64>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
+    }
+}
+
+impl PartialEq<[u64]> for PolicyVersions {
+    fn eq(&self, other: &[u64]) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
     }
 }
 
@@ -185,18 +336,18 @@ impl WorkloadGenerator {
     }
 
     /// The spec of trajectory `id` with every response draw scaled by
-    /// `factor` (the evolution factor times the prompt's difficulty). Its
-    /// only heap allocation is the segment list.
+    /// `factor` (the evolution factor times the prompt's difficulty). A
+    /// single-turn spec allocates nothing; a multi-turn one allocates its
+    /// segment list once.
     fn spec(&self, id: u64, prompt_id: u64, group_index: usize, factor: f64) -> TrajectorySpec {
         let mut rng = SimRng::derive(self.seed, "trajectory", id);
         let lengths = &self.lengths;
         let prompt_tokens = lengths.sample_prompt(&mut rng);
         let segments = match self.kind {
-            WorkloadKind::SingleTurn => {
-                vec![Segment::Decode {
-                    tokens: lengths.sample_response_scaled(&mut rng, factor),
-                }]
+            WorkloadKind::SingleTurn => Segment::Decode {
+                tokens: lengths.sample_response_scaled(&mut rng, factor),
             }
+            .into(),
             WorkloadKind::MultiTurn { max_calls } => {
                 // Call count skews low: most problems resolve in a few tool
                 // invocations, hard ones exhaust the cap (§2.1).
@@ -219,7 +370,7 @@ impl WorkloadGenerator {
                     .sample_response_scaled(&mut rng, factor)
                     .min(budget.max(1));
                 segs.push(Segment::Decode { tokens });
-                segs
+                segs.into()
             }
         };
         TrajectorySpec {
@@ -334,6 +485,54 @@ mod tests {
             grown as f64 > base as f64 * 1.4,
             "base {base} grown {grown}"
         );
+    }
+
+    #[test]
+    fn segments_deref_to_their_lists_and_print_as_vecs() {
+        let decode = |tokens| Segment::Decode { tokens };
+        let env = Segment::Env {
+            latency: Duration::from_secs(2),
+        };
+        for list in [vec![], vec![decode(5)], vec![decode(5), env, decode(9)]] {
+            let segments = Segments::from(list.clone());
+            assert_eq!(*segments, *list);
+            assert_eq!(segments.len(), list.len());
+            assert_eq!(segments.first(), list.first());
+            assert_eq!(segments.iter().copied().collect::<Vec<_>>(), list);
+            assert_eq!(format!("{segments:?}"), format!("{list:?}"));
+            assert_eq!(format!("{segments:#?}"), format!("{list:#?}"));
+            assert_eq!(segments.clone(), segments);
+        }
+        assert_eq!(Segments::from(decode(5)), Segments::from(vec![decode(5)]));
+        assert_ne!(Segments::from(decode(5)), Segments::from(vec![decode(6)]));
+        assert_ne!(
+            Segments::from(decode(5)),
+            Segments::from(vec![decode(5), env, decode(5)])
+        );
+        assert_ne!(Segments::from(vec![]), Segments::from(decode(5)));
+        assert_eq!(
+            std::mem::size_of::<Segments>(),
+            std::mem::size_of::<Vec<Segment>>()
+        );
+    }
+
+    #[test]
+    fn policy_versions_inline_single_case() {
+        let mut pv = PolicyVersions::single(5);
+        assert_eq!(pv.first(), 5);
+        assert_eq!(pv.last(), 5);
+        assert_eq!(pv.len(), 1);
+        assert!(!pv.is_mixed());
+        assert_eq!(pv.to_vec(), vec![5]);
+        pv.push(5);
+        assert_eq!(pv.len(), 1, "consecutive duplicate collapses");
+        pv.push(7);
+        assert!(pv.is_mixed());
+        assert_eq!(pv.last(), 7);
+        assert_eq!(pv, vec![5, 7]);
+        pv.reset(9);
+        assert!(!pv.is_mixed());
+        assert_eq!(pv, vec![9]);
     }
 
     #[test]

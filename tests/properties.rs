@@ -101,7 +101,7 @@ fn engine_conserves_trajectories_and_tokens() {
                     prompt_id: i as u64,
                     group_index: 0,
                     prompt_tokens: prompt,
-                    segments: vec![Segment::Decode { tokens: len }],
+                    segments: vec![Segment::Decode { tokens: len }].into(),
                 },
                 Time::ZERO,
             );
