@@ -7,7 +7,6 @@
 //! experiment harness and downstream users.
 
 pub use laminar_runtime::{
-    consumed_at, generate_batch, generate_batch_at, generate_batch_traced, BatchGenStats,
-    ConsumedTraj, NullTrace, RecordingTrace, RlSystem, RunReport, SpanKind, SystemConfig,
-    TraceSink, TraceSpan,
+    consumed_at, generate_batch, generate_batch_at, BatchGenStats, ConsumedTraj, NullTrace,
+    RecordingTrace, RlSystem, RunReport, SpanKind, SystemConfig, TraceSink, TraceSpan,
 };

@@ -21,7 +21,9 @@
 //! [`common`] holds the shared configuration, report format, and the
 //! [`common::RlSystem`] trait that Laminar itself (in `laminar-core`) also
 //! implements, so every system is driven identically by the experiments.
+//! The three barrier systems share one run core, `barrier`.
 
+mod barrier;
 pub mod common;
 pub mod partial;
 pub mod pipeline;

@@ -12,9 +12,7 @@
 //! (interrupts land mid-generation), so it runs on the discrete-event
 //! engine.
 
-use crate::common::{
-    consumed_at, RlSystem, RunReport, SpanKind, SystemConfig, TraceSink, TraceSpan,
-};
+use crate::common::{consumed_at, RunReport, SpanKind, SystemConfig, TraceSink, TraceSpan};
 use laminar_cluster::TrainModel;
 use laminar_rollout::{CompletedTraj, ReplicaEngine};
 use laminar_runtime::delta::{
@@ -67,10 +65,8 @@ struct World {
 impl World {
     fn refill_specs(&mut self) {
         while self.specs.len() < 2 * self.cfg.global_batch() {
-            let evolution = 1.0 + self.cfg.evolution_rate * self.batches_issued as f64;
-            let batch = self.dataset.next_batch(self.cfg.prompts_per_batch);
             self.specs
-                .extend(self.cfg.workload.batch(&batch, evolution));
+                .extend(self.cfg.next_specs(&mut self.dataset, self.batches_issued));
             self.batches_issued += 1;
         }
     }
@@ -229,16 +225,6 @@ impl SimWorld for World {
     }
 }
 
-impl RlSystem for PartialRollout {
-    fn name(&self) -> &'static str {
-        "partial-rollout"
-    }
-
-    fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
-        self.resume(self.start(cfg, trace.enabled()), trace)
-    }
-}
-
 /// Assembles the partial-rollout world and seeds the event queue, stopping
 /// just before the first event fires.
 fn build_partial(cfg: &SystemConfig, record_trace: bool) -> Simulation<World> {
@@ -313,6 +299,10 @@ pub struct PartialSnapshot {
 
 impl Recoverable for PartialRollout {
     type Snapshot = PartialSnapshot;
+
+    fn name(&self) -> &'static str {
+        "partial-rollout"
+    }
 
     fn start(&self, cfg: &SystemConfig, record_trace: bool) -> PartialSnapshot {
         PartialSnapshot {
@@ -398,6 +388,7 @@ impl Recoverable for PartialRollout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::RlSystem;
     use crate::pipeline::OneStepStaleness;
     use laminar_workload::{Checkpoint, WorkloadGenerator};
 

@@ -11,19 +11,15 @@
 //! part of the long tail behind training time.
 //!
 //! Since every dependency here is a barrier, the timeline is an exact
-//! recurrence over per-batch generation profiles obtained from standalone
-//! replica runs — no event interleaving exists to simulate.
+//! recurrence over batches, each generated on standalone replicas from the
+//! instant the recurrence fixes for it — no event interleaving exists to
+//! simulate.
 
-use crate::common::{
-    generate_batch, generate_batch_traced, BatchGenStats, ConsumedTraj, RecordingTrace, RlSystem,
-    RunReport, SpanKind, SystemConfig, TraceSink, TraceSpan,
-};
-use laminar_cluster::TrainModel;
-use laminar_runtime::delta::{
-    encode_report_plane, encode_span_plane, StateImage, StatePlane, WordEnc,
-};
+use crate::barrier::Barrier;
+use crate::common::{RunReport, SpanKind, SystemConfig, TraceSink, TraceSpan};
+use laminar_runtime::delta::{StateImage, WordEnc};
 use laminar_runtime::recovery::Recoverable;
-use laminar_sim::{Duration, Time, TimeSeries};
+use laminar_sim::Time;
 
 /// The one-step staleness pipeline baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,117 +29,43 @@ pub struct OneStepStaleness;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamGeneration;
 
-impl RlSystem for OneStepStaleness {
-    fn name(&self) -> &'static str {
-        "one-step"
-    }
-    fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
-        self.resume(self.start(cfg, trace.enabled()), trace)
-    }
-}
-
-impl RlSystem for StreamGeneration {
-    fn name(&self) -> &'static str {
-        "stream-gen"
-    }
-    fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
-        self.resume(self.start(cfg, trace.enabled()), trace)
-    }
-}
-
 /// One pipeline run as explicit steppable state: each step advances the
 /// timeline recurrence by one batch, so the recovery plane can snapshot it
-/// at iteration boundaries by cloning this struct. Spans buffer internally
-/// until the run finishes, so a resumed clone re-emits a byte-identical
-/// trace.
+/// at iteration boundaries by cloning this struct.
 #[derive(Clone)]
 pub struct PipelineRun {
-    cfg: SystemConfig,
+    core: Barrier,
     streaming: bool,
-    replicas: usize,
-    train: TrainModel,
     nccl: f64,
-    /// Generation profiles per batch (identical workload across systems).
-    /// Batch n runs under version max(n-1, 0); its engine spans are
-    /// recorded on a batch-local clock and shifted onto the global
-    /// timeline once the recurrence fixes the batch's start instant.
-    profiles: Vec<BatchGenStats>,
-    batch_spans: Vec<Vec<TraceSpan>>,
     mb_count: usize,
     mb_size: usize,
-    report: RunReport,
-    gen_series: TimeSeries,
-    train_series: TimeSeries,
     gen_start: Vec<f64>,
     gen_end: Vec<f64>,
     train_end: Vec<f64>,
-    n: usize,
-    enabled: bool,
-    spans: RecordingTrace,
 }
 
 impl PipelineRun {
-    /// Pre-generates every batch profile and assembles the recurrence
-    /// state; nothing on the global timeline has executed yet.
+    /// Assembles the recurrence state; nothing on the global timeline has
+    /// executed yet.
     fn new(cfg: &SystemConfig, streaming: bool, name: &str, record_trace: bool) -> Self {
         assert!(
             cfg.train_gpus > 0,
             "pipelines are disaggregated: set train_gpus > 0"
         );
-        let replicas = cfg.replicas();
-        let train = cfg.train_model();
         let nccl = cfg
             .collective()
             .nccl_broadcast_secs(&cfg.model, cfg.rollout_gpus);
-        let mut ds = cfg.dataset();
         let total_iters = cfg.total_iterations();
-        let mut profiles = Vec::with_capacity(total_iters);
-        let mut batch_spans: Vec<Vec<TraceSpan>> = Vec::with_capacity(total_iters);
-        for iter in 0..total_iters {
-            let evolution = 1.0 + cfg.evolution_rate * iter as f64;
-            let specs = cfg
-                .workload
-                .batch(&ds.next_batch(cfg.prompts_per_batch), evolution);
-            if record_trace {
-                let version = iter.saturating_sub(1) as u64;
-                let mut local = RecordingTrace::new();
-                profiles.push(generate_batch_traced(
-                    cfg, &specs, replicas, version, &mut local,
-                ));
-                batch_spans.push(local.take());
-            } else {
-                profiles.push(generate_batch(cfg, &specs, replicas));
-                batch_spans.push(Vec::new());
-            }
-        }
         PipelineRun {
-            cfg: cfg.clone(),
+            core: Barrier::new(cfg.clone(), cfg.train_model(), name, record_trace),
             streaming,
-            replicas,
-            train,
             nccl,
-            profiles,
-            batch_spans,
             mb_count: cfg.minibatches.max(1),
             mb_size: cfg.global_batch().div_ceil(cfg.minibatches.max(1)),
-            report: RunReport {
-                system: name.into(),
-                ..RunReport::default()
-            },
-            gen_series: TimeSeries::new(),
-            train_series: TimeSeries::new(),
             gen_start: Vec::with_capacity(total_iters),
             gen_end: Vec::with_capacity(total_iters),
             train_end: Vec::with_capacity(total_iters),
-            n: 0,
-            enabled: record_trace,
-            spans: RecordingTrace::new(),
         }
-    }
-
-    /// True once the recurrence has covered every batch.
-    fn done(&self) -> bool {
-        self.n >= self.cfg.total_iterations()
     }
 
     /// Virtual time consumed so far (train end of the last batch).
@@ -151,19 +73,10 @@ impl PipelineRun {
         self.train_end.last().copied().unwrap_or(0.0)
     }
 
-    fn rec(&mut self, span: TraceSpan) {
-        if self.enabled {
-            self.spans.record(span);
-        }
-    }
-
     /// Advances the timeline recurrence by one batch.
     fn step(&mut self) {
-        let n = self.n;
-        let cfg = self.cfg.clone();
+        let n = self.core.n;
         let nccl = self.nccl;
-        let g = self.profiles[n].clone();
-        let gsecs = g.duration.as_secs_f64();
         let start = if n == 0 {
             0.0
         } else {
@@ -172,20 +85,15 @@ impl PipelineRun {
             let version_ready = if n >= 2 { self.train_end[n - 2] } else { 0.0 };
             self.gen_end[n - 1].max(version_ready) + nccl
         };
+        // Batch n runs under version max(n-1, 0).
+        let g = self.core.generate(start, n.saturating_sub(1) as u64);
+        let gsecs = g.duration.as_secs_f64();
         self.gen_start.push(start);
         self.gen_end.push(start + gsecs);
-        let offset = Duration::from_secs_f64(start);
-        if self.enabled {
-            let shifted = std::mem::take(&mut self.batch_spans[n])
-                .into_iter()
-                .map(|s| s.shifted_by(offset))
-                .collect();
-            self.spans.record_all(shifted);
-        }
         if n > 0 {
             // Every rollout blocks on the global NCCL broadcast before
             // starting batch n.
-            self.rec(TraceSpan::new(
+            self.core.rec(TraceSpan::new(
                 SpanKind::WeightSync,
                 Time::from_secs_f64(start - nccl),
                 Time::from_secs_f64(start),
@@ -193,7 +101,8 @@ impl PipelineRun {
                 (n - 1) as u64,
             ));
         }
-        self.gen_series
+        self.core
+            .gen_series
             .push(Time::from_secs_f64(start), g.total_tokens / gsecs.max(1e-9));
 
         let prev_train_end = if n == 0 { 0.0 } else { self.train_end[n - 1] };
@@ -205,13 +114,12 @@ impl PipelineRun {
                 let hi = (idx + self.mb_size).min(g.completion_tokens.len());
                 let ready = start + g.completion_tokens[hi - 1].0.as_secs_f64();
                 let tokens: f64 = g.completion_tokens[idx..hi].iter().map(|&(_, t)| t).sum();
-                let dur = self.train.minibatch_secs(tokens)
-                    * (1.0
-                        + self.train.experience_prep_frac
-                            / (1.0 - self.train.experience_prep_frac));
+                let train = &self.core.train;
+                let dur = train.minibatch_secs(tokens)
+                    * (1.0 + train.experience_prep_frac / (1.0 - train.experience_prep_frac));
                 if ready > mb_end {
                     // Trainer idle, waiting for the mini-batch to exist.
-                    self.rec(TraceSpan::new(
+                    self.core.rec(TraceSpan::new(
                         SpanKind::Stall,
                         Time::from_secs_f64(mb_end),
                         Time::from_secs_f64(ready),
@@ -220,7 +128,7 @@ impl PipelineRun {
                     ));
                 }
                 let begin = mb_end.max(ready);
-                self.rec(
+                self.core.rec(
                     TraceSpan::new(
                         SpanKind::TrainStep,
                         Time::from_secs_f64(begin),
@@ -237,7 +145,7 @@ impl PipelineRun {
         } else {
             let t_start = (start + gsecs).max(prev_train_end);
             if t_start > prev_train_end {
-                self.rec(TraceSpan::new(
+                self.core.rec(TraceSpan::new(
                     SpanKind::Stall,
                     Time::from_secs_f64(prev_train_end),
                     Time::from_secs_f64(t_start),
@@ -245,8 +153,12 @@ impl PipelineRun {
                     n as u64,
                 ));
             }
-            let t_end = t_start + self.train.iteration_secs(g.total_tokens, self.mb_count);
-            self.rec(
+            let t_end = t_start
+                + self
+                    .core
+                    .train
+                    .iteration_secs(g.total_tokens, self.mb_count);
+            self.core.rec(
                 TraceSpan::new(
                     SpanKind::TrainStep,
                     Time::from_secs_f64(t_start),
@@ -259,96 +171,79 @@ impl PipelineRun {
             t_end
         };
         self.train_end.push(end);
-        self.train_series.push(
+        self.core.train_series.push(
             Time::from_secs_f64(end),
             g.total_tokens / (end - prev_train_end).max(1e-9),
         );
 
-        if n >= cfg.warmup {
-            self.report.iteration_secs.push(end - prev_train_end);
-            self.report.iteration_tokens.push(g.total_tokens);
+        if n >= self.core.cfg.warmup {
             // Batch n was generated with version max(n-1, 0) and consumed
             // while the actor sat at version n: one-step staleness (batch 0
             // is on-policy).
-            let staleness = u64::from(n > 0);
-            self.report.consumed.extend(std::iter::repeat_n(
-                ConsumedTraj {
-                    staleness,
-                    mixed_version: false,
-                },
-                g.completion_tokens.len(),
-            ));
-            for off in &g.completion_offsets {
-                self.report.staleness_by_finish.push((
-                    off.as_secs_f64() / g.duration.as_secs_f64().max(1e-9),
-                    staleness,
-                ));
-            }
-            self.report.latencies.extend(g.latencies.iter().copied());
-            self.report.mean_kv_utilization += g.mean_kv_utilization / cfg.iterations.max(1) as f64;
+            self.core.record(end - prev_train_end, &g, u64::from(n > 0));
+            let iterations = self.core.cfg.iterations.max(1) as f64;
+            let report = &mut self.core.report;
+            report.mean_kv_utilization += g.mean_kv_utilization / iterations;
             // Every replica blocks for the full broadcast at each sync.
-            for _ in 0..self.replicas {
-                self.report.rollout_waits.push(nccl);
+            for _ in 0..self.core.replicas {
+                report.rollout_waits.push(nccl);
             }
         }
-        self.n += 1;
+        self.core.n += 1;
     }
 
     /// Finalizes the report and forwards the buffered trace to `trace`.
     fn finish(mut self, trace: &mut dyn TraceSink) -> RunReport {
         // Generation-bound fraction: how much of the steady-state period
         // the trainer spent waiting on generation.
-        let total_iters = self.cfg.total_iterations();
+        let cfg = &self.core.cfg;
         let mut wait = 0.0;
         let mut span = 0.0;
-        for n in self.cfg.warmup..total_iters {
+        for n in cfg.warmup..cfg.total_iterations() {
             let prev = if n == 0 { 0.0 } else { self.train_end[n - 1] };
             let start_ready = self.gen_end[n].max(prev);
             wait += (start_ready - prev).max(0.0);
             span += self.train_end[n] - prev;
         }
-        self.report.generation_fraction = if span > 0.0 { wait / span } else { 0.0 };
-        self.report.gen_series = self.gen_series;
-        self.report.train_series = self.train_series;
-        trace.record_all(self.spans.take());
-        self.report.finalize();
-        self.report
+        self.core.report.generation_fraction = if span > 0.0 { wait / span } else { 0.0 };
+        self.core.finish(trace)
     }
 }
 
 /// The barrier pipelines' safe pause points are batch boundaries, so a
 /// run stops at the first one at or past `until`.
 fn pipeline_advance(run: &mut PipelineRun, until: Time) -> bool {
-    while !run.done() && run.clock_secs() < until.as_secs_f64() {
+    while !run.core.done() && run.clock_secs() < until.as_secs_f64() {
         run.step();
     }
-    run.done()
+    run.core.done()
 }
 
 /// Canonical state image of a pipeline run: the recurrence cursors and
 /// per-batch timeline vectors (paged — append-only, so only the tail page
-/// dirties per step), the buffered span stream, and the report.
+/// dirties per step), the buffered span stream, and the report. The
+/// dataset cursor is not encoded: every batch draws the same number of
+/// prompts, so it is a function of the batch counter `n`, which is.
 fn pipeline_encode(run: &PipelineRun) -> StateImage {
-    let mut img = StateImage::new();
+    let core = &run.core;
     let mut e = WordEnc::new();
-    e.z(run.n).b(run.streaming).b(run.enabled);
+    e.z(core.n).b(run.streaming).b(core.enabled);
     for vec in [&run.gen_start, &run.gen_end, &run.train_end] {
         e.z(vec.len());
         for &x in vec {
             e.f(x);
         }
     }
-    e.series(&run.gen_series).series(&run.train_series);
-    let mut scalars = StatePlane::new("scalars");
-    scalars.extend_paged(e.words());
-    img.push_plane(scalars);
-    img.push_plane(encode_span_plane("spans", run.spans.spans()));
-    img.push_plane(encode_report_plane("report", &run.report));
-    img
+    e.series(&core.gen_series).series(&core.train_series);
+    core.image(e.words())
 }
 
 impl Recoverable for OneStepStaleness {
     type Snapshot = PipelineRun;
+
+    fn name(&self) -> &'static str {
+        "one-step"
+    }
 
     fn start(&self, cfg: &SystemConfig, record_trace: bool) -> PipelineRun {
         PipelineRun::new(cfg, false, self.name(), record_trace)
@@ -370,6 +265,10 @@ impl Recoverable for OneStepStaleness {
 impl Recoverable for StreamGeneration {
     type Snapshot = PipelineRun;
 
+    fn name(&self) -> &'static str {
+        "stream-gen"
+    }
+
     fn start(&self, cfg: &SystemConfig, record_trace: bool) -> PipelineRun {
         PipelineRun::new(cfg, true, self.name(), record_trace)
     }
@@ -390,6 +289,7 @@ impl Recoverable for StreamGeneration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::RlSystem;
     use crate::verl::VerlSync;
     use laminar_workload::{Checkpoint, WorkloadGenerator};
 

@@ -32,7 +32,7 @@ use laminar_runtime::recovery::{
     check_resume_equivalence, CheckpointCheck, DeltaCheckpoint, Recoverable,
 };
 use laminar_runtime::trace::first_line_difference;
-use laminar_runtime::{DeltaStore, NullTrace, RecordingTrace, SystemConfig};
+use laminar_runtime::{DeltaStore, NullTrace, RecordingTrace, RlSystem, SystemConfig};
 use laminar_sim::{Duration, SpanKind, Time};
 use laminar_workload::{Checkpoint, WorkloadGenerator};
 use std::fmt::Write;
@@ -352,29 +352,31 @@ pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> Result<String, String
             format.unwrap_or("1 (no `format` key)"),
         ));
     }
-    let mut system = "";
+    let mut system = None;
     let mut seed = opts.seed;
     let mut every = 0;
-    let mut index = usize::MAX;
-    let mut fingerprint = 0u64;
+    let mut index = None;
+    let mut fingerprint = None;
     for tok in line.split_whitespace().skip(1) {
         let (k, v) = tok
             .split_once('=')
             .ok_or_else(|| format!("descriptor token `{tok}` is not key=value"))?;
         let bad = |e: std::num::ParseIntError| format!("descriptor value `{tok}` is invalid: {e}");
         match k {
-            "system" => system = v,
+            "system" => system = Some(v),
             "seed" => seed = v.parse().map_err(bad)?,
             "every_ns" => every = v.parse().map_err(bad)?,
-            "index" => index = v.parse().map_err(bad)?,
+            "index" => index = Some(v.parse().map_err(bad)?),
             // `format` is checked above. Informational / legacy keys: the
             // replay re-derives `at`, and its config no longer depends on
             // `quick`.
             "format" | "at_ns" | "quick" => {}
-            "fingerprint" => fingerprint = u64::from_str_radix(v, 16).map_err(bad)?,
+            "fingerprint" => fingerprint = Some(u64::from_str_radix(v, 16).map_err(bad)?),
             other => return Err(format!("unknown descriptor key `{other}`")),
         }
     }
+    let lacks = |key: &str| format!("descriptor lacks `{key}`");
+    let system = system.ok_or_else(|| lacks("system"))?;
     let (_, kind) = SYSTEMS
         .into_iter()
         .find(|(name, _)| *name == system)
@@ -382,6 +384,8 @@ pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> Result<String, String
     if every == 0 {
         return Err("descriptor needs a positive cadence `every_ns`".to_string());
     }
+    let index = index.ok_or_else(|| lacks("index"))?;
+    let fingerprint = fingerprint.ok_or_else(|| lacks("fingerprint"))?;
     let (cfg, every) = (replay_config(seed, kind), Duration::from_nanos(every));
     match kind {
         SystemKind::Laminar => replay(&LaminarSystem::default(), &cfg, every, index, fingerprint),
@@ -678,11 +682,23 @@ mod tests {
             ("system=areal", "unknown system `areal`"),
             ("system=laminar index=0", "positive cadence `every_ns`"),
             (
-                "system=laminar every_ns=20000000000 index=99",
+                "every_ns=20000000000 index=0 fingerprint=0",
+                "descriptor lacks `system`",
+            ),
+            (
+                "system=laminar every_ns=20000000000 fingerprint=0",
+                "descriptor lacks `index`",
+            ),
+            (
+                "system=laminar every_ns=20000000000 index=0",
+                "descriptor lacks `fingerprint`",
+            ),
+            (
+                "system=laminar every_ns=20000000000 index=99 fingerprint=0",
                 "index 99 out of range",
             ),
             (
-                "system=laminar every_ns=10000000000000000000 index=1",
+                "system=laminar every_ns=10000000000000000000 index=1 fingerprint=0",
                 "index 1 at cadence every_ns=10000000000000000000 lies past the end",
             ),
             (

@@ -91,13 +91,11 @@ fn allocs_per_event(specs: &[TrajectorySpec], traced: bool) -> f64 {
             events += e.events_processed();
             if traced {
                 jsonl.clear();
-                e.drain_trace_spans(&mut |spans| {
-                    for sp in spans {
-                        sp.write_json(&mut jsonl)
-                            .expect("fmt::Write on String is infallible");
-                        jsonl.push('\n');
-                    }
-                });
+                for sp in e.trace_spans() {
+                    sp.write_json(&mut jsonl)
+                        .expect("fmt::Write on String is infallible");
+                    jsonl.push('\n');
+                }
                 assert!(!jsonl.is_empty(), "traced run recorded no spans");
             }
         }

@@ -13,9 +13,8 @@ use laminar_sim::{Duration, Scheduler, SimWorld, Time};
 impl World {
     pub(super) fn refill_pool(&mut self) {
         while self.pool.len() < 2 * self.cfg.global_batch() {
-            let evolution = 1.0 + self.cfg.evolution_rate * self.batches_issued as f64;
-            let batch = self.dataset.next_batch(self.cfg.prompts_per_batch);
-            self.pool.extend(self.cfg.workload.batch(&batch, evolution));
+            self.pool
+                .extend(self.cfg.next_specs(&mut self.dataset, self.batches_issued));
             self.batches_issued += 1;
         }
     }

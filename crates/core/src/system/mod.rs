@@ -3,7 +3,7 @@
 //! Split along its natural seams:
 //!
 //! * [`mod@self`] — experiment toggles, fault/elasticity specs, the world
-//!   state, and system assembly ([`RlSystem::run_traced`]);
+//!   state, and system assembly (`build`, behind [`Recoverable::start`]);
 //! * `driver` — the steady-state event loop: replica batches, weight
 //!   refresh via the relay tier, trainer scheduling, dynamic repack;
 //! * `faults` — machine-kill / recovery and trainer-failure handling
@@ -30,8 +30,8 @@ use laminar_rollout::manager::{RolloutManager, REPACK_INTERVAL};
 use laminar_rollout::{CompletedTraj, EngineConfig, ReplicaEngine};
 use laminar_runtime::recovery::Recoverable;
 use laminar_runtime::{
-    BreakerConfig, CircuitBreaker, RecordingTrace, RetryPolicy, RlSystem, RunReport, SystemConfig,
-    TraceSink, TraceSpan,
+    BreakerConfig, CircuitBreaker, RecordingTrace, RetryPolicy, RunReport, SystemConfig, TraceSink,
+    TraceSpan,
 };
 use laminar_sim::{Duration, SimRng, Simulation, Time};
 use laminar_workload::TrajectorySpec;
@@ -494,19 +494,5 @@ impl LaminarSystem {
         }
         sim.scheduler.immediately(Ev::TrainerCheck);
         sim
-    }
-}
-
-impl RlSystem for LaminarSystem {
-    fn name(&self) -> &'static str {
-        if self.repack {
-            "laminar"
-        } else {
-            "laminar-no-repack"
-        }
-    }
-
-    fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
-        self.resume(self.start(cfg, trace.enabled()), trace)
     }
 }

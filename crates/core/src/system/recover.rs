@@ -22,7 +22,7 @@
 //! `laminar_runtime::check_resume_equivalence` asserts outright.
 
 use super::{Ev, LaminarSystem, World};
-use laminar_data::{Eviction, ExperienceBuffer, PartialResponsePool, Sampler};
+use laminar_data::{ExperienceBuffer, PartialResponsePool, Sampler};
 use laminar_runtime::delta::{
     encode_engine_spans_plane, encode_engines_plane, encode_queue_plane, encode_report_plane,
     str_words, StateImage, StatePlane, WordEnc,
@@ -137,6 +137,14 @@ pub struct LaminarSnapshot {
 
 impl Recoverable for LaminarSystem {
     type Snapshot = LaminarSnapshot;
+
+    fn name(&self) -> &'static str {
+        if self.repack {
+            "laminar"
+        } else {
+            "laminar-no-repack"
+        }
+    }
 
     fn start(&self, cfg: &SystemConfig, record_trace: bool) -> LaminarSnapshot {
         LaminarSnapshot {
@@ -333,7 +341,8 @@ fn partials_plane(p: &PartialResponsePool) -> StatePlane {
 }
 
 /// Buffer strategy + flow counters, then one chunk per buffered experience
-/// in deque (write) order.
+/// in deque (write) order. The buffer is unbounded, so its eviction tag
+/// and evicted count are constant 0 words.
 fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
     let mut head = WordEnc::new();
     match b.sampler() {
@@ -342,16 +351,12 @@ fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
         Sampler::StalenessCapped { max_staleness } => head.u(2).u(max_staleness),
         Sampler::Random => head.u(3),
     };
-    match b.eviction() {
-        Eviction::None => head.u(0),
-        Eviction::DropOldest { capacity } => head.u(1).z(capacity),
-        Eviction::MaxStaleness { max_staleness } => head.u(2).u(max_staleness),
-    };
     let stats = b.stats();
-    head.z(stats.occupancy)
+    head.u(0)
+        .z(stats.occupancy)
         .u(stats.written)
         .u(stats.sampled)
-        .u(stats.evicted);
+        .u(0);
     let mut plane = StatePlane::new("buffer");
     plane.push_chunk(head.words());
     plane.extend_records(b.iter(), |exp, words| exp.encode_words(words));

@@ -3,7 +3,7 @@
 //! can see both crates.
 
 use super::*;
-use laminar_runtime::{RecordingTrace, SpanKind};
+use laminar_runtime::{RecordingTrace, RlSystem, SpanKind};
 use laminar_workload::{Checkpoint, WorkloadGenerator};
 
 fn cfg() -> SystemConfig {

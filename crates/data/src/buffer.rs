@@ -1,11 +1,12 @@
-//! The experience buffer with pluggable sampling and eviction (§3.1, §6).
+//! The experience buffer with pluggable sampling (§3.1, §6).
 //!
 //! Completed trajectories land here (step ③); the trainer samples batches
 //! (step ④) without ever blocking generation. The paper exposes writer and
 //! sampler APIs so users can customize the sampling strategy and the
-//! eviction strategy; this module provides the strategies its experiments
-//! use (FIFO for the convergence runs, Appendix A.2) plus the
-//! priority-based families discussed in §6 and Appendix C.
+//! eviction strategy; this module provides the sampling strategies its
+//! experiments use (FIFO for the convergence runs, Appendix A.2) plus the
+//! priority-based families discussed in §6 and Appendix C. No experiment
+//! bounds the buffer, so nothing is ever evicted.
 
 use crate::experience::Experience;
 use laminar_sim::SimRng;
@@ -19,7 +20,7 @@ pub enum Sampler {
     /// Newest first — prioritizes near-on-policy data.
     Lifo,
     /// FIFO restricted to experiences with staleness ≤ the bound; older
-    /// entries are skipped (and left for eviction).
+    /// entries are skipped and stay buffered.
     StalenessCapped {
         /// Maximum admissible staleness, in actor versions.
         max_staleness: u64,
@@ -28,21 +29,12 @@ pub enum Sampler {
     Random,
 }
 
-/// Buffer eviction strategy applied on insertion overflow.
+/// Buffer eviction strategy. The buffer is unbounded, so `None` is the
+/// only one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Eviction {
     /// Unbounded buffer.
     None,
-    /// Keep at most `capacity` experiences, dropping the oldest.
-    DropOldest {
-        /// Maximum buffer occupancy.
-        capacity: usize,
-    },
-    /// Drop experiences whose staleness exceeds the bound at sampling time.
-    MaxStaleness {
-        /// Maximum staleness kept in the buffer.
-        max_staleness: u64,
-    },
 }
 
 /// Occupancy and flow statistics.
@@ -54,8 +46,6 @@ pub struct BufferStats {
     pub written: u64,
     /// Total experiences handed to the trainer.
     pub sampled: u64,
-    /// Total experiences evicted.
-    pub evicted: u64,
 }
 
 /// The experience buffer.
@@ -63,17 +53,15 @@ pub struct BufferStats {
 pub struct ExperienceBuffer {
     entries: VecDeque<Experience>,
     sampler: Sampler,
-    eviction: Eviction,
     stats: BufferStats,
 }
 
 impl ExperienceBuffer {
-    /// Creates a buffer with the given strategies.
-    pub fn new(sampler: Sampler, eviction: Eviction) -> Self {
+    /// Creates an unbounded buffer with the given sampling strategy.
+    pub fn new(sampler: Sampler, _eviction: Eviction) -> Self {
         ExperienceBuffer {
             entries: VecDeque::new(),
             sampler,
-            eviction,
             stats: BufferStats::default(),
         }
     }
@@ -88,11 +76,6 @@ impl ExperienceBuffer {
         self.sampler
     }
 
-    /// The eviction strategy in effect.
-    pub fn eviction(&self) -> Eviction {
-        self.eviction
-    }
-
     /// Swaps the sampling strategy mid-run. The degraded-mode driver uses
     /// this to relax a staleness cap within its configured bound and to
     /// restore it on recovery; buffered experiences are untouched.
@@ -100,16 +83,10 @@ impl ExperienceBuffer {
         self.sampler = sampler;
     }
 
-    /// Writer API: appends one completed experience, applying eviction.
+    /// Writer API: appends one completed experience.
     pub fn write(&mut self, exp: Experience) {
         self.entries.push_back(exp);
         self.stats.written += 1;
-        if let Eviction::DropOldest { capacity } = self.eviction {
-            while self.entries.len() > capacity {
-                self.entries.pop_front();
-                self.stats.evicted += 1;
-            }
-        }
         self.stats.occupancy = self.entries.len();
     }
 
@@ -128,15 +105,8 @@ impl ExperienceBuffer {
 
     /// Sampler API: removes and returns up to `n` experiences according to
     /// the sampling strategy. `current_version` is the actor's version
-    /// (used for staleness filtering/eviction); `rng` drives randomized
-    /// strategies.
+    /// (used for staleness filtering); `rng` drives randomized strategies.
     pub fn sample(&mut self, n: usize, current_version: u64, rng: &mut SimRng) -> Vec<Experience> {
-        if let Eviction::MaxStaleness { max_staleness } = self.eviction {
-            let before = self.entries.len();
-            self.entries
-                .retain(|e| e.staleness(current_version) <= max_staleness);
-            self.stats.evicted += (before - self.entries.len()) as u64;
-        }
         let mut out = Vec::with_capacity(n);
         match self.sampler {
             Sampler::Fifo => {
@@ -298,36 +268,6 @@ mod tests {
             .collect();
         assert_eq!(ids, vec![1, 2]);
         assert_eq!(b.len(), 1); // the stale one remains
-    }
-
-    #[test]
-    fn drop_oldest_eviction_caps_occupancy() {
-        let mut b = ExperienceBuffer::new(Sampler::Fifo, Eviction::DropOldest { capacity: 3 });
-        for i in 0..10 {
-            b.write(exp(i, 0));
-        }
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.stats().evicted, 7);
-        let mut rng = SimRng::new(1);
-        let ids: Vec<u64> = b
-            .sample(3, 0, &mut rng)
-            .iter()
-            .map(|e| e.trajectory_id)
-            .collect();
-        assert_eq!(ids, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn max_staleness_eviction_purges_on_sample() {
-        let mut b =
-            ExperienceBuffer::new(Sampler::Fifo, Eviction::MaxStaleness { max_staleness: 2 });
-        b.write(exp(0, 1));
-        b.write(exp(1, 9));
-        let mut rng = SimRng::new(1);
-        let got = b.sample(5, 10, &mut rng);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].trajectory_id, 1);
-        assert_eq!(b.stats().evicted, 1);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! * [`PartialResponsePool`] centrally stores in-progress trajectories so a
 //!   rollout-machine failure never loses generation work (§3.3);
-//! * [`ExperienceBuffer`] holds completed trajectories, with pluggable
-//!   [`Sampler`] strategies for the trainer and [`Eviction`] strategies for
-//!   capacity management — the writer/sampler API of §3.1.
+//! * [`ExperienceBuffer`] holds completed trajectories, unbounded, with
+//!   pluggable [`Sampler`] strategies for the trainer — the writer/sampler
+//!   API of §3.1.
 
 pub mod buffer;
 pub mod checkpoint;

@@ -395,17 +395,6 @@ impl ReplicaEngine {
         std::mem::take(&mut self.trace_spans)
     }
 
-    /// Hands accumulated trace spans to `drain` and clears the buffer while
-    /// keeping its capacity — the allocation-free counterpart of
-    /// [`ReplicaEngine::take_trace_spans`] for callers that drain
-    /// repeatedly.
-    pub fn drain_trace_spans(&mut self, drain: &mut dyn FnMut(&[TraceSpan])) {
-        if !self.trace_spans.is_empty() {
-            drain(&self.trace_spans);
-            self.trace_spans.clear();
-        }
-    }
-
     /// Internal engine events processed so far (prefill completions, env
     /// returns, segment completions, rate re-evaluations). The denominator
     /// of the per-event cost and allocation metrics.

@@ -35,11 +35,12 @@ pub fn generate_batch(
     generate_batch_traced(cfg, specs, replicas, 0, &mut crate::trace::NullTrace)
 }
 
-/// [`generate_batch_traced`] for a batch that starts at virtual offset
-/// `start` on the enclosing system's timeline: engine spans (recorded on the
-/// batch-local clock) are translated before reaching `trace`. The barrier
-/// systems run each batch on a fresh clock, so this is how their spans land
-/// on one global timeline.
+/// [`generate_batch`] for a batch that starts at virtual offset `start` on
+/// the enclosing system's timeline. When `trace` is enabled, each engine
+/// serves at weight `version`, and the prefill / decode-segment / env-call
+/// spans it records on the batch-local clock are translated before
+/// reaching `trace`. The barrier systems run each batch on a fresh clock,
+/// so this is how their spans land on one global timeline.
 pub fn generate_batch_at(
     cfg: &SystemConfig,
     specs: &[TrajectorySpec],
@@ -66,7 +67,7 @@ pub fn generate_batch_at(
 /// [`generate_batch`] with per-phase span emission: each engine serves at
 /// weight `version` and records prefill / decode-segment / env-call spans
 /// into `trace` when the sink is enabled.
-pub fn generate_batch_traced(
+fn generate_batch_traced(
     cfg: &SystemConfig,
     specs: &[TrajectorySpec],
     replicas: usize,

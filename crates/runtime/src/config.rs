@@ -4,7 +4,7 @@ use laminar_cluster::{
     CollectiveModel, DecodeModel, GpuSpec, MachineSpec, ModelSpec, ReshardModel, TrainModel,
 };
 use laminar_rollout::EngineConfig;
-use laminar_workload::{Dataset, WorkloadGenerator};
+use laminar_workload::{Dataset, TrajectorySpec, WorkloadGenerator};
 
 /// Everything a system needs to run one experiment configuration.
 #[derive(Debug, Clone)]
@@ -157,6 +157,15 @@ impl SystemConfig {
     /// Total iterations simulated (warmup + measured).
     pub fn total_iterations(&self) -> usize {
         self.warmup + self.iterations
+    }
+
+    /// Draws the next global batch of prompts from `ds` and expands it into
+    /// trajectory specs, the median length drifted for batch `index`
+    /// (`1 + evolution_rate × index`). Every system draws its batches here.
+    pub fn next_specs(&self, ds: &mut Dataset, index: u64) -> Vec<TrajectorySpec> {
+        let evolution = 1.0 + self.evolution_rate * index as f64;
+        self.workload
+            .batch(&ds.next_batch(self.prompts_per_batch), evolution)
     }
 }
 

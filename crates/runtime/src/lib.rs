@@ -7,12 +7,15 @@
 //! owns:
 //!
 //! * [`SystemConfig`] — one experiment configuration (hardware, batch shape,
-//!   workload, seeds);
-//! * [`generate_batch`] / [`BatchGenStats`] — the barrier-synchronized
-//!   generation stage used by every baseline;
+//!   workload, seeds), and the batch draw every system makes
+//!   ([`SystemConfig::next_specs`]);
+//! * [`generate_batch`] / [`generate_batch_at`] / [`BatchGenStats`] — the
+//!   barrier-synchronized generation stage used by every baseline;
 //! * [`RunReport`] / [`ConsumedTraj`] / [`consumed_at`] — the uniform result
 //!   format and staleness accounting;
-//! * [`RlSystem`] — the trait each of the five systems implements;
+//! * [`Recoverable`] — the trait each of the five systems implements, and
+//!   [`RlSystem`], which every `Recoverable` implements through one
+//!   blanket impl;
 //! * [`trace`] — the [`TraceSink`] event-trace layer: every scheduler emits
 //!   phase spans (prefill, decode, weight sync, stalls, …) in virtual time;
 //! * [`policy`] — the unified retry/backoff + circuit-breaker policies every
@@ -28,7 +31,7 @@ pub mod recovery;
 pub mod report;
 pub mod trace;
 
-pub use batch::{generate_batch, generate_batch_at, generate_batch_traced, BatchGenStats};
+pub use batch::{generate_batch, generate_batch_at, BatchGenStats};
 pub use config::SystemConfig;
 pub use delta::{CommitStats, DeltaStore, Manifest, StateImage, StatePlane};
 pub use policy::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};

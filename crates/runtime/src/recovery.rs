@@ -44,17 +44,22 @@ pub struct DeltaCheckpoint<S> {
     pub state: S,
 }
 
-/// An [`RlSystem`] supporting deterministic checkpoint/restore.
+/// A system supporting deterministic checkpoint/restore.
 ///
-/// A system supplies four pieces — [`start`](Recoverable::start),
-/// [`advance`](Recoverable::advance), [`finish`](Recoverable::finish) and
+/// A system supplies its [`name`](Recoverable::name) and four pieces —
+/// [`start`](Recoverable::start), [`advance`](Recoverable::advance),
+/// [`finish`](Recoverable::finish) and
 /// [`encode_state`](Recoverable::encode_state) — and the trait writes the
 /// cadence loop ([`run_delta_checkpointed`](Recoverable::run_delta_checkpointed))
-/// and [`resume`](Recoverable::resume) once for every system.
-pub trait Recoverable: RlSystem {
+/// and [`resume`](Recoverable::resume) once for every system, as the
+/// blanket impl below writes [`RlSystem::run_traced`].
+pub trait Recoverable {
     /// The full mid-run state. Cloneable so one run can yield many
     /// independent resumable snapshots.
     type Snapshot: Clone;
+
+    /// System name for reports.
+    fn name(&self) -> &'static str;
 
     /// Builds the run at `t = 0`, before anything has executed.
     fn start(&self, cfg: &SystemConfig, record_trace: bool) -> Self::Snapshot;
@@ -169,6 +174,15 @@ pub trait Recoverable: RlSystem {
     ) -> Result<RunReport, String> {
         Self::verify_checkpoint(store, &checkpoint)?;
         Ok(self.resume(checkpoint.state, trace))
+    }
+}
+
+/// Every run is `resume(start(..))`: one leg from `t = 0` to completion
+/// through the pieces the cadence loop drives, so a plain run and a
+/// checkpointed one cannot drift apart.
+impl<S: Recoverable> RlSystem for S {
+    fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
+        self.resume(self.start(cfg, trace.enabled()), trace)
     }
 }
 
@@ -438,18 +452,12 @@ mod tests {
     /// image its commit stored.
     struct Drifting(Rc<Cell<u64>>);
 
-    impl RlSystem for Drifting {
+    impl Recoverable for Drifting {
+        type Snapshot = (Time, Rc<Cell<u64>>);
+
         fn name(&self) -> &'static str {
             "drifting"
         }
-
-        fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport {
-            self.resume(self.start(cfg, trace.enabled()), trace)
-        }
-    }
-
-    impl Recoverable for Drifting {
-        type Snapshot = (Time, Rc<Cell<u64>>);
 
         fn start(&self, _: &SystemConfig, _: bool) -> Self::Snapshot {
             (Time::ZERO, Rc::clone(&self.0))

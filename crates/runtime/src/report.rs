@@ -73,11 +73,9 @@ impl RunReport {
     }
 }
 
-/// A runnable RL post-training system.
+/// A runnable RL post-training system. Every system implements it through
+/// the blanket impl over [`Recoverable`](crate::recovery::Recoverable).
 pub trait RlSystem {
-    /// System name for reports.
-    fn name(&self) -> &'static str;
-
     /// Runs the configuration to completion, emitting phase spans into
     /// `trace`, and reports.
     fn run_traced(&self, cfg: &SystemConfig, trace: &mut dyn TraceSink) -> RunReport;

@@ -112,6 +112,35 @@ const CADENCE_GOLDENS: [(&str, u64, usize, u64); 10] = [
     ("laminar", 33, 4, 0x2a5bdd65c512151d),
 ];
 
+/// A cadence run's checkpoint count and `(index, at_ns, fingerprint)` fold.
+type CountAndFold = (usize, u64);
+
+/// Per system, in [`REPORT_GOLDENS`] order: FNV-1a of the report `Debug`
+/// followed by the trace JSONL of one `run_traced`, and, for the three
+/// barrier systems, the checkpoint count and [`CADENCE_GOLDENS`]-style
+/// fold of a traced 20 s `run_delta_checkpointed`, whose images carry the
+/// buffered spans. The goldens above run untraced, so these are what pin
+/// each span, and its order, across builds.
+const TRACE_GOLDENS: [(&str, u64, Option<CountAndFold>); 5] = [
+    (
+        "verl-sync",
+        0x24cf737b86b3c49a,
+        Some((11, 0xe646b971981b57b6)),
+    ),
+    (
+        "one-step",
+        0x610cc2f2a939a508,
+        Some((11, 0x0a49b8f5865ebd14)),
+    ),
+    (
+        "stream-gen",
+        0x3c5fd3dfed10ce02,
+        Some((11, 0xadab7e0f2ba5fbf2)),
+    ),
+    ("partial-rollout", 0x5a20262eb45f2070, None),
+    ("laminar", 0x8ebcb1d301e9669c, None),
+];
+
 /// Disaggregated placement (Laminar); `train_gpus = 0` below yields the
 /// colocated placement the barrier baselines require.
 fn cfg(seed: u64) -> SystemConfig {
@@ -130,6 +159,18 @@ fn colocated(seed: u64) -> SystemConfig {
     c
 }
 
+/// The five systems on their seed-11 `small_test` configs (colocated for
+/// verl-sync, disaggregated for the rest), in [`REPORT_GOLDENS`] order.
+fn five_systems() -> [(Box<dyn RlSystem>, SystemConfig); 5] {
+    [
+        (Box::new(VerlSync), colocated(11)),
+        (Box::new(OneStepStaleness), cfg(11)),
+        (Box::new(StreamGeneration), cfg(11)),
+        (Box::new(PartialRollout), cfg(11)),
+        (Box::new(LaminarSystem::default()), cfg(11)),
+    ]
+}
+
 /// Runs `sys` twice, requires byte-identical reports, and returns the
 /// report's fingerprint.
 fn deterministic_report_fp(name: &str, sys: &dyn RlSystem, cfg: &SystemConfig) -> u64 {
@@ -141,19 +182,9 @@ fn deterministic_report_fp(name: &str, sys: &dyn RlSystem, cfg: &SystemConfig) -
 
 #[test]
 fn all_five_systems_are_deterministic() {
-    let colo = colocated(11);
-    let disagg = cfg(11);
-    let laminar = LaminarSystem::default();
-    let systems: [(&dyn RlSystem, &SystemConfig); 5] = [
-        (&VerlSync, &colo),
-        (&OneStepStaleness, &disagg),
-        (&StreamGeneration, &disagg),
-        (&PartialRollout, &disagg),
-        (&laminar, &disagg),
-    ];
     let mut drifted = Vec::new();
-    for ((sys, cfg), (name, golden)) in systems.into_iter().zip(REPORT_GOLDENS) {
-        let got = deterministic_report_fp(name, sys, cfg);
+    for ((sys, cfg), (name, golden)) in five_systems().into_iter().zip(REPORT_GOLDENS) {
+        let got = deterministic_report_fp(name, sys.as_ref(), &cfg);
         if got != golden {
             drifted.push(format!("    (\"{name}\", {got:#018x}),"));
         }
@@ -304,12 +335,17 @@ fn checkpoint_hashes_match_goldens() {
 }
 
 /// `(index, at_ns, fingerprint)` of every checkpoint a `secs`-cadence
-/// `run_delta_checkpointed` commits, the fingerprint read from the
-/// committed manifest.
-fn checkpoint_fps<S: Recoverable>(sys: &S, cfg: &SystemConfig, secs: u64) -> Vec<[u64; 3]> {
+/// `run_delta_checkpointed` into `trace` commits, the fingerprint read
+/// from the committed manifest.
+fn checkpoint_fps<S: Recoverable>(
+    sys: &S,
+    cfg: &SystemConfig,
+    secs: u64,
+    trace: &mut dyn TraceSink,
+) -> Vec<[u64; 3]> {
     let mut store = DeltaStore::new();
     let every = Duration::from_secs(secs);
-    let (_, checkpoints) = sys.run_delta_checkpointed(cfg, every, &mut NullTrace, &mut store);
+    let (_, checkpoints) = sys.run_delta_checkpointed(cfg, every, trace, &mut store);
     checkpoints
         .iter()
         .map(|c| {
@@ -321,15 +357,20 @@ fn checkpoint_fps<S: Recoverable>(sys: &S, cfg: &SystemConfig, secs: u64) -> Vec
 
 /// Fingerprints of the first `n` 20 s cadence checkpoints.
 fn snapshot_fps<S: Recoverable>(sys: &S, cfg: &SystemConfig, n: usize) -> Vec<u64> {
-    let fps = checkpoint_fps(sys, cfg, 20);
+    let fps = checkpoint_fps(sys, cfg, 20, &mut NullTrace);
     assert!(fps.len() >= n, "run crossed {} cadence points", fps.len());
     fps[..n].iter().map(|&[.., fp]| fp).collect()
 }
 
 /// Checkpoint count and `(index, at_ns, fingerprint)` fold at a `secs`
-/// cadence.
-fn cadence_fold<S: Recoverable>(sys: &S, cfg: &SystemConfig, secs: u64) -> (usize, u64) {
-    let fps = checkpoint_fps(sys, cfg, secs);
+/// cadence, the run tracing into `trace`.
+fn cadence_fold<S: Recoverable>(
+    sys: &S,
+    cfg: &SystemConfig,
+    secs: u64,
+    trace: &mut dyn TraceSink,
+) -> CountAndFold {
+    let fps = checkpoint_fps(sys, cfg, secs, trace);
     (fps.len(), fnv1a(fps.into_iter().flatten()))
 }
 
@@ -348,19 +389,34 @@ fn snapshot_fingerprints_match_goldens() {
     let colo = colocated(11);
     let mut folds = Vec::new();
     for secs in [20, 33] {
-        folds.push(cadence_fold(&VerlSync, &colo, secs));
+        folds.push(cadence_fold(&VerlSync, &colo, secs, &mut NullTrace));
     }
     for secs in [20, 33] {
-        folds.push(cadence_fold(&OneStepStaleness, &disagg, secs));
+        folds.push(cadence_fold(
+            &OneStepStaleness,
+            &disagg,
+            secs,
+            &mut NullTrace,
+        ));
     }
     for secs in [20, 33] {
-        folds.push(cadence_fold(&StreamGeneration, &disagg, secs));
+        folds.push(cadence_fold(
+            &StreamGeneration,
+            &disagg,
+            secs,
+            &mut NullTrace,
+        ));
     }
     for secs in [20, 33] {
-        folds.push(cadence_fold(&PartialRollout, &disagg, secs));
+        folds.push(cadence_fold(&PartialRollout, &disagg, secs, &mut NullTrace));
     }
     for secs in [20, 33] {
-        folds.push(cadence_fold(&LaminarSystem::default(), &disagg, secs));
+        folds.push(cadence_fold(
+            &LaminarSystem::default(),
+            &disagg,
+            secs,
+            &mut NullTrace,
+        ));
     }
     drifted.extend(
         CADENCE_GOLDENS
@@ -376,6 +432,42 @@ fn snapshot_fingerprints_match_goldens() {
         "snapshot fingerprints drifted from SNAPSHOT_GOLDENS or CADENCE_GOLDENS. \
          Checkpoint descriptors written by earlier builds carry these values; if \
          the change is intended, re-record these entries in \
+         tests/determinism.rs:\n{}",
+        drifted.join("\n")
+    );
+}
+
+#[test]
+fn traced_runs_match_goldens() {
+    let mut got: Vec<(u64, Option<CountAndFold>)> = five_systems()
+        .iter()
+        .map(|(sys, cfg)| {
+            let mut trace = RecordingTrace::new();
+            let mut bytes = format!("{:?}", sys.run_traced(cfg, &mut trace));
+            bytes.push_str(&trace.to_jsonl());
+            (fnv1a_bytes(bytes.as_bytes()), None)
+        })
+        .collect();
+    let mut traced = RecordingTrace::new();
+    got[0].1 = Some(cadence_fold(&VerlSync, &colocated(11), 20, &mut traced));
+    got[1].1 = Some(cadence_fold(&OneStepStaleness, &cfg(11), 20, &mut traced));
+    got[2].1 = Some(cadence_fold(&StreamGeneration, &cfg(11), 20, &mut traced));
+    let drifted: Vec<String> = TRACE_GOLDENS
+        .iter()
+        .zip(got)
+        .filter(|(&(_, fp, fold), got)| (fp, fold) != *got)
+        .map(|((name, ..), (fp, fold))| {
+            let fold = match fold {
+                Some((count, fold)) => format!("Some(({count}, {fold:#018x}))"),
+                None => "None".into(),
+            };
+            format!("    (\"{name}\", {fp:#018x}, {fold}),")
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "traced runs drifted from TRACE_GOLDENS. If the behaviour change is \
+         intended, re-record these entries of TRACE_GOLDENS in \
          tests/determinism.rs:\n{}",
         drifted.join("\n")
     );
