@@ -107,7 +107,7 @@ impl Barrier {
             .consumed
             .extend(std::iter::repeat_n(consumed, trajectories));
         let gen_secs = gen.duration.as_secs_f64().max(1e-9);
-        for off in &gen.completion_offsets {
+        for (off, _) in &gen.completion_tokens {
             let finish = off.as_secs_f64() / gen_secs;
             report.staleness_by_finish.push((finish, staleness));
         }

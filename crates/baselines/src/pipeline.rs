@@ -39,7 +39,6 @@ pub struct PipelineRun {
     nccl: f64,
     mb_count: usize,
     mb_size: usize,
-    gen_start: Vec<f64>,
     gen_end: Vec<f64>,
     train_end: Vec<f64>,
 }
@@ -62,7 +61,6 @@ impl PipelineRun {
             nccl,
             mb_count: cfg.minibatches.max(1),
             mb_size: cfg.global_batch().div_ceil(cfg.minibatches.max(1)),
-            gen_start: Vec::with_capacity(total_iters),
             gen_end: Vec::with_capacity(total_iters),
             train_end: Vec::with_capacity(total_iters),
         }
@@ -88,7 +86,6 @@ impl PipelineRun {
         // Batch n runs under version max(n-1, 0).
         let g = self.core.generate(start, n.saturating_sub(1) as u64);
         let gsecs = g.duration.as_secs_f64();
-        self.gen_start.push(start);
         self.gen_end.push(start + gsecs);
         if n > 0 {
             // Every rollout blocks on the global NCCL broadcast before
@@ -228,7 +225,7 @@ fn pipeline_encode(run: &PipelineRun) -> StateImage {
     let core = &run.core;
     let mut e = WordEnc::new();
     e.z(core.n).b(run.streaming).b(core.enabled);
-    for vec in [&run.gen_start, &run.gen_end, &run.train_end] {
+    for vec in [&run.gen_end, &run.train_end] {
         e.z(vec.len());
         for &x in vec {
             e.f(x);

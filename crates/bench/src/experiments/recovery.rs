@@ -545,12 +545,14 @@ mod tests {
         // degraded mode at least once.
         assert!(!s.contains("degraded entries 0,"), "{s}");
 
+        let prefix = format!("checkpoint format={IMAGE_FORMAT} system=laminar");
         let line = s
             .lines()
-            .find(|l| l.starts_with("checkpoint format=2 system=laminar"))
+            .find(|l| l.starts_with(&prefix))
             .expect("report emits descriptors");
         let dir = TempDir::new("recovery-test");
-        let out = resume_from_descriptor(&dir.write("ckpt.txt", line), &o).expect("format 2");
+        let out = resume_from_descriptor(&dir.write("ckpt.txt", line), &o)
+            .expect("a descriptor of this build's format resumes");
         assert!(out.contains("verified: yes"), "{out}");
         assert!(
             out.contains("resumed report identical to uninterrupted run: yes"),
@@ -574,7 +576,7 @@ mod tests {
         let dir = TempDir::new("replay-test");
         let resume_from = |system: &str, fingerprint: u64| {
             let line = format!(
-                "checkpoint format=2 system={system} seed=7 every_ns={} index=0 \
+                "checkpoint format={IMAGE_FORMAT} system={system} seed=7 every_ns={} index=0 \
                  fingerprint={fingerprint:016x}",
                 Duration::from_secs(20).as_nanos()
             );
@@ -706,16 +708,17 @@ mod tests {
                 "the descriptor names 0000000000000000",
             ),
         ] {
-            let line = format!("checkpoint format=2 {tokens}");
+            let line = format!("checkpoint format={IMAGE_FORMAT} {tokens}");
             let err = refusal(&dir.write("descriptor.txt", &line));
             assert!(err.contains(cause), "`{line}`: `{err}` lacks `{cause}`");
         }
     }
 
     /// A descriptor of another image format is refused by name before it
-    /// replays: the line format 1 wrote (no `format` key), and a format-3
-    /// line naming a system no replay knows, which would be refused as an
-    /// unknown system if the format check came after parsing.
+    /// replays: the line format 1 wrote (no `format` key), and lines of the
+    /// formats just before and after [`IMAGE_FORMAT`] naming a system no
+    /// replay knows, which would be refused as an unknown system if the
+    /// format check came after parsing.
     #[test]
     fn other_format_descriptors_are_refused_before_replay() {
         let dir = TempDir::new("format-test");
@@ -723,19 +726,20 @@ mod tests {
                         at_ns=20000000000 fingerprint=211bd52c12addb20";
         let err = resume_from_descriptor(&dir.write("v1.txt", format_1), &Opts::default())
             .expect_err("a format-1 descriptor must be refused");
+        let reads = format!("reads format {IMAGE_FORMAT} only");
         for phrase in [
             "image format 1 (no `format` key)",
-            "reads format 2 only",
+            &reads,
             "Rerun the `recovery` experiment",
         ] {
             assert!(err.contains(phrase), "`{err}` lacks `{phrase}`");
         }
-        let format_3 = "checkpoint format=3 system=none index=9 shape=new";
-        let err = resume_from_descriptor(&dir.write("v3.txt", format_3), &Opts::default())
-            .expect_err("a format-3 descriptor must be refused");
-        assert!(
-            err.contains("image format 3: this build reads format 2"),
-            "{err}"
-        );
+        for other in [IMAGE_FORMAT - 1, IMAGE_FORMAT + 1] {
+            let line = format!("checkpoint format={other} system=none index=9 shape=new");
+            let err = resume_from_descriptor(&dir.write("other.txt", &line), &Opts::default())
+                .expect_err("a descriptor of another format must be refused");
+            let named = format!("image format {other}: this build reads format {IMAGE_FORMAT}");
+            assert!(err.contains(&named), "{err}");
+        }
     }
 }

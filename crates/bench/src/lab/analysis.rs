@@ -10,6 +10,7 @@
 
 use super::spec::Stat;
 use crate::table::TextTable;
+use laminar_sim::stats::nearest_rank;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -267,13 +268,7 @@ impl Agg {
     fn from_values(mut xs: Vec<f64>) -> Agg {
         xs.sort_unstable_by(f64::total_cmp);
         let n = xs.len();
-        let pct = |p: f64| -> f64 {
-            if n == 0 {
-                return 0.0;
-            }
-            let idx = (p * (n - 1) as f64).round() as usize;
-            xs[idx.min(n - 1)]
-        };
+        let pct = |p: f64| nearest_rank(&xs, p).unwrap_or(0.0);
         Agg {
             count: n,
             mean: if n == 0 {

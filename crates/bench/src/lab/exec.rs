@@ -21,6 +21,7 @@ use laminar_fleet::{
     FleetFaultKind,
 };
 use laminar_runtime::{RecordingTrace, RunReport, SystemConfig};
+use laminar_sim::stats::nearest_rank;
 use laminar_sim::{Duration, Time};
 use std::fmt::Write as _;
 
@@ -61,13 +62,9 @@ fn trial_setup(spec: &LabSpec, v: &VariantSpec, seed: u64) -> (SystemConfig, Vec
 }
 
 fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
     let mut xs = values.to_vec();
     xs.sort_unstable_by(f64::total_cmp);
-    let idx = (p * (xs.len() - 1) as f64).round() as usize;
-    xs[idx.min(xs.len() - 1)]
+    nearest_rank(&xs, p).unwrap_or(0.0)
 }
 
 fn report_metrics(report: &RunReport, metrics: &mut Vec<(String, f64)>) {

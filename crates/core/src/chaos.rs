@@ -413,9 +413,6 @@ pub struct ChaosOutcome {
     /// Event-heap entries still pending per engine; dead replicas must
     /// hold zero.
     pub heap_entries: Vec<usize>,
-    /// Whether the rollout manager's health map still lists each replica
-    /// as healthy; dead replicas must not.
-    pub manager_healthy: Vec<bool>,
     /// Circuit-breaker trip count per replica.
     pub breaker_trips: Vec<u64>,
     /// Trajectories ended early because an env call exhausted the stall
@@ -511,11 +508,6 @@ impl ChaosOutcome {
                 if n > 0 {
                     v.push(format!("dead replica {r} still holds {n} heap entries"));
                 }
-            }
-            if self.manager_healthy.get(r).copied().unwrap_or(false) {
-                v.push(format!(
-                    "dead replica {r} still marked healthy in the manager health map"
-                ));
             }
         }
         v
@@ -1043,7 +1035,6 @@ mod tests {
             malformed_spans: vec![],
             kv_reserved: vec![0.0],
             heap_entries: vec![0],
-            manager_healthy: vec![true],
             breaker_trips: vec![0],
             env_aborts: 0,
         };
@@ -1066,7 +1057,6 @@ mod tests {
             malformed_spans: vec![],
             kv_reserved: vec![512.0, 256.0],
             heap_entries: vec![3, 2],
-            manager_healthy: vec![true, true],
             breaker_trips: vec![0, 1],
             env_aborts: 0,
         };
@@ -1077,10 +1067,6 @@ mod tests {
         );
         assert!(
             v.iter().any(|m| m.contains("still holds 2 heap entries")),
-            "{v:?}"
-        );
-        assert!(
-            v.iter().any(|m| m.contains("still marked healthy")),
             "{v:?}"
         );
         // The live replica's reservations are legitimate.
@@ -1116,7 +1102,6 @@ mod tests {
             malformed_spans: vec![],
             kv_reserved: vec![0.0, 0.0],
             heap_entries: vec![0, 0],
-            manager_healthy: vec![true, true],
             breaker_trips: vec![0, 0],
             env_aborts: 0,
         };

@@ -139,6 +139,9 @@ impl World {
         }
     }
 
+    /// Load samples of the replicas a repack may touch: alive and not
+    /// mid weight-pull. This is the only filter that keeps a repack off a
+    /// dead machine.
     pub(super) fn load_samples(&mut self, now: Time) -> Vec<LoadSample> {
         let mut out = Vec::new();
         for r in 0..self.engines.len() {
@@ -336,7 +339,7 @@ impl SimWorld for World {
                     tokens as u64,
                 );
                 self.version += 1;
-                self.checkpoints.on_version(self.version, now);
+                self.checkpoints.on_version(self.version);
                 self.trainer_busy = false;
                 self.trainer_free_at = now;
                 self.train_tokens_cum += tokens;
@@ -384,7 +387,7 @@ impl SimWorld for World {
                     if self.alive[r] && !self.pulling[r] {
                         eng.advance_to(now);
                         eng.for_each_in_progress(|id, tokens, segment| {
-                            partials.update(id, tokens, segment, now)
+                            partials.update(id, tokens, segment)
                         });
                     }
                 }

@@ -7,9 +7,9 @@ use laminar_sim::{Scheduler, Time};
 
 impl World {
     /// Fresh rollout machines come online: each new replica initializes
-    /// from the relay tier at the newest broadcast version, registers with
-    /// the rollout manager, and starts generating immediately — no global
-    /// coordination with the existing replicas.
+    /// from the relay tier at the newest broadcast version and starts
+    /// generating immediately — no global coordination with the existing
+    /// replicas. The next repack tick samples it like any live replica.
     pub(super) fn add_replicas(&mut self, count: usize, now: Time, sched: &mut Scheduler<Ev>) {
         for _ in 0..count {
             let r = self.engines.len();
@@ -21,7 +21,6 @@ impl World {
             self.alive.push(true);
             self.pulling.push(false);
             self.breakers.push(CircuitBreaker::new(REPLICA_BREAKER));
-            self.manager.register(r, now);
             // New machines initialize from the relay tier (§3.3).
             self.engines[r].set_weight_version(self.relay_version, now);
             self.audit.record_version(r, self.relay_version);

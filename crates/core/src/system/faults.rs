@@ -59,7 +59,6 @@ impl World {
             }
             self.engines[r].advance_to(now);
             self.alive[r] = false;
-            self.manager.evict(r);
             // A kill also counts against the breaker: a machine crashing
             // repeatedly within the window trips it, and a half-open probe
             // lost to a crash re-opens it (keeping probe liveness — the
@@ -151,7 +150,6 @@ impl World {
             let mut dead = std::mem::replace(&mut self.engines[r], fresh);
             // Keep the spans the dead engine recorded before the failure.
             self.trace_spans.extend(dead.take_trace_spans());
-            self.manager.mark_recovered(r, now);
             self.engines[r].set_weight_version(self.relay_version, now);
             self.audit.record_version(r, self.relay_version);
             self.start_batch(r, now, sched);

@@ -309,14 +309,6 @@ impl World {
             heap_entries.push(e.pending_heap_entries());
             env_aborts += e.env_aborts();
         }
-        let manager_healthy = (0..self.engines.len())
-            .map(|r| {
-                matches!(
-                    self.manager.health(r),
-                    laminar_rollout::manager::ReplicaHealth::Healthy
-                )
-            })
-            .collect();
         // Completions drained from engines but not yet processed by a
         // `ReplicaWake` when the run ended still count as held work.
         let completed: BTreeSet<u64> = self.audit.completion_log.iter().copied().collect();
@@ -351,7 +343,6 @@ impl World {
             malformed_spans,
             kv_reserved,
             heap_entries,
-            manager_healthy,
             breaker_trips: self.breakers.iter().map(|b| b.trips()).collect(),
             env_aborts,
         }
@@ -414,10 +405,6 @@ impl LaminarSystem {
                 .min((cfg.global_batch() / replicas).max(cfg.group_size))
                 .max(1)
         });
-        let mut manager = RolloutManager::default();
-        for r in 0..replicas {
-            manager.register(r, Time::ZERO);
-        }
         let mut world = World {
             cfg: cfg.clone(),
             opts: self.clone(),
@@ -433,7 +420,7 @@ impl LaminarSystem {
                 ),
                 None => ExperienceBuffer::fifo_unbounded(),
             },
-            manager,
+            manager: RolloutManager::default(),
             relay: RelaySyncModel::new(cfg.machine.clone(), cfg.model.clone()),
             dataset: cfg.dataset(),
             batches_issued: 0,
@@ -447,7 +434,7 @@ impl LaminarSystem {
             trainer_resume_to: 0,
             relay_blocked_until: Time::ZERO,
             audit: ChaosAudit::default(),
-            checkpoints: laminar_data::CheckpointStore::new(self.checkpoint_every.max(1), 4),
+            checkpoints: laminar_data::CheckpointStore::new(self.checkpoint_every.max(1)),
             last_iter_duration: Duration::ZERO,
             iterations_done: 0,
             last_train_done: Time::ZERO,

@@ -202,7 +202,7 @@ fn build_image(sim: &Simulation<World>) -> StateImage {
 
 /// The driver's flat scalar stream: scheduler counters, version state,
 /// trainer state, RNG words, per-replica liveness/breaker state, the actor
-/// checkpoint store, the dataset cursor, and the manager's health map.
+/// checkpoint store, the dataset cursor, and the manager's `C_prev` map.
 fn driver_plane(sim: &Simulation<World>) -> StatePlane {
     let w = &sim.world;
     let mut e = WordEnc::new();
@@ -247,11 +247,7 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
         b.state_words(&mut words);
     }
     words.push(w.checkpoints.every);
-    words.push(w.checkpoints.history_len() as u64);
-    for c in w.checkpoints.history() {
-        words.push(c.version);
-        words.push(c.written_at.as_nanos());
-    }
+    words.push(w.checkpoints.latest());
     let (next_prompt, next_traj) = w.dataset.cursor();
     words.push(next_prompt);
     words.push(next_traj);
@@ -330,19 +326,19 @@ fn pool_plane(w: &World) -> StatePlane {
     plane
 }
 
-/// Pool counters plus one chunk per in-flight partial response, id-sorted.
+/// The pool length, then one chunk per in-flight partial response,
+/// id-sorted.
 fn partials_plane(p: &PartialResponsePool) -> StatePlane {
     let mut plane = StatePlane::new("partials");
-    plane.push_chunk(&[p.total_updates(), p.recovered(), p.len() as u64]);
+    plane.push_chunk(&[p.len() as u64]);
     plane.extend_records(p.ids(), |id, words| {
         p.get(id).expect("listed id present").encode_words(words)
     });
     plane
 }
 
-/// Buffer strategy + flow counters, then one chunk per buffered experience
-/// in deque (write) order. The buffer is unbounded, so its eviction tag
-/// and evicted count are constant 0 words.
+/// Sampling strategy + length, then one chunk per buffered experience in
+/// deque (write) order.
 fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
     let mut head = WordEnc::new();
     match b.sampler() {
@@ -351,12 +347,7 @@ fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
         Sampler::StalenessCapped { max_staleness } => head.u(2).u(max_staleness),
         Sampler::Random => head.u(3),
     };
-    let stats = b.stats();
-    head.u(0)
-        .z(stats.occupancy)
-        .u(stats.written)
-        .u(stats.sampled)
-        .u(0);
+    head.z(b.len());
     let mut plane = StatePlane::new("buffer");
     plane.push_chunk(head.words());
     plane.extend_records(b.iter(), |exp, words| exp.encode_words(words));

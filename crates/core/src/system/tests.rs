@@ -186,6 +186,22 @@ fn killing_all_replicas_redirects_nothing() {
     assert_eq!(run.report.iteration_secs.len(), 3);
 }
 
+/// `load_samples` is the only filter that keeps a repack off a dead
+/// machine: the rollout manager plans over whatever it is handed. After
+/// a kill, the samples name live replicas only.
+#[test]
+fn repack_samples_only_live_replicas() {
+    let mut run = LaminarSystem::default().start(&cfg(), false);
+    assert!(!LaminarSystem::advance(&mut run, Time::from_secs(20)));
+    let sim = &mut run.sim;
+    let now = sim.scheduler.now();
+    sim.world
+        .kill_machines(&[0, 1], Duration::from_secs(600), now, &mut sim.scheduler);
+    let samples = sim.world.load_samples(now);
+    assert!(!samples.is_empty(), "the survivors are sampled");
+    assert!(samples.iter().all(|s| s.replica >= 2), "{samples:?}");
+}
+
 /// Regression: redirects used to ignore the target's occupancy entirely.
 /// With every replica loaded to its roofline batch bound, a kill must fall
 /// back to the prompt pool instead of overcommitting a survivor.

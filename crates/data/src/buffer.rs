@@ -37,23 +37,11 @@ pub enum Eviction {
     None,
 }
 
-/// Occupancy and flow statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BufferStats {
-    /// Experiences currently held.
-    pub occupancy: usize,
-    /// Total writes accepted.
-    pub written: u64,
-    /// Total experiences handed to the trainer.
-    pub sampled: u64,
-}
-
 /// The experience buffer.
 #[derive(Debug, Clone)]
 pub struct ExperienceBuffer {
     entries: VecDeque<Experience>,
     sampler: Sampler,
-    stats: BufferStats,
 }
 
 impl ExperienceBuffer {
@@ -62,7 +50,6 @@ impl ExperienceBuffer {
         ExperienceBuffer {
             entries: VecDeque::new(),
             sampler,
-            stats: BufferStats::default(),
         }
     }
 
@@ -86,8 +73,6 @@ impl ExperienceBuffer {
     /// Writer API: appends one completed experience.
     pub fn write(&mut self, exp: Experience) {
         self.entries.push_back(exp);
-        self.stats.written += 1;
-        self.stats.occupancy = self.entries.len();
     }
 
     /// Number of experiences ready for sampling at `current_version` (for
@@ -175,8 +160,6 @@ impl ExperienceBuffer {
                 }
             }
         }
-        self.stats.sampled += out.len() as u64;
-        self.stats.occupancy = self.entries.len();
         out
     }
 
@@ -188,13 +171,6 @@ impl ExperienceBuffer {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Flow statistics.
-    pub fn stats(&self) -> BufferStats {
-        let mut s = self.stats;
-        s.occupancy = self.entries.len();
-        s
     }
 
     /// Iterates current entries oldest-first (inspection only).
@@ -232,7 +208,6 @@ mod tests {
         let ids: Vec<u64> = got.iter().map(|e| e.trajectory_id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.stats().sampled, 3);
     }
 
     #[test]

@@ -3,87 +3,47 @@
 //! Trainer faults are handled by standard checkpoint recovery: actor
 //! weights are checkpointed periodically; on a trainer failure the job
 //! resumes from the latest checkpoint while rollouts continue generating
-//! with the latest available weights. The store tracks which versions were
-//! persisted and answers the recovery question: *which version do we resume
-//! from, and how much training is replayed?*
+//! with the latest available weights. Recovery only ever reads the newest
+//! checkpoint, so the store keeps that one version and answers the recovery
+//! question: *which version do we resume from, and how much training is
+//! replayed?*
 
-use laminar_sim::Time;
-use std::collections::VecDeque;
-
-/// One persisted checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// Actor weight version persisted.
-    pub version: u64,
-    /// When the write completed.
-    pub written_at: Time,
-}
-
-/// Periodic checkpoint policy plus the persisted history.
+/// Periodic checkpoint policy plus the newest persisted version.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     /// Persist every `every` versions (e.g. every 5 iterations).
     pub every: u64,
-    /// Checkpoints retained, newest last. A deque so retention pruning
-    /// pops from the front in O(1) instead of shifting the whole history.
-    history: VecDeque<Checkpoint>,
-    /// Maximum retained checkpoints (older ones are pruned).
-    keep: usize,
+    /// Newest persisted actor version; 0 before the first checkpoint.
+    latest: u64,
 }
 
 impl CheckpointStore {
-    /// Creates a store checkpointing every `every` versions, retaining the
-    /// newest `keep`.
-    pub fn new(every: u64, keep: usize) -> Self {
-        assert!(every >= 1 && keep >= 1, "degenerate checkpoint policy");
-        CheckpointStore {
-            every,
-            history: VecDeque::new(),
-            keep,
-        }
+    /// Creates a store checkpointing every `every` versions.
+    pub fn new(every: u64) -> Self {
+        assert!(every >= 1, "degenerate checkpoint policy");
+        CheckpointStore { every, latest: 0 }
     }
 
     /// Called after every actor update; persists when the policy says so.
-    /// Returns the checkpoint if one was written. Version 0 is the initial
-    /// weights before any training — there is nothing to persist and a v0
-    /// entry would skew [`recovery`](CheckpointStore::recovery), so it
-    /// never checkpoints even though `0 % every == 0`.
-    pub fn on_version(&mut self, version: u64, now: Time) -> Option<Checkpoint> {
-        if version == 0 || !version.is_multiple_of(self.every) {
-            return None;
+    /// Version 0 is the initial weights before any training — there is
+    /// nothing to persist, so it never checkpoints even though
+    /// `0 % every == 0`.
+    pub fn on_version(&mut self, version: u64) {
+        if version != 0 && version.is_multiple_of(self.every) {
+            self.latest = version;
         }
-        let ckpt = Checkpoint {
-            version,
-            written_at: now,
-        };
-        self.history.push_back(ckpt);
-        while self.history.len() > self.keep {
-            self.history.pop_front();
-        }
-        Some(ckpt)
     }
 
-    /// The newest persisted checkpoint, if any.
-    pub fn latest(&self) -> Option<Checkpoint> {
-        self.history.back().copied()
+    /// The newest persisted version; 0 before the first checkpoint.
+    pub fn latest(&self) -> u64 {
+        self.latest
     }
 
     /// Recovery decision for a trainer failing at `failed_version`: the
     /// version to resume from (0 = from scratch) and the number of
     /// training iterations whose work is replayed.
     pub fn recovery(&self, failed_version: u64) -> (u64, u64) {
-        let resume = self.latest().map(|c| c.version).unwrap_or(0);
-        (resume, failed_version.saturating_sub(resume))
-    }
-
-    /// Retained checkpoints, oldest first.
-    pub fn history(&self) -> impl Iterator<Item = &Checkpoint> + '_ {
-        self.history.iter()
-    }
-
-    /// Retained checkpoint count.
-    pub fn history_len(&self) -> usize {
-        self.history.len()
+        (self.latest, failed_version.saturating_sub(self.latest))
     }
 }
 
@@ -93,42 +53,33 @@ mod tests {
 
     #[test]
     fn persists_on_policy_boundaries() {
-        let mut s = CheckpointStore::new(5, 3);
+        let mut s = CheckpointStore::new(5);
         for v in 1..=12 {
-            let c = s.on_version(v, Time::from_secs(v));
-            assert_eq!(c.is_some(), v % 5 == 0, "v={v}");
+            s.on_version(v);
+            assert_eq!(s.latest(), v / 5 * 5, "v={v}");
         }
-        assert_eq!(s.latest().unwrap().version, 10);
-        assert_eq!(s.history_len(), 2);
-    }
-
-    #[test]
-    fn retention_prunes_oldest() {
-        let mut s = CheckpointStore::new(1, 2);
-        for v in 1..=5 {
-            s.on_version(v, Time::from_secs(v));
-        }
-        let versions: Vec<u64> = s.history().map(|c| c.version).collect();
-        assert_eq!(versions, vec![4, 5]);
+        assert_eq!(s.latest(), 10);
     }
 
     /// Regression: `0 % every == 0`, but version 0 is the untrained initial
-    /// weights — persisting it would seed history with a bogus entry and
-    /// make `recovery()` claim a v0 checkpoint exists before any training.
+    /// weights — persisting it would discard the newest real checkpoint and
+    /// make `recovery()` restart from scratch.
     #[test]
     fn version_zero_never_checkpoints() {
-        let mut s = CheckpointStore::new(5, 3);
-        assert!(s.on_version(0, Time::ZERO).is_none());
-        assert!(s.latest().is_none());
-        assert_eq!(s.history_len(), 0);
+        let mut s = CheckpointStore::new(5);
+        s.on_version(0);
         assert_eq!(s.recovery(3), (0, 3), "no checkpoint -> restart");
+        s.on_version(5);
+        s.on_version(0);
+        assert_eq!(s.latest(), 5);
+        assert_eq!(s.recovery(7), (5, 2));
     }
 
     #[test]
     fn recovery_replays_since_checkpoint() {
-        let mut s = CheckpointStore::new(5, 4);
+        let mut s = CheckpointStore::new(5);
         for v in 1..=13 {
-            s.on_version(v, Time::from_secs(v));
+            s.on_version(v);
         }
         let (resume, replayed) = s.recovery(13);
         assert_eq!(resume, 10);
@@ -137,7 +88,7 @@ mod tests {
 
     #[test]
     fn recovery_without_checkpoints_restarts() {
-        let s = CheckpointStore::new(100, 1);
+        let s = CheckpointStore::new(100);
         assert_eq!(s.recovery(7), (0, 7));
     }
 }

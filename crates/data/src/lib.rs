@@ -16,7 +16,7 @@ pub mod checkpoint;
 pub mod experience;
 pub mod partial;
 
-pub use buffer::{BufferStats, Eviction, ExperienceBuffer, Sampler};
-pub use checkpoint::{Checkpoint, CheckpointStore};
+pub use buffer::{Eviction, ExperienceBuffer, Sampler};
+pub use checkpoint::CheckpointStore;
 pub use experience::Experience;
 pub use partial::{PartialResponse, PartialResponsePool};

@@ -23,19 +23,11 @@ pub struct PartialResponse {
     pub policy_versions: PolicyVersions,
     /// When generation began.
     pub started_at: Time,
-    /// Last progress update.
-    pub updated_at: Time,
     /// Rollout currently generating it.
     pub rollout: usize,
 }
 
 impl PartialResponse {
-    /// Fraction of the trajectory's decode tokens already produced.
-    pub fn progress(&self) -> f64 {
-        let total = self.spec.decode_tokens().max(1);
-        self.generated_tokens as f64 / total as f64
-    }
-
     /// Appends the record's canonical checkpoint encoding (one in-progress
     /// trajectory = one delta-checkpoint chunk in the partial-pool plane).
     pub fn encode_words(&self, out: &mut Vec<u64>) {
@@ -45,7 +37,6 @@ impl PartialResponse {
         out.push(self.policy_versions.len() as u64);
         out.extend(self.policy_versions.iter());
         out.push(self.started_at.as_nanos());
-        out.push(self.updated_at.as_nanos());
         out.push(self.rollout as u64);
     }
 }
@@ -54,8 +45,6 @@ impl PartialResponse {
 #[derive(Debug, Clone, Default)]
 pub struct PartialResponsePool {
     entries: IdMap<PartialResponse>,
-    total_updates: u64,
-    recovered: u64,
 }
 
 impl PartialResponsePool {
@@ -76,7 +65,6 @@ impl PartialResponsePool {
                 segment_index: 0,
                 policy_versions: PolicyVersions::single(version),
                 started_at: now,
-                updated_at: now,
                 rollout,
             },
         );
@@ -84,12 +72,10 @@ impl PartialResponsePool {
 
     /// Streams a progress update. Unknown ids are ignored (the trajectory
     /// may have been completed or recovered concurrently).
-    pub fn update(&mut self, id: u64, generated_tokens: u64, segment_index: usize, now: Time) {
+    pub fn update(&mut self, id: u64, generated_tokens: u64, segment_index: usize) {
         if let Some(e) = self.entries.get_mut(&id) {
             e.generated_tokens = generated_tokens;
             e.segment_index = segment_index;
-            e.updated_at = now;
-            self.total_updates += 1;
         }
     }
 
@@ -125,7 +111,6 @@ impl PartialResponsePool {
                 out.push(e);
             }
         }
-        self.recovered += out.len() as u64;
         out
     }
 
@@ -150,16 +135,6 @@ impl PartialResponsePool {
         out.sort_unstable();
         out
     }
-
-    /// Total progress updates streamed.
-    pub fn total_updates(&self) -> u64 {
-        self.total_updates
-    }
-
-    /// Total trajectories recovered via [`Self::drain_rollout`].
-    pub fn recovered(&self) -> u64 {
-        self.recovered
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +150,7 @@ mod tests {
     fn lifecycle_begin_update_complete() {
         let mut p = PartialResponsePool::new();
         p.begin(spec(1), 3, 7, Time::from_secs(1));
-        p.update(1, 500, 0, Time::from_secs(2));
+        p.update(1, 500, 0);
         let e = p.get(1).unwrap();
         assert_eq!(e.generated_tokens, 500);
         assert_eq!(e.rollout, 3);
@@ -195,25 +170,16 @@ mod tests {
         assert_eq!(lost.len(), 2);
         assert_eq!(p.len(), 1);
         assert!(p.get(2).is_some());
-        assert_eq!(p.recovered(), 2);
+        assert!(lost.iter().all(|e| e.rollout == 0));
     }
 
     #[test]
     fn update_unknown_id_is_noop() {
         let mut p = PartialResponsePool::new();
-        p.update(99, 10, 0, Time::ZERO);
-        assert_eq!(p.total_updates(), 0);
+        p.begin(spec(1), 0, 1, Time::ZERO);
+        p.update(99, 10, 0);
+        assert_eq!(p.ids(), vec![1]);
+        assert_eq!(p.get(1).unwrap().generated_tokens, 0);
         assert!(p.complete(99).is_none());
-    }
-
-    #[test]
-    fn progress_fraction() {
-        let mut p = PartialResponsePool::new();
-        let s = spec(5);
-        let half = s.decode_tokens() / 2;
-        p.begin(s, 0, 1, Time::ZERO);
-        p.update(5, half, 0, Time::from_secs(1));
-        let prog = p.get(5).unwrap().progress();
-        assert!((prog - 0.5).abs() < 0.01, "progress {prog}");
     }
 }

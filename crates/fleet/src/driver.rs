@@ -26,7 +26,8 @@
 use crate::router::{CellLoad, Router};
 use crate::tenant::TenantProfile;
 use laminar_core::chaos::{FleetAudit, FleetFaultEvent, FleetFaultKind, FleetOutcome, GoodputDip};
-use laminar_runtime::policy::RetryPolicy;
+use laminar_runtime::RetryPolicy;
+use laminar_sim::stats::nearest_rank;
 use laminar_sim::{Duration, Scheduler, SimRng, SimWorld, Simulation, Time};
 use std::collections::BTreeMap;
 
@@ -671,11 +672,7 @@ fn measure_dips(
 }
 
 fn percentile_nanos(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)] as f64 / 1e9
+    nearest_rank(sorted, q).map_or(0.0, |ns| ns as f64 / 1e9)
 }
 
 /// Runs one deterministic fleet simulation: same config, same bytes out.

@@ -4,9 +4,10 @@
 //! heartbeats (liveness) and per-request completion latency relative to the
 //! request's expected service demand (stragglers). Both feed a
 //! [`CircuitBreaker`] from the shared policy plane
-//! (`laminar_runtime::policy`), so quarantine semantics — trip on
-//! consecutive anomalies, cooldown, single-probe re-admission — are exactly
-//! the ones every other recovery path in the workspace uses.
+//! ([`laminar_sim::policy`], re-exported at the `laminar_runtime` root), so
+//! quarantine semantics — trip on consecutive anomalies, cooldown,
+//! single-probe re-admission — are exactly the ones every other recovery
+//! path in the workspace uses.
 //!
 //! State machine per cell, as the router believes it:
 //!
@@ -22,7 +23,7 @@
 //!   Quarantined (breaker open) ──cooldown──▶ half-open: one probe decides
 //! ```
 
-use laminar_runtime::policy::{BreakerConfig, BreakerState, CircuitBreaker};
+use laminar_runtime::{BreakerConfig, BreakerState, CircuitBreaker};
 use laminar_sim::{Duration, Time};
 
 /// Router-side health state for one cell.

@@ -12,10 +12,10 @@
 //! * **health-based routing** — cell health is scored purely from
 //!   heartbeat freshness and completion-latency signals; a straggling cell
 //!   is quarantined through the shared
-//!   [`laminar_runtime::policy::CircuitBreaker`] and re-admitted through a
+//!   [`laminar_runtime::CircuitBreaker`] and re-admitted through a
 //!   single probe ([`health`]);
 //! * **graceful degradation** — a killed cell's orphaned work is
-//!   re-dispatched on the shared [`laminar_runtime::policy::RetryPolicy`]
+//!   re-dispatched on the shared [`laminar_runtime::RetryPolicy`]
 //!   backoff, survivors absorb load strictly within their concurrency
 //!   capacity, and the goodput dip plus fleet-MTTR is measured per kill
 //!   ([`driver`]);

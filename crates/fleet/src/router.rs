@@ -128,7 +128,7 @@ impl Router {
             if !routable(h, c) || h.quarantined(now) || h.probe_req.is_some() {
                 continue;
             }
-            if h.breaker.state(now) != laminar_runtime::policy::BreakerState::Closed {
+            if h.breaker.state(now) != laminar_runtime::BreakerState::Closed {
                 continue;
             }
             let load_frac = loads[c].in_flight as f64 / loads[c].capacity.max(1) as f64;

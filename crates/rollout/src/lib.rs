@@ -11,7 +11,7 @@
 //!
 //! [`repack`] implements Algorithm 1 (Best-Fit trajectory consolidation),
 //! and [`manager`] the rollout manager: per-replica monitoring, weight
-//! version grouping, repack triggering, and replica health.
+//! version grouping, and repack triggering.
 
 pub mod engine;
 pub mod manager;
@@ -21,6 +21,6 @@ pub mod traj;
 pub use engine::reference::NaiveReplicaEngine;
 pub use engine::{CompletedTraj, EngineConfig, ReplicaEngine};
 pub use laminar_workload::PolicyVersions;
-pub use manager::{ReplicaHealth, RolloutManager};
+pub use manager::RolloutManager;
 pub use repack::{plan_repack, RepackPlan, ReplicaLoad};
 pub use traj::{Phase, TrajState};

@@ -1,16 +1,15 @@
-//! The rollout manager (§3.1, §5.1): monitoring, repack coordination, and
-//! replica health.
+//! The rollout manager (§3.1, §5.1): monitoring and repack coordination.
 //!
 //! The manager runs on a CPU machine, isolated from GPU failures. It
-//! periodically samples every replica's load, groups replicas by weight
-//! version, runs the Best-Fit planner per group, and tracks which replicas
-//! are healthy: the enclosing system evicts a replica the instant its
-//! machine fails and marks it recovered when the replacement is up. It
-//! holds only coordination state — the enclosing system world executes the
-//! planned moves against the actual engines.
+//! periodically samples every live replica's load, groups replicas by
+//! weight version, and runs the Best-Fit planner per group. It holds only
+//! coordination state — each sampled replica's previous KVCache usage
+//! (`C_prev`) — while the enclosing system world decides which replicas are
+//! live, hands the manager their samples, and executes the planned moves
+//! against the actual engines.
 
 use crate::repack::{plan_repack, RepackPlan, ReplicaLoad};
-use laminar_sim::{Duration, Time};
+use laminar_sim::Duration;
 use std::collections::HashMap;
 
 /// Periodic repack check interval (5 s in §5.1).
@@ -20,24 +19,11 @@ pub const REPACK_INTERVAL: Duration = Duration::from_secs(5);
 /// the repack and failure-redirect capacity bound.
 pub const C_MAX_FRAC: f64 = 0.99;
 
-/// Health state of one replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaHealth {
-    /// Serving.
-    Healthy,
-    /// Evicted from the job (machine withdrawn).
-    Evicted,
-}
-
 /// The rollout manager.
 #[derive(Debug, Clone, Default)]
 pub struct RolloutManager {
+    /// `C_prev`: each sampled replica's KVCache usage at its last sample.
     prev_kv: HashMap<usize, f64>,
-    health: HashMap<usize, ReplicaHealth>,
-    /// When each replica was registered or last marked recovered.
-    healthy_since: HashMap<usize, Time>,
-    repacks_planned: u64,
-    replicas_released: u64,
 }
 
 /// A replica's load sample as handed to the manager (before `C_prev`
@@ -61,68 +47,27 @@ pub struct LoadSample {
 }
 
 impl RolloutManager {
-    /// Appends the manager's complete mutable state as a fixed-order word
-    /// stream for the delta-checkpoint scalar plane. Map entries are
-    /// emitted in ascending replica order so the encoding never leaks
-    /// `HashMap` iteration order.
+    /// Appends the manager's complete mutable state — each sampled
+    /// replica's `C_prev` — as a fixed-order word stream for the
+    /// delta-checkpoint scalar plane: the entry count, then `(replica,
+    /// C_prev bits)` in ascending replica order, so the encoding never
+    /// leaks `HashMap` iteration order.
     pub fn checkpoint_words(&self, out: &mut Vec<u64>) {
-        out.push(self.repacks_planned);
-        out.push(self.replicas_released);
-        let mut ids: Vec<usize> = self.health.keys().copied().collect();
+        let mut ids: Vec<usize> = self.prev_kv.keys().copied().collect();
         ids.sort_unstable();
         out.push(ids.len() as u64);
         for r in ids {
-            out.push(r as u64);
-            out.push(match self.health[&r] {
-                ReplicaHealth::Healthy => 0,
-                ReplicaHealth::Evicted => 2,
-            });
-            out.push(
-                self.healthy_since
-                    .get(&r)
-                    .copied()
-                    .unwrap_or(Time::ZERO)
-                    .as_nanos(),
-            );
-            out.push(self.prev_kv.get(&r).copied().unwrap_or(0.0).to_bits());
+            out.extend([r as u64, self.prev_kv[&r].to_bits()]);
         }
     }
 
-    /// Registers a replica as healthy at `now`.
-    pub fn register(&mut self, replica: usize, now: Time) {
-        self.health.insert(replica, ReplicaHealth::Healthy);
-        self.healthy_since.insert(replica, now);
-    }
-
-    /// Health of a replica (`Evicted` if unknown).
-    pub fn health(&self, replica: usize) -> ReplicaHealth {
-        self.health
-            .get(&replica)
-            .copied()
-            .unwrap_or(ReplicaHealth::Evicted)
-    }
-
-    /// Marks a failed replica recovered (re-initialized in place, §3.3).
-    pub fn mark_recovered(&mut self, replica: usize, now: Time) {
-        self.health.insert(replica, ReplicaHealth::Healthy);
-        self.healthy_since.insert(replica, now);
-    }
-
-    /// Evicts a replica (machine withdrawn after repeated failure).
-    pub fn evict(&mut self, replica: usize) {
-        self.health.insert(replica, ReplicaHealth::Evicted);
-    }
-
-    /// Step ①/② of Figure 8: collects load samples from healthy replicas,
-    /// groups them by weight version, and plans a consolidation per group.
-    /// The returned plan merges all groups' moves (each move stays within
-    /// its version group).
+    /// Step ①/② of Figure 8: groups the live replicas' load samples by
+    /// weight version and plans a consolidation per group. The caller
+    /// samples live replicas only. The returned plan merges all groups'
+    /// moves (each move stays within its version group).
     pub fn plan(&mut self, samples: &[LoadSample]) -> RepackPlan {
         let mut groups: HashMap<u64, Vec<ReplicaLoad>> = HashMap::new();
         for s in samples {
-            if self.health(s.replica) != ReplicaHealth::Healthy {
-                continue;
-            }
             // A replica with no history yet is not a ramp-down candidate:
             // treat its previous usage as equal to the current one, which
             // fails the strict `C_used < C_prev` test.
@@ -164,24 +109,9 @@ impl RolloutManager {
                 .map(|s| s.roofline_b)
                 .min()
                 .unwrap_or(1);
-            let group_plan = plan_repack(group, c_max, b);
-            self.replicas_released += group_plan.moves.len() as u64;
-            plan.moves.extend(group_plan.moves);
-        }
-        if !plan.is_empty() {
-            self.repacks_planned += 1;
+            plan.moves.extend(plan_repack(group, c_max, b).moves);
         }
         plan
-    }
-
-    /// Total repack rounds that produced at least one move.
-    pub fn repacks_planned(&self) -> u64 {
-        self.repacks_planned
-    }
-
-    /// Total replicas released across all repacks.
-    pub fn replicas_released(&self) -> u64 {
-        self.replicas_released
     }
 }
 
@@ -204,9 +134,6 @@ mod tests {
     #[test]
     fn plan_groups_by_version() {
         let mut m = RolloutManager::default();
-        for r in 0..4 {
-            m.register(r, Time::ZERO);
-        }
         // First sample establishes C_prev; second with lower usage makes the
         // replicas ramp-down candidates.
         let first = vec![
@@ -238,44 +165,8 @@ mod tests {
     }
 
     #[test]
-    fn failed_replicas_excluded_from_planning() {
-        let mut m = RolloutManager::default();
-        m.register(0, Time::ZERO);
-        m.register(1, Time::ZERO);
-        let warm = vec![sample(0, 200.0, 2, 1), sample(1, 200.0, 2, 1)];
-        m.plan(&warm);
-        let cool = vec![sample(0, 100.0, 1, 1), sample(1, 100.0, 1, 1)];
-        assert!(!m.clone().plan(&cool).is_empty(), "two healthy tails merge");
-        // Replica 1's machine fails: alone in its version group, replica 0
-        // has nothing to consolidate with.
-        m.evict(1);
-        assert!(m.plan(&cool).is_empty());
-    }
-
-    #[test]
-    fn recovery_and_eviction_lifecycle() {
-        let mut m = RolloutManager::default();
-        m.register(0, Time::ZERO);
-        assert_eq!(m.health(0), ReplicaHealth::Healthy);
-        m.evict(0);
-        assert_eq!(m.health(0), ReplicaHealth::Evicted);
-        m.mark_recovered(0, Time::from_secs(61));
-        assert_eq!(m.health(0), ReplicaHealth::Healthy);
-        m.evict(0);
-        assert_eq!(m.health(0), ReplicaHealth::Evicted);
-        assert_eq!(
-            m.health(99),
-            ReplicaHealth::Evicted,
-            "unknown replicas read as evicted"
-        );
-    }
-
-    #[test]
     fn release_counter_accumulates() {
         let mut m = RolloutManager::default();
-        for r in 0..3 {
-            m.register(r, Time::ZERO);
-        }
         m.plan(&[
             sample(0, 300.0, 2, 1),
             sample(1, 300.0, 2, 1),
@@ -291,7 +182,5 @@ mod tests {
             2,
             "two of three tails consolidate onto one"
         );
-        assert_eq!(m.replicas_released(), 2);
-        assert_eq!(m.repacks_planned(), 1);
     }
 }

@@ -11,8 +11,6 @@ use laminar_workload::TrajectorySpec;
 pub struct BatchGenStats {
     /// Time from batch start until the last trajectory completes.
     pub duration: Duration,
-    /// Per-trajectory completion offsets from batch start, sorted ascending.
-    pub completion_offsets: Vec<Duration>,
     /// `(completion offset, prompt+response tokens)` per trajectory, sorted
     /// by offset — what a streaming trainer consumes in order.
     pub completion_tokens: Vec<(Duration, f64)>,
@@ -115,7 +113,6 @@ fn generate_batch_traced(
     completion_tokens.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
     BatchGenStats {
         duration: end.since(Time::ZERO),
-        completion_offsets: completion_tokens.iter().map(|&(t, _)| t).collect(),
         completion_tokens,
         total_tokens,
         mean_kv_utilization: kv_sum / replicas as f64,
@@ -140,13 +137,13 @@ mod tests {
         let batch = ds.next_batch(cfg.prompts_per_batch);
         let specs = cfg.workload.batch(&batch, 1.0);
         let stats = generate_batch(&cfg, &specs, cfg.replicas());
-        assert_eq!(stats.completion_offsets.len(), 64);
+        assert_eq!(stats.completion_tokens.len(), 64);
         assert_eq!(stats.latencies.len(), 64);
         let expect: f64 = specs.iter().map(|s| s.total_tokens() as f64).sum();
         assert_eq!(stats.total_tokens, expect);
         assert!(stats.duration > Duration::ZERO);
-        // Sorted offsets; last equals batch duration.
-        assert_eq!(*stats.completion_offsets.last().unwrap(), stats.duration);
+        // Sorted by offset; the last equals the batch duration.
+        assert_eq!(stats.completion_tokens.last().unwrap().0, stats.duration);
         assert!(stats.mean_kv_utilization > 0.0 && stats.mean_kv_utilization <= 1.0);
     }
 

@@ -51,8 +51,14 @@ pub const PAGE_WORDS: usize = 32;
 /// written under another format is refused by name instead of failing its
 /// fingerprint check. Format 1 hashed with byte-serial FNV-1a and carried
 /// dead, derived and lossy words; format 2 folds a whole word per multiply,
-/// drops the dead and derived words and carries the lossy ones in full.
-pub const IMAGE_FORMAT: u32 = 2;
+/// drops the dead and derived words and carries the lossy ones in full;
+/// format 3 drops the words of state no run reads: the rollout manager's
+/// health map and repack counters (it keeps `C_prev` per sampled replica),
+/// the experience buffer's flow counters and constant eviction words, the
+/// partial pool's counters and per-entry update times, the actor
+/// checkpoint history beyond the newest version, and the pipelines'
+/// per-batch generation start times.
+pub const IMAGE_FORMAT: u32 = 3;
 
 /// Trace spans per chunk in span planes. Spans are append-only during a
 /// run, so a full batch keeps its chunk key and only the tail batch's chunk

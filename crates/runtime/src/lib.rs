@@ -18,15 +18,15 @@
 //!   blanket impl;
 //! * [`trace`] — the [`TraceSink`] event-trace layer: every scheduler emits
 //!   phase spans (prefill, decode, weight sync, stalls, …) in virtual time;
-//! * [`policy`] — the unified retry/backoff + circuit-breaker policies every
-//!   recovery path shares;
+//! * [`RetryPolicy`] / [`CircuitBreaker`] — the unified retry/backoff and
+//!   circuit-breaker policies every recovery path shares, re-exported from
+//!   [`laminar_sim::policy`];
 //! * [`recovery`] — deterministic checkpoint/restore: the [`Recoverable`]
 //!   trait and its byte-identity checkpoint checker.
 
 pub mod batch;
 pub mod config;
 pub mod delta;
-pub mod policy;
 pub mod recovery;
 pub mod report;
 pub mod trace;
@@ -34,7 +34,7 @@ pub mod trace;
 pub use batch::{generate_batch, generate_batch_at, BatchGenStats};
 pub use config::SystemConfig;
 pub use delta::{CommitStats, DeltaStore, Manifest, StateImage, StatePlane};
-pub use policy::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
+pub use laminar_sim::policy::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use recovery::{
     check_checkpoint_soak, check_resume_equivalence, CheckpointCheck, DeltaCheckpoint, Recoverable,
 };

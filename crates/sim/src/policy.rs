@@ -14,8 +14,8 @@
 //!
 //! The types live here, at the bottom of the crate stack, for the same
 //! reason the trace records do: the relay and rollout layers need them
-//! without depending on the runtime layer. `laminar_runtime::policy`
-//! re-exports them as the unified public surface.
+//! without depending on the runtime layer. `laminar_runtime` re-exports
+//! them at its root as the unified public surface.
 
 use crate::rng::SimRng;
 use crate::time::{Duration, Time};

@@ -1,8 +1,18 @@
-//! Statistics utilities used across experiments: sample histograms with
-//! percentile queries, time-weighted averages of step functions, and time
-//! series for timeline plots.
+//! Statistics utilities used across experiments: nearest-rank and
+//! interpolated percentile queries, time-weighted averages of step
+//! functions, and time series for timeline plots.
 
 use crate::time::{Duration, Time};
+
+/// Nearest-rank percentile of ascending `sorted`: the element at index
+/// `round(q × (n − 1))`, clamped to the last; `None` when empty. Unlike
+/// [`Histogram::quantile`] it never interpolates, so it always returns an
+/// observed value.
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    let idx = (q * last as f64).round() as usize;
+    Some(sorted[idx.min(last)])
+}
 
 /// A sample reservoir with exact percentile queries.
 ///
@@ -260,6 +270,17 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_picks_the_rounded_index() {
+        let xs: Vec<u64> = (1..=10).collect();
+        assert_eq!(nearest_rank(&xs, 0.0), Some(1));
+        assert_eq!(nearest_rank(&xs, 0.5), Some(6), "round(4.5) = 5");
+        assert_eq!(nearest_rank(&xs, 0.95), Some(10), "round(8.55) = 9");
+        assert_eq!(nearest_rank(&xs, 1.0), Some(10));
+        assert_eq!(nearest_rank(&[7.5], 0.3), Some(7.5));
+        assert_eq!(nearest_rank::<f64>(&[], 0.5), None);
+    }
 
     #[test]
     fn histogram_quantiles() {

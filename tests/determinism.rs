@@ -87,8 +87,8 @@ const CHECKPOINT_HASH_GOLDENS: [(&str, u64); 8] = [
 /// `(system, index)`, as the committed manifests record them. Checkpoint
 /// descriptor lines carry these values.
 const SNAPSHOT_GOLDENS: [(&str, usize, u64); 4] = [
-    ("laminar", 0, 0x8f756567529b15d6),
-    ("laminar", 1, 0x0e6734374fed2ce0),
+    ("laminar", 0, 0x03521cf35fe83eae),
+    ("laminar", 1, 0x5543b3de956c16e3),
     ("partial-rollout", 0, 0x2665d7d4cfa3d415),
     ("partial-rollout", 1, 0x1e0d74f0c267d654),
 ];
@@ -102,14 +102,14 @@ const SNAPSHOT_GOLDENS: [(&str, usize, u64); 4] = [
 const CADENCE_GOLDENS: [(&str, u64, usize, u64); 10] = [
     ("verl-sync", 20, 11, 0x79d68deaf27cf45c),
     ("verl-sync", 33, 6, 0x7ec11bcee2e3f841),
-    ("one-step", 20, 11, 0xd9b574ddd7b473a7),
-    ("one-step", 33, 7, 0x9fbc53c111d8faa4),
-    ("stream-gen", 20, 11, 0x98c09446621323ec),
-    ("stream-gen", 33, 6, 0x0b24499c6f68211d),
+    ("one-step", 20, 11, 0x84e936b6042f6f78),
+    ("one-step", 33, 7, 0xffdf11d2c29270cb),
+    ("stream-gen", 20, 11, 0x3f92f102631b298b),
+    ("stream-gen", 33, 6, 0x6a55edfeb2c6c4dc),
     ("partial-rollout", 20, 2, 0xab218a6335de8dd4),
     ("partial-rollout", 33, 1, 0xff5862c74db97da8),
-    ("laminar", 20, 6, 0x68869a1955b71153),
-    ("laminar", 33, 4, 0x2a5bdd65c512151d),
+    ("laminar", 20, 6, 0x025b18a2954103fc),
+    ("laminar", 33, 4, 0xc59f045e8d93721e),
 ];
 
 /// A cadence run's checkpoint count and `(index, at_ns, fingerprint)` fold.
@@ -130,12 +130,12 @@ const TRACE_GOLDENS: [(&str, u64, Option<CountAndFold>); 5] = [
     (
         "one-step",
         0x610cc2f2a939a508,
-        Some((11, 0x0a49b8f5865ebd14)),
+        Some((11, 0x3c5e5a3e91c4a407)),
     ),
     (
         "stream-gen",
         0x3c5fd3dfed10ce02,
-        Some((11, 0xadab7e0f2ba5fbf2)),
+        Some((11, 0xef951459801f5bdc)),
     ),
     ("partial-rollout", 0x5a20262eb45f2070, None),
     ("laminar", 0x8ebcb1d301e9669c, None),

@@ -86,7 +86,7 @@ fn partial_response_pool_preserves_progress_across_drain() {
     for id in 0..10u64 {
         let spec = workload.trajectory(id, id, 0, 1.0);
         pool.begin(spec, (id % 3) as usize, 5, Time::from_secs(1));
-        pool.update(id, 100 * id, 0, Time::from_secs(2));
+        pool.update(id, 100 * id, 0);
     }
     let lost = pool.drain_rollout(1);
     assert!(!lost.is_empty());
