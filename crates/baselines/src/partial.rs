@@ -71,27 +71,38 @@ impl World {
         }
     }
 
+    /// Fills replica `r` up to the concurrency cap in one submission. Every
+    /// caller has advanced the engine to `now`, so the room counted here is
+    /// what one submit per spec would have filled.
     fn top_up(&mut self, r: usize, now: Time) {
         self.refill_specs();
-        while self.engines[r].n_reqs() < self.cfg.max_concurrency {
-            match self.specs.pop_front() {
-                Some(s) => self.engines[r].submit(s, now),
-                None => break,
-            }
-        }
+        let room = self
+            .cfg
+            .max_concurrency
+            .saturating_sub(self.engines[r].n_reqs())
+            .min(self.specs.len());
+        self.engines[r].submit_all(self.specs.drain(..room), now);
     }
 
-    fn drain(&mut self, r: usize, sched: &mut Scheduler<Ev>) {
+    /// Moves replica `r`'s completions into the buffer; returns whether
+    /// there were any.
+    fn drain(&mut self, r: usize) -> bool {
         self.engines[r].swap_completions(&mut self.delivered);
-        if !self.delivered.is_empty() {
-            for c in self.delivered.drain(..) {
-                self.report
-                    .latencies
-                    .push(c.finished_at.since(c.started_at).as_secs_f64());
-                self.buffer.push_back(c);
-            }
-            sched.immediately(Ev::TrainerCheck);
+        let delivered = !self.delivered.is_empty();
+        for c in self.delivered.drain(..) {
+            self.report
+                .latencies
+                .push(c.finished_at.since(c.started_at).as_secs_f64());
+            self.buffer.push_back(c);
         }
+        delivered
+    }
+
+    /// Whether a [`Ev::TrainerCheck`] delivered now would start an update:
+    /// the trainer is idle, a global batch is buffered, and the run is not
+    /// done. The check's guard.
+    fn trainer_can_start(&self) -> bool {
+        !self.trainer_busy && self.buffer.len() >= self.cfg.global_batch() && !self.done()
     }
 
     fn wake(&mut self, r: usize, sched: &mut Scheduler<Ev>) {
@@ -136,12 +147,20 @@ impl SimWorld for World {
                     return; // superseded by a mutation since scheduling
                 }
                 self.engines[r].advance_to(now);
-                self.drain(r, sched);
+                // A check scheduled here is delivered after the events
+                // already due at `now` and before those scheduled below,
+                // which change nothing its guard reads: with no other event
+                // due, it is worth scheduling only if it starts an update.
+                if self.drain(r)
+                    && (sched.next_event_time() == Some(now) || self.trainer_can_start())
+                {
+                    sched.immediately(Ev::TrainerCheck);
+                }
                 self.top_up(r, now);
                 self.wake(r, sched);
             }
             Ev::TrainerCheck => {
-                if self.trainer_busy || self.buffer.len() < self.cfg.global_batch() {
+                if !self.trainer_can_start() {
                     return;
                 }
                 let mut tokens = 0.0;
@@ -216,8 +235,13 @@ impl SimWorld for World {
                         ));
                     }
                 }
+                // A check is delivered after every replica is drained, so
+                // its guard can pass where it fails at its own replica's
+                // drain: these checks stay unconditional.
                 for r in 0..self.engines.len() {
-                    self.drain(r, sched);
+                    if self.drain(r) {
+                        sched.immediately(Ev::TrainerCheck);
+                    }
                     self.wake(r, sched);
                 }
             }
@@ -421,6 +445,45 @@ mod tests {
             p.throughput,
             o.throughput
         );
+    }
+
+    /// Scheduler events a whole seed-11 `small_test` run delivers per
+    /// completed trajectory, in all and trainer checks alone, measured when
+    /// the bounds were set. Each bound is its value plus 20%. A trainer
+    /// check on every replica wake that delivers, when nearly none can
+    /// start an update, adds about one check per trajectory, some thirty
+    /// times the second bound.
+    const EVENTS_PER_TRAJ: f64 = 16.828;
+    const CHECKS_PER_TRAJ: f64 = 0.0234;
+
+    #[test]
+    fn delivered_events_per_trajectory_stay_within_budget() {
+        let mut c =
+            SystemConfig::small_test(WorkloadGenerator::single_turn(11, Checkpoint::Math7B));
+        c.seed = 11;
+        let sim = &mut PartialRollout.start(&c, false).sim;
+        let mut checks = 0u64;
+        while !sim.world.done() {
+            let entries = sim.scheduler.pending_entries();
+            let Some(&(.., next)) = entries.first() else {
+                panic!("the run stalled before completing its iterations");
+            };
+            checks += matches!(next, Ev::TrainerCheck) as u64;
+            sim.step();
+        }
+        let completed = sim.world.report.latencies.len();
+        assert!(completed > 0, "the run completed no trajectory");
+        for (what, count, baseline) in [
+            ("events", sim.scheduler.delivered(), EVENTS_PER_TRAJ),
+            ("trainer checks", checks, CHECKS_PER_TRAJ),
+        ] {
+            let (measured, budget) = (count as f64 / completed as f64, baseline * 1.2);
+            assert!(
+                measured <= budget,
+                "{measured:.3} {what} per trajectory ({count} for {completed}), over the \
+                 budget of {budget:.3} ({baseline:.3} + 20%)"
+            );
+        }
     }
 
     #[test]

@@ -116,11 +116,14 @@ fn throughput_grid(
         out.push_str(&t.render());
         // Scaling efficiency: (Tp_max / Tp_min) / (G_max / G_min).
         let gmin = scales[0] as f64;
-        let gmax = *scales.last().expect("non-empty") as f64;
+        let last = *scales
+            .last()
+            .expect("every model has at least one paper scale");
+        let gmax = last as f64;
         let mut eff = TextTable::new(vec!["system", "scaling efficiency"]);
         for kind in systems {
             let lo = results[&(model.name.clone(), scales[0], kind.name())];
-            let hi = results[&(model.name.clone(), *scales.last().unwrap(), kind.name())];
+            let hi = results[&(model.name.clone(), last, kind.name())];
             eff.row(vec![
                 kind.name().to_string(),
                 format!("{:.1}%", hi / lo / (gmax / gmin) * 100.0),

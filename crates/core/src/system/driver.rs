@@ -38,14 +38,13 @@ impl World {
         self.audit.admission_check(r, self.breakers[r].is_open(now));
         self.refill_pool();
         let version = self.engines[r].weight_version();
-        for _ in 0..self.admission_target() {
-            let Some(spec) = self.pool.pop_front() else {
-                break;
-            };
-            self.audit.begin(spec.id);
-            self.partials.begin(spec.clone(), r, version, now);
-            self.engines[r].submit(spec, now);
-        }
+        let n = self.admission_target().min(self.pool.len());
+        let (audit, partials) = (&mut self.audit, &mut self.partials);
+        let specs = self.pool.drain(..n).inspect(|spec| {
+            audit.begin(spec.id);
+            partials.begin(spec.clone(), r, version, now);
+        });
+        self.engines[r].submit_all(specs, now);
     }
 
     /// Per-replica admission target: the configured batch, shrunk while
@@ -58,8 +57,25 @@ impl World {
         }
     }
 
+    /// Whether a [`Ev::TrainerCheck`] delivered now would start an update:
+    /// the trainer is up and idle, a global batch is buffered, and the run
+    /// is not done. The check's guard, shared with [`World::drain`].
+    fn trainer_can_start(&self) -> bool {
+        !self.trainer_busy
+            && !self.trainer_failed
+            && self.buffer.len() >= self.cfg.global_batch()
+            && !self.done()
+    }
+
     /// Delivers replica `r`'s buffered completions into the buffer and the
     /// bookkeeping planes, then nudges the trainer.
+    ///
+    /// The nudge is a [`Ev::TrainerCheck`] only when it can matter. A check
+    /// scheduled here is delivered after the events already due at `now`
+    /// and before any the `ReplicaWake` handler schedules after this call,
+    /// and that handler changes nothing the check's guard reads. So when no
+    /// other event is due at `now`, the check sees the guard as it stands
+    /// here, and is scheduled only if [`World::trainer_can_start`].
     pub(super) fn drain(&mut self, r: usize, now: Time, sched: &mut Scheduler<Ev>) {
         self.engines[r].swap_completions(&mut self.delivered);
         if self.delivered.is_empty() {
@@ -88,7 +104,9 @@ impl World {
             }
             self.buffer.write(to_experience(c));
         }
-        sched.immediately(Ev::TrainerCheck);
+        if sched.next_event_time() == Some(now) || self.trainer_can_start() {
+            sched.immediately(Ev::TrainerCheck);
+        }
     }
 
     pub(super) fn wake(&mut self, r: usize, sched: &mut Scheduler<Ev>) {
@@ -277,10 +295,7 @@ impl SimWorld for World {
                 self.wake(r, sched);
             }
             Ev::TrainerCheck => {
-                if self.trainer_busy
-                    || self.trainer_failed
-                    || self.buffer.len() < self.cfg.global_batch()
-                {
+                if !self.trainer_can_start() {
                     return;
                 }
                 let sampled =

@@ -484,3 +484,40 @@ fn slow_node_hurts_throughput_then_recovers() {
         clean.throughput
     );
 }
+
+/// Scheduler events a whole seed-11 `small_test` run delivers per
+/// completed trajectory, in all and trainer checks alone, measured when the
+/// bounds were set. Each bound is its value plus 20%. A trainer check on
+/// every replica delivery, when nearly none can start an update, adds
+/// about one check per trajectory, some thirty times the second bound.
+const EVENTS_PER_TRAJ: f64 = 7.438;
+const CHECKS_PER_TRAJ: f64 = 0.0296;
+
+#[test]
+fn delivered_events_per_trajectory_stay_within_budget() {
+    let mut c = SystemConfig::small_test(WorkloadGenerator::single_turn(11, Checkpoint::Math7B));
+    c.seed = 11;
+    let sim = &mut LaminarSystem::default().start(&c, false).sim;
+    let mut checks = 0u64;
+    while !sim.world.done() {
+        let entries = sim.scheduler.pending_entries();
+        let Some(&(.., next)) = entries.first() else {
+            panic!("the run stalled before completing its iterations");
+        };
+        checks += matches!(next, Ev::TrainerCheck) as u64;
+        sim.step();
+    }
+    let completed = sim.world.report.latencies.len();
+    assert!(completed > 0, "the run completed no trajectory");
+    for (what, count, baseline) in [
+        ("events", sim.scheduler.delivered(), EVENTS_PER_TRAJ),
+        ("trainer checks", checks, CHECKS_PER_TRAJ),
+    ] {
+        let (measured, budget) = (count as f64 / completed as f64, baseline * 1.2);
+        assert!(
+            measured <= budget,
+            "{measured:.3} {what} per trajectory ({count} for {completed}), over the \
+             budget of {budget:.3} ({baseline:.3} + 20%)"
+        );
+    }
+}

@@ -148,7 +148,7 @@ impl Router {
         order.sort_by(|&a, &b| {
             let ka = completed.get(a).copied().unwrap_or(0) as f64 / tenants[a].weight.max(1e-9);
             let kb = completed.get(b).copied().unwrap_or(0) as f64 / tenants[b].weight.max(1e-9);
-            ka.partial_cmp(&kb).unwrap().then(a.cmp(&b))
+            ka.total_cmp(&kb).then(a.cmp(&b))
         });
         order
     }

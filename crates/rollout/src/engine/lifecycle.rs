@@ -5,16 +5,48 @@ use super::{materialize, traj_version, CompletedTraj, ReplicaEngine, EPS};
 use crate::traj::{Phase, TrajState};
 use laminar_sim::trace::SpanKind;
 use laminar_sim::Time;
-use laminar_workload::Segment;
+use laminar_workload::{Segment, TrajectorySpec};
 
 impl ReplicaEngine {
     /// Submits a fresh trajectory; it starts under the replica's current
-    /// weight version once admitted.
-    pub fn submit(&mut self, spec: laminar_workload::TrajectorySpec, now: Time) {
+    /// weight version once admitted. A batch of one for
+    /// [`Self::submit_all`].
+    pub fn submit(&mut self, spec: TrajectorySpec, now: Time) {
+        self.submit_all([spec], now);
+    }
+
+    /// Submits fresh trajectories that arrive together at `now`, in order,
+    /// with one settlement of the engine: one `advance_to` before the first
+    /// and one refresh of the step rate, the time-weighted accumulators and
+    /// the cached next transition after the last. The epoch still advances
+    /// once per trajectory. An empty batch changes nothing.
+    ///
+    /// The result equals one [`Self::submit`] per spec. After the first
+    /// `advance_to` no transition is due at `now`: an admitted prefill of
+    /// at least one token ends after it, and decoding waits for the prefill
+    /// pipeline, so the later `advance_to`s would fire nothing. Admission
+    /// changes none of the inputs of the step rate, and a time-weighted
+    /// accumulator keeps only the last value recorded at one instant. The
+    /// one difference: with [`super::EngineConfig::record_kv_series`] set,
+    /// the batch adds one series point where per-spec submits add one each.
+    pub fn submit_all(&mut self, specs: impl IntoIterator<Item = TrajectorySpec>, now: Time) {
+        let mut specs = specs.into_iter().peekable();
+        if specs.peek().is_none() {
+            return;
+        }
         self.advance_to(now);
-        let st = TrajState::new(spec, self.weight_version, now);
-        self.waiting.push_back(st);
-        self.try_admit(now);
+        let mut submitted = 0;
+        for spec in specs {
+            self.waiting
+                .push_back(TrajState::new(spec, self.weight_version, now));
+            // Admitting each spec as it queues keeps the waiting queue to
+            // the specs that do not fit, as one `submit` each would, rather
+            // than growing it to the batch size.
+            self.try_admit(now);
+            submitted += 1;
+        }
+        // One epoch per trajectory, the last from `after_change`.
+        self.epoch += submitted - 1;
         self.after_change(now);
     }
 
@@ -150,7 +182,7 @@ impl ReplicaEngine {
     /// KVCache — queue up rather than overlapping for free.
     pub(super) fn reserve_prefill(&mut self, tokens: u64, now: Time, version: u64) -> Time {
         let start = now.max(self.prefill_busy_until);
-        let end = start + self.decode.prefill_time(tokens).mul_f64(self.perf_factor);
+        let end = start + self.cost.prefill_time(tokens).mul_f64(self.perf_factor);
         self.prefill_busy_until = end;
         self.trace(SpanKind::Prefill, start, end, version, tokens);
         end

@@ -23,8 +23,11 @@
 //! * `lifecycle` — the trajectory state machine: admission, submission,
 //!   interrupts, drains/injects (repack moves), segment and env transitions;
 //! * `stepper` — the batch step loop: internal event discovery, virtual
-//!   time advancement, decode-rate re-evaluation, and KVCache accounting.
+//!   time advancement, decode-rate re-evaluation, and KVCache accounting;
+//! * `cost` — the replica's roofline step and prefill costs, their
+//!   constant terms folded once when the engine is built.
 
+mod cost;
 mod lifecycle;
 pub mod reference;
 mod slab;
@@ -33,6 +36,7 @@ mod stepper;
 mod tests;
 
 use crate::traj::{Phase, TrajState};
+use cost::RooflineCosts;
 use laminar_cluster::DecodeModel;
 use laminar_sim::trace::{SpanKind, TraceSpan};
 use laminar_sim::{Time, TimeSeries, TimeWeighted};
@@ -181,7 +185,7 @@ pub(crate) fn materialize(st: &mut TrajState, global_steps: f64) {
 pub struct ReplicaEngine {
     /// Replica id within the system.
     pub id: usize,
-    decode: DecodeModel,
+    cost: RooflineCosts,
     cfg: EngineConfig,
     kv_capacity: f64,
     weight_version: u64,
@@ -248,7 +252,7 @@ impl ReplicaEngine {
         );
         ReplicaEngine {
             id,
-            decode,
+            cost: RooflineCosts::new(&decode),
             cfg,
             kv_capacity,
             weight_version: 0,
@@ -332,7 +336,7 @@ impl ReplicaEngine {
 
     /// The roofline batch bound `B` for this replica.
     pub fn roofline_batch_limit(&self) -> usize {
-        self.decode.roofline_batch_limit()
+        self.cost.batch_limit
     }
 
     /// Monotone state-change counter; wake events older than the epoch they

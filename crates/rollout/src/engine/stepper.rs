@@ -158,7 +158,7 @@ impl ReplicaEngine {
 
     pub(super) fn recalc_rate(&mut self) {
         self.step_secs = if self.decoding_count > 0 {
-            self.decode
+            self.cost
                 .step_secs(self.decoding_count, self.decoding_ctx_sum)
                 * self.perf_factor
         } else {

@@ -433,3 +433,167 @@ fn cached_transition_and_slab_views_survive_random_ops() {
         }
     }
 }
+
+#[test]
+fn folded_costs_match_the_decode_model_bit_for_bit() {
+    for model in [
+        ModelSpec::qwen_7b(),
+        ModelSpec::qwen_32b(),
+        ModelSpec::qwen_72b(),
+    ] {
+        for tp in [1, 2, 4, 8] {
+            let m = DecodeModel::new(model.clone(), GpuSpec::h800(), tp);
+            let c = cost::RooflineCosts::new(&m);
+            let at = format!("{} at TP {tp}", model.name);
+            assert_eq!(c.batch_limit, m.roofline_batch_limit(), "{at}");
+            for batch in [0, 1, 7, 256, 1024] {
+                for ctx in [0.0, 1.0, 1e3, 1e6] {
+                    assert_eq!(
+                        c.step_secs(batch, ctx).to_bits(),
+                        m.step_secs(batch, ctx).to_bits(),
+                        "{at}: step of {batch} sequences over {ctx} context tokens"
+                    );
+                }
+            }
+            for prompt in [0, 1, 2048] {
+                assert_eq!(
+                    c.prefill_secs(prompt).to_bits(),
+                    m.prefill_secs(prompt).to_bits(),
+                    "{at}: prefill of {prompt} tokens"
+                );
+                assert_eq!(c.prefill_time(prompt), m.prefill_time(prompt), "{at}");
+            }
+        }
+    }
+}
+
+/// Every word the engine's checkpoint chunks carry: the scalar words, then
+/// each resident, waiting and undrained-completion record.
+fn engine_words(e: &ReplicaEngine) -> Vec<u64> {
+    let mut w = Vec::new();
+    e.checkpoint_scalar_words(&mut w);
+    for (id, st) in e.active_states() {
+        w.push(id);
+        st.encode_words(&mut w);
+    }
+    for st in e.waiting_states() {
+        st.encode_words(&mut w);
+    }
+    w.push(e.completions().len() as u64);
+    for c in e.completions() {
+        c.encode_words(&mut w);
+    }
+    w
+}
+
+/// The engine states the batched-admission property test submits into.
+#[derive(Debug, Clone, Copy)]
+enum Arrival {
+    /// Trajectories decoding, the batch landing between two events.
+    MidDecode,
+    /// Long trajectories fill the KVCache, so part of the batch waits.
+    KvSaturated,
+    /// A weight-sync stall holds the prefill pipeline past `now`.
+    PrefillStalled,
+    /// The replica runs as a straggler (`perf_factor` ≠ 1).
+    Straggler,
+    /// The batch is empty.
+    Empty,
+}
+
+/// A seeded spec with at least one prompt token and `tokens` decode
+/// tokens to start with: single-turn, or two decode segments around an env
+/// call.
+fn random_spec(
+    rng: &mut laminar_sim::SimRng,
+    id: u64,
+    tokens: std::ops::Range<u64>,
+) -> TrajectorySpec {
+    let prompt = rng.range_u64(1, 2049);
+    let tokens = rng.range_u64(tokens.start, tokens.end);
+    if rng.chance(0.3) {
+        spec_env(id, prompt, tokens, rng.below(5), rng.range_u64(1, 2000))
+    } else {
+        spec(id, prompt, tokens)
+    }
+}
+
+#[test]
+fn batched_admission_equals_one_submit_per_spec() {
+    use laminar_sim::SimRng;
+    let arrivals = [
+        Arrival::MidDecode,
+        Arrival::KvSaturated,
+        Arrival::PrefillStalled,
+        Arrival::Straggler,
+        Arrival::Empty,
+    ];
+    for (k, &arrival) in arrivals.iter().enumerate() {
+        for case in 0..8u64 {
+            let mut rng = SimRng::derive(0xBA7C, "batched_admission", 8 * k as u64 + case);
+            let cfg = EngineConfig {
+                horizon_steps: rng.range_f64(8.0, 256.0),
+                record_trace: true,
+                ..EngineConfig::default()
+            };
+            let mut e = ReplicaEngine::new(0, decode_model(), cfg);
+            let long = matches!(arrival, Arrival::KvSaturated);
+            let (resident, tokens) = if long {
+                (6, 150_000..300_000)
+            } else {
+                (rng.range_u64(1, 24), 1..4000)
+            };
+            // The first resident still decodes when the batch lands.
+            e.submit(spec(0, 1000, 2000), Time::ZERO);
+            for id in 1..resident {
+                e.submit(random_spec(&mut rng, id, tokens.clone()), Time::ZERO);
+            }
+            if matches!(arrival, Arrival::Straggler) {
+                e.set_perf_factor(rng.range_f64(1.5, 3.0), Time::from_millis(rng.below(500)));
+            }
+            // Land between events, once the first prefills have finished.
+            let mut now = Time::from_secs(3) + Duration::from_nanos(rng.below(1_000_000_000));
+            e.advance_to(now);
+            assert!(e.decoding_count > 0, "{arrival:?}: nothing decodes");
+            if matches!(arrival, Arrival::PrefillStalled) {
+                e.stall_prefill_queue(now + Duration::from_millis(rng.range_u64(1, 5000)));
+                assert!(e.prefill_busy_until > now);
+            }
+            now += Duration::from_nanos(1 + rng.below(1_000_000));
+            let n = match arrival {
+                Arrival::Empty => 0,
+                _ => rng.range_u64(1, 24),
+            };
+            let batch: Vec<TrajectorySpec> = (0..n)
+                .map(|i| random_spec(&mut rng, 100 + i, tokens.clone()))
+                .collect();
+
+            let before = engine_words(&e);
+            let mut one_by_one = e.clone();
+            e.submit_all(batch.clone(), now);
+            for s in batch {
+                one_by_one.submit(s, now);
+            }
+            let at = format!("{arrival:?} case {case}");
+            if n == 0 {
+                assert_eq!(
+                    engine_words(&e),
+                    before,
+                    "{at}: an empty batch changed the engine"
+                );
+            }
+            if long {
+                assert!(e.waiting_count() > 0, "{at}: the whole batch fit");
+            }
+            assert_eq!(engine_words(&e), engine_words(&one_by_one), "{at}");
+            assert_eq!(e.next_event_time(), one_by_one.next_event_time(), "{at}");
+            assert_eq!(e.trace_spans(), one_by_one.trace_spans(), "{at}");
+
+            run_to_idle(&mut e);
+            run_to_idle(&mut one_by_one);
+            assert_eq!(e.take_completions(), one_by_one.take_completions(), "{at}");
+            assert_eq!(engine_words(&e), engine_words(&one_by_one), "{at}");
+            assert_eq!(e.trace_spans(), one_by_one.trace_spans(), "{at}");
+        }
+    }
+}

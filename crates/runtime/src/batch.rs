@@ -84,8 +84,9 @@ fn generate_batch_traced(
             e
         })
         .collect();
-    for (i, spec) in specs.iter().enumerate() {
-        engines[i % replicas].submit(spec.clone(), Time::ZERO);
+    // Round-robin assignment: engine `i` takes specs `i, i + replicas, …`.
+    for (i, e) in engines.iter_mut().enumerate() {
+        e.submit_all(specs.iter().skip(i).step_by(replicas).cloned(), Time::ZERO);
     }
     let mut completion_tokens: Vec<(Duration, f64)> = Vec::with_capacity(specs.len());
     let mut latencies = Vec::with_capacity(specs.len());

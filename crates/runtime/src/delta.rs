@@ -57,8 +57,11 @@ pub const PAGE_WORDS: usize = 32;
 /// the experience buffer's flow counters and constant eviction words, the
 /// partial pool's counters and per-entry update times, the actor
 /// checkpoint history beyond the newest version, and the pipelines'
-/// per-batch generation start times.
-pub const IMAGE_FORMAT: u32 = 3;
+/// per-batch generation start times; format 4 carries the same words, but
+/// Laminar and partial rollout no longer schedule the trainer checks that
+/// could not start an update, so their scheduler counters and pending
+/// sequence numbers hold other values at the same point of a run.
+pub const IMAGE_FORMAT: u32 = 4;
 
 /// Trace spans per chunk in span planes. Spans are append-only during a
 /// run, so a full batch keeps its chunk key and only the tail batch's chunk

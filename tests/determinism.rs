@@ -87,10 +87,10 @@ const CHECKPOINT_HASH_GOLDENS: [(&str, u64); 8] = [
 /// `(system, index)`, as the committed manifests record them. Checkpoint
 /// descriptor lines carry these values.
 const SNAPSHOT_GOLDENS: [(&str, usize, u64); 4] = [
-    ("laminar", 0, 0x03521cf35fe83eae),
-    ("laminar", 1, 0x5543b3de956c16e3),
-    ("partial-rollout", 0, 0x2665d7d4cfa3d415),
-    ("partial-rollout", 1, 0x1e0d74f0c267d654),
+    ("laminar", 0, 0x2ef8d66df4603b07),
+    ("laminar", 1, 0x55a31d5a5b3b2526),
+    ("partial-rollout", 0, 0x4d001cd0a47f7009),
+    ("partial-rollout", 1, 0x1bf7d4d603ad44ff),
 ];
 
 /// Checkpoint count and FNV-1a fold of every checkpoint's
@@ -106,10 +106,10 @@ const CADENCE_GOLDENS: [(&str, u64, usize, u64); 10] = [
     ("one-step", 33, 7, 0xffdf11d2c29270cb),
     ("stream-gen", 20, 11, 0x3f92f102631b298b),
     ("stream-gen", 33, 6, 0x6a55edfeb2c6c4dc),
-    ("partial-rollout", 20, 2, 0xab218a6335de8dd4),
-    ("partial-rollout", 33, 1, 0xff5862c74db97da8),
-    ("laminar", 20, 6, 0x025b18a2954103fc),
-    ("laminar", 33, 4, 0xc59f045e8d93721e),
+    ("partial-rollout", 20, 2, 0xcbc9c6d3ecfa8bcb),
+    ("partial-rollout", 33, 1, 0xe26061a2ff3b7242),
+    ("laminar", 20, 6, 0x17a4d03710136561),
+    ("laminar", 33, 4, 0x5a0f8b64d67694ce),
 ];
 
 /// A cadence run's checkpoint count and `(index, at_ns, fingerprint)` fold.
